@@ -148,6 +148,11 @@ def enumerate_bifurcations(cfg: LatticeConfig, pot: Potential, a: float,
     """All bifurcation onsets at amplitude a: case (a) modes (k = 1..n-1)
     contribute nu_k^+, case (b) modes (k <= n/2) contribute both nu_k^+/-.
     Modes with phi_k >= 1 contribute none (1:1/Hopf territory)."""
+    return _enumerate(cfg, pot, a, tol_deg, tol_res, near_tol)[0]
+
+
+def _enumerate(cfg, pot, a, tol_deg=1e-9, tol_res=1e-9, near_tol=1e-6) -> tuple:
+    """(onsets, resonance report), from one resonance scan."""
     rep = check_nondegenerate(cfg, pot, a, tol_deg)
     if not rep.nondegenerate:
         raise DegenerateAmplitudeError("; ".join(rep.failures))
@@ -165,7 +170,7 @@ def enumerate_bifurcations(cfg: LatticeConfig, pot: Potential, a: float,
     for p in points:
         if p.nu_onset <= 0:
             raise AssertionError(f"onset frequency not positive for k={p.k}")
-    return points
+    return points, res
 
 
 def _make_point(k, sign, nu, regime, res: ResonanceReport, near) -> BifurcationPoint:

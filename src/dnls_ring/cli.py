@@ -17,12 +17,11 @@ from typing import Optional
 
 import numpy as np
 
-from .bifurcation import (amplitude_thresholds, check_nonresonant,
+from .bifurcation import (_enumerate, amplitude_thresholds,
                           enumerate_bifurcations)
-from .continuation import (Branch, ContinuationOptions, continue_branch,
-                           extrapolate_onset)
+from .continuation import ContinuationOptions, continue_branch, extrapolate_onset
 from .errors import (ConfigError, ConvergenceError, DegenerateAmplitudeError,
-                     DnlsRingError, DomainError, ResonanceError)
+                     DomainError, ResonanceError)
 from .lattice import LatticeConfig, Potential, make_standing_wave
 from .spectral import block_data, classify_stability, full_spectrum
 from .symmetry import embed_reduced
@@ -43,7 +42,7 @@ class RunConfig:
     sign: int
     options: ContinuationOptions
     dt: float
-    periods: float
+    periods: int
     t_final: Optional[float]
     perturbation: Optional[dict]
     out_dir: Path
@@ -75,8 +74,11 @@ def parse_config(doc: dict, out_override: Optional[str] = None) -> RunConfig:
     sweep_doc = doc.get("sweep")
     sweep = None
     if sweep_doc is not None:
-        sweep = (float(sweep_doc["a_min"]), float(sweep_doc["a_max"]),
-                 int(sweep_doc["steps"]))
+        try:
+            sweep = (float(sweep_doc["a_min"]), float(sweep_doc["a_max"]),
+                     int(sweep_doc["steps"]))
+        except KeyError as exc:
+            raise ConfigError(f"sweep requires key {exc}") from exc
         if sweep[2] < 2 or sweep[0] < 0 or sweep[1] <= sweep[0]:
             raise ConfigError("sweep requires 0 <= a_min < a_max and steps >= 2")
     if amplitude is not None and amplitude < 0:
@@ -93,6 +95,10 @@ def parse_config(doc: dict, out_override: Optional[str] = None) -> RunConfig:
         raise ConfigError(f"invalid continuation options: {exc}") from exc
 
     integ = doc.get("integration", {})
+    periods = integ.get("periods", 1)
+    if type(periods) not in (int, float) or not periods >= 1 or periods % 1:
+        raise ConfigError("integration.periods must be a positive integer, "
+                          f"got {periods!r}")
     out_dir = Path(out_override or doc.get("output_dir", "."))
     return RunConfig(
         lattice=cfg,
@@ -103,7 +109,7 @@ def parse_config(doc: dict, out_override: Optional[str] = None) -> RunConfig:
         sign=+1 if sign_str == "+" else -1,
         options=options,
         dt=float(integ.get("dt", 1e-3)),
-        periods=float(integ.get("periods", 1.0)),
+        periods=int(periods),
         t_final=None if integ.get("t_final") is None else float(integ["t_final"]),
         perturbation=doc.get("perturbation"),
         out_dir=out_dir,
@@ -202,8 +208,7 @@ def _flag_string(p) -> str:
 def cmd_bifurcations(config: RunConfig) -> None:
     cfg, pot = config.lattice, config.potential
     a = _require_amplitude(config)
-    points = enumerate_bifurcations(cfg, pot, a)
-    res = check_nonresonant(cfg, pot, a)
+    points, res = _enumerate(cfg, pot, a)
     rows = [[p.k, "+" if p.sign > 0 else "-", p.nu_onset, p.regime,
              p.near_degenerate, p.suppressed, _flag_string(p)] for p in points]
     for k in res.one_to_one:
@@ -264,8 +269,10 @@ def cmd_verify(config: RunConfig) -> None:
     for i, pt in enumerate(branch.points[: config.verify_points]):
         loop = embed_reduced(pt.profile, cfg)
         u0 = sw.equilibrium + loop.sample(0.0)[0].ravel()
-        T = config.periods * 2.0 * np.pi / pt.nu
-        traj = integrate(cfg, pot, sw.omega, u0, config.dt, T)
+        # whole steps per period, so the wave checks can resample one period
+        P = 2.0 * np.pi / pt.nu
+        dt = P / max(1, round(P / config.dt))
+        traj = integrate(cfg, pot, sw.omega, u0, dt, config.periods * P)
         dH, dP = invariant_drift(traj, cfg, pot, sw.omega)
         tw = traveling_wave_error(traj, sw, k, pt.nu)
         sp = spatial_period_error(traj, cfg, k, pt.nu) if cfg.n % k == 0 else None

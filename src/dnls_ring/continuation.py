@@ -4,9 +4,10 @@ continuation of traveling-wave branches from their onsets.
 The reduced unknown is the site-0 profile (cos/sin coefficients up to the
 harmonic cutoff) plus the frequency nu. Time-translation symmetry is fully
 quotiented by the reversibility constraint built into the profile, so the
-bordered and arclength systems are square. Jacobians are forward finite
-differences on the coefficients; the linearization at the trivial branch is
-assembled exactly from the equilibrium Hessian.
+bordered and arclength systems are square. Every site in the fixed space is
+a rotated, time-shifted copy of site 0, so the residual is evaluated on site
+0 alone, with an exact Jacobian. The full-ring `loop_vector_field` is the
+oracle the site-0 residual is tested against.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import numpy as np
 from .bifurcation import BifurcationPoint
 from .errors import ConvergenceError, DomainError, ResonanceError
 from .lattice import (LatticeConfig, Potential, StandingWave, apply_symplectic,
-                      gradient, hessian_at_equilibrium, symplectic_matrix)
+                      gradient)
 from .spectral import block_data
-from .symmetry import LatticeLoop, ReducedProfile, embed_reduced, project_reduced
+from .symmetry import LatticeLoop, ReducedProfile
 
 
 @dataclass
@@ -36,7 +37,6 @@ class ContinuationOptions:
     amplitude_cap: Optional[float] = None  # defaults to 10 * a at run time
     first_step_eps: float = 1e-3
     nu_min: float = 1e-6
-    fd_step: float = 1e-7
 
     def __post_init__(self):
         if not (0 < self.ds_min <= self.ds0 <= self.ds_max):
@@ -59,69 +59,74 @@ class Branch:
 
 
 class ReducedSystem:
-    """Residual evaluation machinery for one (config, potential, standing
-    wave, mode k, cutoff) tuple. Collocation grid of 4 nh + 1 equispaced
-    times keeps harmonics |l| <= nh alias-free under a cubic nonlinearity."""
+    """Site-0 residual and its exact Jacobian for one (config, potential,
+    standing wave, mode k, cutoff) tuple. The neighbour coupling and J xdot
+    act on each harmonic pair (a_l, b_l) as exact 2x2 blocks; only the
+    on-site term is collocated, on 8 nh + 1 times (alias-free to degree 7)."""
 
     def __init__(self, cfg: LatticeConfig, pot: Potential, sw: StandingWave,
                  k: int, n_harmonics: int):
-        self.cfg = cfg
         self.pot = pot
         self.sw = sw
         self.k = k
-        self.nh = n_harmonics
-        self.M = 4 * n_harmonics + 1
-        self.times = 2.0 * np.pi * np.arange(self.M) / self.M
-        self.dim = 2 * n_harmonics + 1
+        self.nh = nh = n_harmonics
+        self.dim = 2 * nh + 1
+        M = 8 * nh + 1
+        ls = np.arange(nh + 1)
+        lt = np.outer(2.0 * np.pi * np.arange(M) / M, ls)
+        # x_0 on the grid, (component, time), from the coefficients, and the
+        # discrete cos/sin transform that reads grid values back
+        self.synthesis = np.zeros((2, M, self.dim))
+        self.synthesis[0, :, : nh + 1] = np.cos(lt)
+        self.synthesis[1, :, nh + 1:] = np.sin(lt[:, 1:])
+        weights = np.full(self.dim, 2.0 / M)
+        weights[0] = 1.0 / M
+        self.analysis = weights[:, None] * self.synthesis.reshape(2 * M, -1).T
+        # (omega - 2) x_0 + x_1 + x_{-1} with x_{+-1}(t) = e^{+-m zeta J}
+        # x_0(t +- k zeta), and J xdot, on each pair (a_l, b_l)
+        mz, lkz = cfg.m * cfg.zeta, ls * k * cfg.zeta
+        d = sw.omega - 2.0 + 2.0 * np.cos(mz) * np.cos(lkz)
+        ia, ib = ls[1:], nh + ls[1:]
+        self.coupling = np.diag(np.concatenate([d, d[1:]]))
+        self.coupling[ia, ib] = self.coupling[ib, ia] = \
+            -2.0 * np.sin(mz) * np.sin(lkz[1:])
+        self.j_dt = np.zeros((self.dim, self.dim))
+        self.j_dt[ia, ib] = self.j_dt[ib, ia] = -ls[1:]
 
     def profile(self, pvec: np.ndarray) -> ReducedProfile:
         return ReducedProfile.from_vector(self.k, pvec)
 
+    def _site0(self, pvec: np.ndarray) -> np.ndarray:
+        """u_0 = a e_1 + x_0 on the collocation grid, shape (2, M)."""
+        u = self.synthesis @ pvec
+        u[0] += self.sw.a
+        return u
+
+    def _gradient(self, pvec: np.ndarray) -> np.ndarray:
+        """Site-0 component of grad H(a_m + x) as cos/sin coefficients."""
+        u = self._site0(pvec)
+        g = self.pot((u * u).sum(axis=0), 1) * u
+        g[0] -= self.pot(self.sw.a ** 2, 1) * self.sw.a
+        return self.coupling @ pvec + self.analysis @ g.ravel()
+
     def residual(self, pvec: np.ndarray, nu: float) -> np.ndarray:
-        """f(x; nu) = J xdot - nu^{-1} grad H(a_m + x) evaluated on the
-        collocation grid and projected back to the reduced coefficients."""
+        """f(x; nu) = J xdot - nu^{-1} grad H(a_m + x) at site 0, as reduced
+        coefficients."""
         if nu <= 0:
             raise ConvergenceError("frequency left the positive domain")
-        cfg, n, M = self.cfg, self.cfg.n, self.M
-        loop = embed_reduced(self.profile(pvec), cfg)
-        X = loop.sample(self.times)
-        Xd = loop.differentiated().sample(self.times)
-        U = self.sw.equilibrium.reshape(1, 2 * n) + X.reshape(M, 2 * n)
-        G = gradient(cfg, self.pot, self.sw.omega, U)
-        F = (apply_symplectic(Xd.reshape(M, 2 * n), n) - G / nu).reshape(M, n, 2)
-        floop = LatticeLoop.from_samples(F, self.nh)
-        return project_reduced(floop, self.k, cfg).as_vector()
+        return self.j_dt @ pvec - self._gradient(pvec) / nu
 
-    def jacobian(self, pvec: np.ndarray, nu: float, r0: np.ndarray,
-                 fd_step: float) -> np.ndarray:
-        """Forward-difference Jacobian with respect to (p, nu): (dim, dim+1)."""
-        Jm = np.empty((self.dim, self.dim + 1))
-        for i in range(self.dim):
-            h = fd_step * max(1.0, abs(pvec[i]))
-            pp = pvec.copy()
-            pp[i] += h
-            Jm[:, i] = (self.residual(pp, nu) - r0) / h
-        h = fd_step * max(1.0, abs(nu))
-        Jm[:, self.dim] = (self.residual(pvec, nu + h) - r0) / h
-        return Jm
-
-    def linearization_at_origin(self, nu: float) -> np.ndarray:
-        """Exact reduced linearization at the trivial branch: coefficientwise
-        il J c_l - nu^{-1} D^2H(a_m) c_l, assembled column by column."""
-        H = hessian_at_equilibrium(self.cfg, self.pot, self.sw.a)
-        Jbig = symplectic_matrix(self.cfg.n)
-        ls = np.arange(-self.nh, self.nh + 1)
-        A = np.empty((self.dim, self.dim))
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = 1.0
-            c = embed_reduced(self.profile(e), self.cfg).coeffs
-            out = np.empty_like(c)
-            for li, l in enumerate(ls):
-                v = c[:, li, :].ravel()
-                out[:, li, :] = (1j * l * (Jbig @ v) - (H @ v) / nu).reshape(-1, 2)
-            A[:, i] = project_reduced(LatticeLoop(out), self.k, self.cfg).as_vector()
-        return A
+    def jacobian(self, pvec: np.ndarray, nu: float) -> np.ndarray:
+        """Exact Jacobian with respect to (p, nu): (dim, dim+1)."""
+        u = self._site0(pvec)
+        s = (u * u).sum(axis=0)
+        # pointwise Hessian V'(s) I + 2 V''(s) u_0 u_0^T, shape (2, 2, M)
+        hess = (np.eye(2)[:, :, None] * self.pot(s, 1)
+                + 2.0 * self.pot(s, 2) * u[:, None] * u[None, :])
+        onsite = self.analysis @ np.einsum(
+            "cdt,dtj->ctj", hess, self.synthesis).reshape(-1, self.dim)
+        return np.column_stack([self.j_dt - (self.coupling + onsite) / nu,
+                                self._gradient(pvec) / nu ** 2])
 
 
 def loop_vector_field(loop: LatticeLoop, nu: float, cfg: LatticeConfig,
@@ -161,7 +166,7 @@ def onset_kernel(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
                          f"= {nu} is not a positive real")
     nu = float(nu.real)
     sys_ = ReducedSystem(cfg, pot, sw, k, n_harmonics)
-    A = sys_.linearization_at_origin(nu)
+    A = sys_.jacobian(np.zeros(sys_.dim), nu)[:, :-1]
     _, svals, Vt = np.linalg.svd(A)
     small = svals < kernel_rtol * svals[0]
     dim_kernel = int(small.sum())
@@ -189,8 +194,7 @@ def _newton(sys_: ReducedSystem, y: np.ndarray, constraint, opts) -> tuple:
         rnorm = float(np.linalg.norm(r))
         if rnorm <= opts.newton_tol and abs(cval) <= opts.newton_tol:
             return y, rnorm
-        Jm = sys_.jacobian(p, nu, r, opts.fd_step)
-        Jfull = np.vstack([Jm, cgrad])
+        Jfull = np.vstack([sys_.jacobian(p, nu), cgrad])
         try:
             delta = np.linalg.solve(Jfull, -np.concatenate([r, [cval]]))
         except np.linalg.LinAlgError as exc:
@@ -283,16 +287,11 @@ def refine_point(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
     checks."""
     opts = opts or ContinuationOptions()
     sys_ = ReducedSystem(cfg, pot, sw, point.profile.k, n_harmonics)
-    p = point.profile.padded(n_harmonics).as_vector()
-    nu = point.nu
-    for _ in range(opts.max_newton_iter):
-        r = sys_.residual(p, nu)
-        rnorm = float(np.linalg.norm(r))
-        if rnorm <= opts.newton_tol:
-            return sys_.profile(p), rnorm
-        Jm = sys_.jacobian(p, nu, r, opts.fd_step)[:, :-1]
-        p = p + np.linalg.solve(Jm, -r)
-    raise ConvergenceError("refinement Newton did not converge")
+    e_nu = np.zeros(sys_.dim + 1)
+    e_nu[-1] = 1.0
+    y0 = np.concatenate([point.profile.padded(n_harmonics).as_vector(), [point.nu]])
+    y, rnorm = _newton(sys_, y0, lambda y: (float(y[-1] - point.nu), e_nu), opts)
+    return sys_.profile(y[:-1]), rnorm
 
 
 def extrapolate_onset(branch: Branch) -> float:

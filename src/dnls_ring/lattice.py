@@ -110,11 +110,6 @@ class Potential:
         return out if out.ndim else float(out)
 
 
-def potential_derivatives(pot: Potential, s, order: int = 0):
-    """Functional form of Potential.__call__ (V, V' or V'' at s)."""
-    return pot(s, order)
-
-
 @dataclass(frozen=True)
 class StandingWave:
     """Plane-wave relative equilibrium: amplitude a, frequency omega, and the

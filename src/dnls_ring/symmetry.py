@@ -62,9 +62,6 @@ class LatticeLoop:
     def copy(self) -> "LatticeLoop":
         return LatticeLoop(self.coeffs.copy())
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
     def harmonic_range(self) -> np.ndarray:
         return np.arange(-self.nh, self.nh + 1)
 
@@ -125,10 +122,6 @@ class ReducedProfile:
         return len(self.sin_b)
 
     @classmethod
-    def zeros(cls, k: int, nh: int) -> "ReducedProfile":
-        return cls(k, np.zeros(nh + 1), np.zeros(nh))
-
-    @classmethod
     def from_vector(cls, k: int, vec: np.ndarray) -> "ReducedProfile":
         nh = (len(vec) - 1) // 2
         return cls(k, np.array(vec[: nh + 1], dtype=float),
@@ -136,9 +129,6 @@ class ReducedProfile:
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.cos_a, self.sin_b])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_vector()))
 
     def padded(self, nh: int) -> "ReducedProfile":
         """Zero-pad to a larger harmonic cutoff."""

@@ -53,6 +53,31 @@ def test_missing_config_file_exits_2(tmp_path):
     assert main(["spectrum", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+@pytest.mark.parametrize("doc, key", [
+    (dict(BASE, sweep={"a_min": 0.1, "a_max": 0.3}), "steps"),
+    (dict(BASE, integration={"periods": 2.5}), "periods"),
+    (dict(BASE, integration={"periods": 0}), "periods"),
+    (dict(BASE, continuation={"fd_step": 1e-7}), "fd_step"),
+], ids=["sweep_without_steps", "fractional_periods", "zero_periods",
+        "removed_fd_step"])
+def test_invalid_config_names_key_and_exits_2(tmp_path, capsys, doc, key):
+    assert main(["stability", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_verify_over_two_periods(tmp_path):
+    doc = dict(BASE, mode=3, sign="+",
+               continuation={"n_harmonics": 8, "max_steps": 2},
+               integration={"dt": 1e-2, "periods": 2}, verify_points=1)
+    cfgp = write_config(tmp_path, doc)
+    assert main(["verify", "--config", cfgp, "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "verify.csv")
+    assert len(rows) == 1
+    assert float(rows[0][2]) <= 1e-5     # closure after two periods
+    assert float(rows[0][5]) <= 1e-6     # traveling-wave defect
+
+
 def test_stability_sweep_flips_at_threshold(tmp_path):
     doc = {"lattice": {"n": 6, "m": 1},
            "potential": {"kind": "cubic", "c": 1.0},

@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 
 from dnls_ring import (ContinuationOptions, GroupElement, LatticeConfig,
-                       Potential, ResonanceError, act, continue_branch,
-                       enumerate_bifurcations, loop_vector_field,
-                       make_standing_wave, onset_kernel, refine_point)
+                       Potential, ReducedProfile, ResonanceError, act,
+                       continue_branch, embed_reduced, enumerate_bifurcations,
+                       loop_vector_field, make_standing_wave, onset_kernel,
+                       project_reduced, refine_point)
 from dnls_ring.bifurcation import BifurcationPoint
 from dnls_ring.continuation import ReducedSystem, extrapolate_onset
 from dnls_ring.spectral import block_data
 from dnls_ring.symmetry import LatticeLoop
+
+from helpers import fd_jacobian
 
 
 CFG = LatticeConfig(6, 1)
@@ -35,13 +38,50 @@ def test_residual_quadratic_along_kernel():
     assert norms[1] / norms[2] == pytest.approx(100.0, rel=0.05)
 
 
+def _decaying_profile(rng, k, nh, scale):
+    decay = scale * 0.5 ** np.arange(nh + 1)
+    return ReducedProfile(k, decay * rng.standard_normal(nh + 1),
+                          decay[1:] * rng.standard_normal(nh))
+
+
+@pytest.mark.parametrize("pot, tol", [
+    (Potential.cubic(1.0), 1e-13),
+    (Potential.cubic(-1.0), 1e-13),
+    (Potential.saturable(1.0), 1e-12),
+    (Potential.polynomial([0.0, 0.5, -0.3, 0.1, 0.05]), 1e-12),
+])
+def test_site0_residual_matches_full_ring_oracle(pot, tol):
+    # the site-0 residual against embed -> full-ring field -> group average
+    rng = np.random.default_rng(5)
+    nh = 6
+    for n in (3, 5, 6, 7, 24):
+        for m in range(n // 2 + 1):
+            if 4 * m == n:
+                continue
+            cfg = LatticeConfig(n, m)
+            sw = make_standing_wave(cfg, pot, 0.3)
+            for k in sorted({1, 2, n // 2, n - 1}):
+                p = _decaying_profile(rng, k, nh, 0.3)
+                nu = float(rng.uniform(0.5, 2.5))
+                want = project_reduced(loop_vector_field(
+                    embed_reduced(p, cfg), nu, cfg, pot, sw, out_nh=nh), k, cfg)
+                got = ReducedSystem(cfg, pot, sw, k, nh).residual(p.as_vector(), nu)
+                assert np.abs(got - want.as_vector()).max() <= tol
+
+
 def test_origin_linearization_matches_fd():
-    sys_ = ReducedSystem(CFG, CUBIC, SW, 3, 6)
+    # every column of the exact Jacobian, the nu column included, at the
+    # trivial branch and at random profiles
+    rng = np.random.default_rng(9)
     nu = 1.7
-    A = sys_.linearization_at_origin(nu)
-    r0 = sys_.residual(np.zeros(sys_.dim), nu)
-    A_fd = sys_.jacobian(np.zeros(sys_.dim), nu, r0, 1e-7)[:, :-1]
-    assert np.abs(A - A_fd).max() <= 1e-6
+    for pot in (CUBIC, Potential.saturable(1.0)):
+        sys_ = ReducedSystem(CFG, pot, make_standing_wave(CFG, pot, 0.2), 3, 6)
+        points = [np.zeros(sys_.dim)] + [
+            _decaying_profile(rng, 3, 6, 0.2).as_vector() for _ in range(3)]
+        for p in points:
+            J_fd = fd_jacobian(lambda y: sys_.residual(y[:-1], y[-1]),
+                               np.concatenate([p, [nu]]))
+            assert np.abs(sys_.jacobian(p, nu) - J_fd).max() <= 1e-9
 
 
 def test_origin_jacobian_singular_exactly_at_onsets():
@@ -51,7 +91,7 @@ def test_origin_jacobian_singular_exactly_at_onsets():
     bd = block_data(CFG, CUBIC, SW.a, 3)
     nu_star = bd.nu_plus.real
     def det(nu):
-        return np.linalg.det(sys_.linearization_at_origin(nu))
+        return np.linalg.det(sys_.jacobian(np.zeros(sys_.dim), nu)[:, :-1])
     assert det(nu_star - 1e-4) * det(nu_star + 1e-4) < 0
     assert det(nu_star + 1e-3) * det(nu_star + 1e-1) > 0
 
