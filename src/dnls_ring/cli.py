@@ -99,6 +99,13 @@ def parse_config(doc: dict, out_override: Optional[str] = None) -> RunConfig:
     if type(periods) not in (int, float) or not periods >= 1 or periods % 1:
         raise ConfigError("integration.periods must be a positive integer, "
                           f"got {periods!r}")
+    dt, t_final = integ.get("dt", 1e-3), integ.get("t_final")
+    if type(dt) not in (int, float) or not 0 < dt < np.inf:
+        raise ConfigError(f"integration.dt must be finite and positive, got {dt!r}")
+    if t_final is not None and (type(t_final) not in (int, float)
+                                or not dt <= t_final < np.inf):
+        raise ConfigError("integration.t_final must be finite and at least dt, "
+                          f"got {t_final!r}")
     out_dir = Path(out_override or doc.get("output_dir", "."))
     return RunConfig(
         lattice=cfg,
@@ -108,9 +115,9 @@ def parse_config(doc: dict, out_override: Optional[str] = None) -> RunConfig:
         mode=int(doc.get("mode", 1)),
         sign=+1 if sign_str == "+" else -1,
         options=options,
-        dt=float(integ.get("dt", 1e-3)),
+        dt=float(dt),
         periods=int(periods),
-        t_final=None if integ.get("t_final") is None else float(integ["t_final"]),
+        t_final=None if t_final is None else float(t_final),
         perturbation=doc.get("perturbation"),
         out_dir=out_dir,
         verify_points=int(doc.get("verify_points", 5)),

@@ -152,7 +152,8 @@ def gradient(cfg: LatticeConfig, pot: Potential, omega: float, u) -> np.ndarray:
     x = _sites(u, cfg.n)
     s = (x * x).sum(axis=-1)
     vp = np.asarray(pot(s, 1))
-    lap = np.roll(x, -1, axis=-2) + np.roll(x, 1, axis=-2) - 2.0 * x
+    pad = np.concatenate((x[..., -1:, :], x, x[..., :1, :]), axis=-2)
+    lap = pad[..., 2:, :] + pad[..., :-2, :] - 2.0 * x    # cyclic neighbours
     g = (omega + vp)[..., None] * x + lap
     return g.reshape(np.shape(u))
 
@@ -176,16 +177,14 @@ def hessian(cfg: LatticeConfig, pot: Potential, omega: float, u) -> np.ndarray:
     n = cfg.n
     x = _sites(u, n)
     s = (x * x).sum(axis=-1)
-    vp = np.asarray(pot(s, 1))
-    vpp = np.asarray(pot(s, 2))
-    H = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        blk = (omega - 2.0 + vp[j]) * I2 + 2.0 * vpp[j] * np.outer(x[j], x[j])
-        H[2 * j:2 * j + 2, 2 * j:2 * j + 2] = blk
-        jp, jm = (j + 1) % n, (j - 1) % n
-        H[2 * j:2 * j + 2, 2 * jp:2 * jp + 2] += I2
-        H[2 * j:2 * j + 2, 2 * jm:2 * jm + 2] += I2
-    return H
+    j = np.arange(n)
+    H = np.zeros((n, 2, n, 2))
+    H[j, :, j, :] = ((omega - 2.0 + np.asarray(pot(s, 1)))[:, None, None] * I2
+                     + (2.0 * np.asarray(pot(s, 2)))[:, None, None]
+                     * (x[:, :, None] * x[:, None, :]))
+    H[j, :, (j + 1) % n, :] += I2
+    H[j, :, (j - 1) % n, :] += I2
+    return H.reshape(2 * n, 2 * n)
 
 
 def hessian_at_equilibrium(cfg: LatticeConfig, pot: Potential, a: float) -> np.ndarray:
@@ -209,18 +208,6 @@ def hessian_at_equilibrium(cfg: LatticeConfig, pot: Potential, a: float) -> np.n
 def symplectic_matrix(n: int) -> np.ndarray:
     """Block diagonal diag(J, ..., J) of size 2n."""
     return np.kron(np.eye(n), J2)
-
-
-def phase_rotate(u, theta: float, n: int) -> np.ndarray:
-    """Simultaneous phase rotation e^{theta J} applied to every site."""
-    x = _sites(u, n)
-    return (x @ rot(theta).T).reshape(np.shape(u))
-
-
-def site_shift(u, s: int, n: int) -> np.ndarray:
-    """Cyclic permutation of site blocks: site j takes the value of site j+s."""
-    x = _sites(u, n)
-    return np.roll(x, -s, axis=-2).reshape(np.shape(u))
 
 
 def _startup_sign_check() -> None:

@@ -58,8 +58,15 @@ def test_missing_config_file_exits_2(tmp_path):
     (dict(BASE, integration={"periods": 2.5}), "periods"),
     (dict(BASE, integration={"periods": 0}), "periods"),
     (dict(BASE, continuation={"fd_step": 1e-7}), "fd_step"),
+    (dict(BASE, integration={"dt": -1}), "dt"),
+    (dict(BASE, integration={"dt": 0}), "dt"),
+    (dict(BASE, integration={"dt": float("nan")}), "dt"),
+    (dict(BASE, integration={"dt": "1e-3"}), "dt"),
+    (dict(BASE, integration={"dt": 0.1, "t_final": 0.05}), "t_final"),
+    (dict(BASE, integration={"t_final": float("inf")}), "t_final"),
 ], ids=["sweep_without_steps", "fractional_periods", "zero_periods",
-        "removed_fd_step"])
+        "removed_fd_step", "negative_dt", "zero_dt", "nan_dt", "string_dt",
+        "t_final_below_dt", "infinite_t_final"])
 def test_invalid_config_names_key_and_exits_2(tmp_path, capsys, doc, key):
     assert main(["stability", "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path)]) == 2

@@ -4,9 +4,22 @@ import pytest
 from dnls_ring import (ConfigError, DomainError, LatticeConfig, Potential,
                        gradient, hamiltonian, hessian, hessian_at_equilibrium,
                        make_standing_wave, rotating_rhs)
-from dnls_ring.lattice import apply_symplectic, phase_rotate, site_shift
+from dnls_ring.lattice import apply_symplectic, rot
 
-from helpers import direct_hamiltonian, fd_gradient, fd_jacobian
+from helpers import (direct_hamiltonian, fd_gradient, fd_jacobian,
+                     loop_hessian, roll_gradient)
+
+
+def phase_rotate(u, theta: float, n: int) -> np.ndarray:
+    """Simultaneous phase rotation e^{theta J} applied to every site."""
+    x = np.asarray(u, dtype=float).reshape(np.shape(u)[:-1] + (n, 2))
+    return (x @ rot(theta).T).reshape(np.shape(u))
+
+
+def site_shift(u, s: int, n: int) -> np.ndarray:
+    """Cyclic permutation of site blocks: site j takes the value of site j+s."""
+    x = np.asarray(u, dtype=float).reshape(np.shape(u)[:-1] + (n, 2))
+    return np.roll(x, -s, axis=-2).reshape(np.shape(u))
 
 
 def test_config_normalizes_m():
@@ -149,6 +162,47 @@ def test_hessian_general_point_matches_fd():
     H = hessian(cfg, pot, omega, u)
     H_fd = fd_jacobian(lambda v: gradient(cfg, pot, omega, v), u)
     assert np.abs(H - H_fd).max() <= 1e-6
+
+
+POTENTIALS = [Potential.cubic(1.0), Potential.cubic(-1.0),
+              Potential.saturable(1.0), Potential.polynomial([0.0, 0.3, -0.5, 0.2])]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 48])
+@pytest.mark.parametrize("pot", POTENTIALS, ids=lambda p: f"{p.kind}{p.params}")
+def test_hessian_matches_loop_oracle(n, pot):
+    rng = np.random.default_rng(n)
+    cfg = LatticeConfig(n, 0)
+    for _ in range(3):
+        omega = float(rng.uniform(-1, 1))
+        u = 0.6 * rng.standard_normal(2 * n)
+        H = hessian(cfg, pot, omega, u)
+        assert np.abs(H - loop_hessian(n, pot, omega, u)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_batched_gradient_matches_per_row_calls(n):
+    # n = 3 leaves an interior neighbour slice of length 1
+    rng = np.random.default_rng(100 + n)
+    cfg = LatticeConfig(n, 0)
+    u = rng.standard_normal((3, 4, 2 * n))
+    for pot in POTENTIALS:
+        g = gradient(cfg, pot, 0.4, u)
+        assert g.shape == u.shape
+        rows = np.array([[gradient(cfg, pot, 0.4, r) for r in plane] for plane in u])
+        assert np.array_equal(g, rows)
+        assert np.abs(g - roll_gradient(n, pot, 0.4, u)).max() <= 1e-14
+
+
+def test_batched_hamiltonian_matches_per_state_calls():
+    rng = np.random.default_rng(41)
+    cfg = LatticeConfig(6, 1)
+    pot = Potential.saturable(1.0)
+    states = rng.standard_normal((50, 2 * cfg.n))
+    H = hamiltonian(cfg, pot, 0.7, states)
+    assert H.shape == (50,)
+    each = np.array([hamiltonian(cfg, pot, 0.7, u) for u in states])
+    assert np.abs(H - each).max() <= 1e-14 * np.abs(each).max()
 
 
 def test_hessian_zero_amplitude_structure():

@@ -7,6 +7,8 @@ from dnls_ring import (ContinuationOptions, LatticeConfig, Potential,
                        invariant_drift, make_standing_wave,
                        spatial_period_error, traveling_wave_error)
 
+from helpers import reference_midpoint
+
 
 CFG = LatticeConfig(6, 1)
 CUBIC = Potential.cubic(1.0)
@@ -104,6 +106,74 @@ def test_integrate_adjusts_dt_to_tile_interval():
     assert len(traj.times) == 4            # 3 steps of 1/3
     assert traj.dt == pytest.approx(1.0 / 3.0)
     assert traj.times[-1] == pytest.approx(1.0)
+
+
+def ring48_orbit(points):
+    """Start state, omega and period of the last point of an n=48, k=12
+    branch with `points` points."""
+    cfg = LatticeConfig(48, 1)
+    sw = make_standing_wave(cfg, CUBIC, 0.2)
+    on = next(p for p in enumerate_bifurcations(cfg, CUBIC, 0.2)
+              if p.k == 12 and p.sign == +1)
+    branch = continue_branch(cfg, CUBIC, sw, on,
+                             ContinuationOptions(n_harmonics=6, max_steps=points))
+    point = branch.points[-1]
+    u0 = sw.equilibrium + embed_reduced(point.profile, cfg).sample(0.7)[0].ravel()
+    return cfg, u0, sw.omega, 2 * np.pi / point.nu
+
+
+def test_branch_orbits_take_one_newton_correction_per_step(short_branch):
+    # The extrapolated predictor leaves one Newton correction to reach the
+    # 1e-13 tolerance on every step of a branch orbit; the linearly
+    # predicted second step may take two. A linear predictor throughout
+    # takes two corrections per step on the n=48 orbit at dt=5e-3.
+    point = short_branch.points[-1]
+    traj = integrate(CFG, CUBIC, SW.omega, branch_initial_state(point), 1e-3,
+                     2 * np.pi / point.nu)
+    assert traj.newton_iterations == len(traj.times) - 1
+    cfg, u0, omega, T = ring48_orbit(6)
+    traj = integrate(cfg, CUBIC, omega, u0, 5e-3, T)
+    assert len(traj.times) - 1 <= traj.newton_iterations <= len(traj.times)
+
+
+def orbit_cases():
+    rng = np.random.default_rng(5)
+    generic = SW.equilibrium + 0.2 * rng.standard_normal(12)
+    cfg5 = LatticeConfig(5, 1)
+    sat = Potential.saturable(1.0)
+    sw5 = make_standing_wave(cfg5, sat, 0.3)
+    cases = {
+        "generic": (CFG, CUBIC, SW.omega, generic, 1e-3, 1.0),
+        "saturable_n5": (cfg5, sat, sw5.omega,
+                         sw5.equilibrium + 0.1 * rng.standard_normal(10), 1e-3, 1.5),
+    }
+    cfg48, u48, omega48, T48 = ring48_orbit(3)
+    cases["ring48"] = (cfg48, CUBIC, omega48, u48, 5e-3, 0.25 * T48)
+    return cases
+
+
+def test_integrate_matches_reference_stepper(short_branch):
+    # Both steppers stop once a step's midpoint residual is at most 1e-13,
+    # so they can drift apart by up to that much per step. At the step sizes
+    # verification uses, one correction from either predictor lands far
+    # below the tolerance and they agree to round-off.
+    point = short_branch.points[-1]
+    cases = dict(orbit_cases(), branch_n6=(CFG, CUBIC, SW.omega,
+                                           branch_initial_state(point), 1e-3,
+                                           2 * np.pi / point.nu))
+    for name, (cfg, pot, omega, u0, dt, T) in cases.items():
+        traj = integrate(cfg, pot, omega, u0, dt, T)
+        ref = reference_midpoint(cfg.n, pot, omega, u0, dt, T)
+        assert traj.states.shape == ref.shape, name
+        assert np.abs(traj.states - ref).max() <= 1e-12, name
+
+
+@pytest.mark.parametrize("dt, T", [(float("nan"), 1.0), (1e-2, float("nan")),
+                                   (1e-2, float("inf")), (float("inf"), float("inf")),
+                                   (0.0, 1.0), (-1.0, 1.0), (0.5, 0.25)])
+def test_integrate_rejects_bad_step_or_horizon(dt, T):
+    with pytest.raises(ValueError):
+        integrate(CFG, CUBIC, SW.omega, SW.equilibrium, dt, T)
 
 
 def test_spatial_period_rejects_nondivisor():
