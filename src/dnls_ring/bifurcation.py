@@ -31,13 +31,15 @@ def check_nondegenerate(cfg: LatticeConfig, pot: Potential, a: float,
                         tol_deg: float = 1e-9) -> DegeneracyReport:
     """Amplitude is non-degenerate when V''(a^2) != 0 and phi_k != gamma_k for
     k = 1..n-1; equivalently the Hessian has no kernel in the fixed space
-    (nonzero block determinants and nonzero rank-one block 2a^2 V'')."""
+    (nonzero block determinants and a nonzero, finite rank-one block
+    2a^2 V'')."""
     v2 = pot(a * a, 2)
     failures = []
     if abs(v2) <= tol_deg:
         failures.append(f"V''(a^2) = {v2:.3e} vanishes")
-    if abs(2.0 * a * a * v2) <= tol_deg:
-        failures.append(f"rank-one block 2 a^2 V''(a^2) = {2 * a * a * v2:.3e} vanishes")
+    if not tol_deg < abs(2.0 * a * a * v2) < np.inf:
+        failures.append(f"rank-one block 2 a^2 V''(a^2) = {2 * a * a * v2:.3e} "
+                        "vanishes or overflows")
     margins = {}
     dets = {}
     for k in range(1, cfg.n):
@@ -77,43 +79,35 @@ class ResonanceReport:
     one_to_one: list  # modes k with nu_k^+ = nu_k^- (phi_k = 1, Hopf flag)
 
 
-def _nu_table(cfg: LatticeConfig, pot: Potential, a: float) -> dict:
-    table = {}
-    for k in range(1, cfg.n):
-        bd = block_data(cfg, pot, a, k)
-        table[k] = {+1: bd.nu_plus, -1: bd.nu_minus}
-    return table
-
-
 def check_nonresonant(cfg: LatticeConfig, pot: Potential, a: float,
                       tol_res: float = 1e-9) -> ResonanceReport:
-    """Brute-force scan for nu_j^+/- = l nu_k^+/- (j != k, l >= 1) over every
-    positive candidate onset; flags the 1:1 case phi_k = 1 separately."""
-    table = _nu_table(cfg, pot, a)
-    positives = [abs(v.real) for k in table for v in table[k].values()
-                 if abs(v.imag) <= tol_res and v.real > tol_res]
-    all_abs = [abs(v) for k in table for v in table[k].values()]
-    if positives:
-        l_max = min(L_MAX_CAP, int(np.ceil(max(all_abs) / min(positives))))
-    else:
-        l_max = 1
-    records = []
-    for k in table:
-        for ksign, nu in table[k].items():
-            if abs(nu.imag) > tol_res or nu.real <= tol_res:
-                continue
-            for j in table:
-                if j == k:
-                    continue
-                for jsign, nuj in table[j].items():
-                    if abs(nuj.imag) > tol_res:
-                        continue
-                    for l in range(1, l_max + 1):
-                        delta = abs(nuj.real - l * nu.real)
-                        if delta < tol_res:
-                            records.append(ResonanceRecord(k, ksign, j, jsign, l, delta))
-    one_to_one = [k for k in table
-                  if abs(table[k][+1] - table[k][-1]) < tol_res]
+    """Scan for nu_j^+/- = l nu_k^+/- (j != k, 1 <= l <= l_max) over every
+    positive candidate onset; flags the 1:1 case phi_k = 1 separately.
+
+    For nu_k > tol_res the window |nu_j - l nu_k| < tol_res is narrower than
+    2 nu_k, so only l = floor(nu_j / nu_k) and that plus one can fall in it;
+    the scan tests those two per (k, j) pair."""
+    bds = [block_data(cfg, pot, a, k) for k in range(1, cfg.n)]
+    nus = np.array([(bd.nu_plus, bd.nu_minus) for bd in bds]).ravel()
+    real = np.abs(nus.imag) <= tol_res
+    onset = real & (nus.real > tol_res)
+    l_max = 1
+    if onset.any():
+        l_max = int(min(L_MAX_CAP,
+                        np.ceil(np.abs(nus).max() / nus.real[onset].min())))
+    nu_k = np.where(onset, nus.real, 1.0)[:, None, None]
+    nu_j = nus.real[None, :, None]
+    l = np.floor(nu_j / nu_k) + np.array([0.0, 1.0])      # (2n-2, 2n-2, 2)
+    delta = np.abs(nu_j - l * nu_k)
+    mode = np.arange(len(nus)) // 2
+    pair = onset[:, None] & real[None, :] & (mode[:, None] != mode[None, :])
+    hit = pair[..., None] & (l >= 1) & (l <= l_max) & (delta < tol_res)
+    sign = (+1, -1)
+    records = [ResonanceRecord(int(i // 2 + 1), sign[i % 2], int(j // 2 + 1),
+                               sign[j % 2], int(l[i, j, c]), float(delta[i, j, c]))
+               for i, j, c in zip(*np.nonzero(hit))]
+    one_to_one = [int(k) + 1 for k in
+                  np.flatnonzero(np.abs(nus[0::2] - nus[1::2]) < tol_res)]
     return ResonanceReport(records=records, one_to_one=one_to_one)
 
 
@@ -132,10 +126,13 @@ class BifurcationPoint:
 
 def classify_mode(cfg: LatticeConfig, pot: Potential, a: float, k: int) -> str:
     """Case label for mode k: 'a', 'b', 'hopf' (phi_k >= 1) or 'none'."""
-    bd = block_data(cfg, pot, a, k)
+    return _regime(block_data(cfg, pot, a, k), cfg.n)
+
+
+def _regime(bd, n: int) -> str:
     if bd.phi < bd.gamma:
         return "a"
-    if bd.gamma < bd.phi < 1.0 and 2 * k <= cfg.n:
+    if bd.gamma < bd.phi < 1.0 and 2 * bd.k <= n:
         return "b"
     if bd.phi >= 1.0:
         return "hopf"
@@ -160,12 +157,11 @@ def _enumerate(cfg, pot, a, tol_deg=1e-9, tol_res=1e-9, near_tol=1e-6) -> tuple:
     points = []
     for k in range(1, cfg.n):
         bd = block_data(cfg, pot, a, k)
-        regime = classify_mode(cfg, pot, a, k)
+        regime = _regime(bd, cfg.n)
         near = min(abs(bd.phi - bd.gamma), abs(bd.phi - 1.0)) < near_tol
-        if regime == "a":
-            points.append(_make_point(k, +1, bd.nu_plus.real, "a", res, near))
-        elif regime == "b":
-            points.append(_make_point(k, +1, bd.nu_plus.real, "b", res, near))
+        if regime in ("a", "b"):
+            points.append(_make_point(k, +1, bd.nu_plus.real, regime, res, near))
+        if regime == "b":
             points.append(_make_point(k, -1, bd.nu_minus.real, "b", res, near))
     for p in points:
         if p.nu_onset <= 0:
@@ -227,6 +223,8 @@ def amplitude_thresholds(cfg: LatticeConfig, pot: Potential, k: int,
         raise ValueError(f"mode k must be in 1..n-1, got {k}")
     alpha, beta = alpha_beta(cfg, k)
     gamma = 1.0 - (beta / alpha) ** 2
+    if pot.kind in ("cubic", "saturable") and pot.params[0] == 0.0:
+        return Thresholds(a_hopf=None, a_gamma=None)   # phi_k = 0 for every a
     if pot.kind == "cubic":
         c = pot.params[0]
         a_hopf = _cubic_root(alpha, c, 1.0)

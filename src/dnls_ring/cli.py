@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -50,78 +51,112 @@ class RunConfig:
     snapshot_stride: int
 
 
-def parse_config(doc: dict, out_override: Optional[str] = None) -> RunConfig:
-    try:
-        lat = doc["lattice"]
-        cfg = LatticeConfig(n=int(lat["n"]), m=int(lat["m"]))
-    except KeyError as exc:
-        raise ConfigError(f"missing lattice key: {exc}") from exc
+def _section(doc: dict, key: str) -> dict:
+    """doc[key] as a JSON object; {} when the key is absent or null."""
+    sec = doc.get(key)
+    if sec is None:
+        return {}
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {type(sec).__name__}")
+    return sec
 
-    pot_doc = doc.get("potential", {})
+
+def _number(v, name: str, *, integer: bool = False, low: float = -np.inf,
+            strict: bool = False):
+    """v as a finite JSON number (an integer if asked) that is at least low,
+    or above it if strict. Anything else, a missing value (None) included,
+    is a ConfigError naming the key."""
+    try:
+        ok = (type(v) in (int, float) and math.isfinite(v)
+              and not (integer and v % 1) and (v > low if strict else v >= low))
+    except OverflowError:             # an integer too large for a float
+        ok = False
+    if not ok:
+        rule = "an integer" if integer else "a number"
+        if low > -np.inf:
+            rule += f" {'>' if strict else '>='} {low:g}"
+        raise ConfigError(f"{name} must be finite and {rule}, got {v!r}")
+    return int(v) if integer else float(v)
+
+
+def parse_config(doc: dict, out_override: Optional[str] = None) -> RunConfig:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
+    lat = _section(doc, "lattice")
+    cfg = LatticeConfig(n=_number(lat.get("n"), "lattice.n", integer=True),
+                        m=_number(lat.get("m"), "lattice.m", integer=True))
+
+    pot_doc = _section(doc, "potential")
     kind = pot_doc.get("kind")
     if kind in ("cubic", "saturable"):
-        if "c" not in pot_doc:
-            raise ConfigError(f"{kind} potential requires coefficient 'c'")
-        pot = Potential(kind, (float(pot_doc["c"]),))
+        pot = Potential(kind, (_number(pot_doc.get("c"), "potential.c"),))
     elif kind == "polynomial":
-        if "coefficients" not in pot_doc:
-            raise ConfigError("polynomial potential requires 'coefficients'")
-        pot = Potential.polynomial(pot_doc["coefficients"])
+        coeffs = pot_doc.get("coefficients")
+        if not isinstance(coeffs, list) or not coeffs:
+            raise ConfigError("polynomial potential requires a non-empty list "
+                              f"'coefficients', got {coeffs!r}")
+        pot = Potential.polynomial([_number(c, "potential.coefficients")
+                                    for c in coeffs])
     else:
         raise ConfigError(f"unknown potential kind {kind!r}")
 
     amplitude = doc.get("amplitude")
-    sweep_doc = doc.get("sweep")
+    if amplitude is not None:
+        amplitude = _number(amplitude, "amplitude", low=0.0)
     sweep = None
-    if sweep_doc is not None:
-        try:
-            sweep = (float(sweep_doc["a_min"]), float(sweep_doc["a_max"]),
-                     int(sweep_doc["steps"]))
-        except KeyError as exc:
-            raise ConfigError(f"sweep requires key {exc}") from exc
-        if sweep[2] < 2 or sweep[0] < 0 or sweep[1] <= sweep[0]:
-            raise ConfigError("sweep requires 0 <= a_min < a_max and steps >= 2")
-    if amplitude is not None and amplitude < 0:
-        raise ConfigError(f"amplitude must be nonnegative, got {amplitude}")
+    if doc.get("sweep") is not None:
+        sw = _section(doc, "sweep")
+        a_min = _number(sw.get("a_min"), "sweep.a_min", low=0.0)
+        sweep = (a_min,
+                 _number(sw.get("a_max"), "sweep.a_max", low=a_min, strict=True),
+                 _number(sw.get("steps"), "sweep.steps", integer=True, low=2))
 
     sign_str = str(doc.get("sign", "+"))
     if sign_str not in ("+", "-"):
         raise ConfigError(f"sign must be '+' or '-', got {sign_str!r}")
 
-    cont = doc.get("continuation", {})
+    cont = dict(_section(doc, "continuation"))
+    for f in fields(ContinuationOptions):
+        if f.name in cont and not (f.default is None and cont[f.name] is None):
+            integer = type(f.default) is int
+            cont[f.name] = _number(cont[f.name], f"continuation.{f.name}",
+                                   integer=integer, low=1 if integer else -np.inf)
     try:
         options = ContinuationOptions(**cont)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid continuation options: {exc}") from exc
 
-    integ = doc.get("integration", {})
-    periods = integ.get("periods", 1)
-    if type(periods) not in (int, float) or not periods >= 1 or periods % 1:
-        raise ConfigError("integration.periods must be a positive integer, "
-                          f"got {periods!r}")
-    dt, t_final = integ.get("dt", 1e-3), integ.get("t_final")
-    if type(dt) not in (int, float) or not 0 < dt < np.inf:
-        raise ConfigError(f"integration.dt must be finite and positive, got {dt!r}")
-    if t_final is not None and (type(t_final) not in (int, float)
-                                or not dt <= t_final < np.inf):
-        raise ConfigError("integration.t_final must be finite and at least dt, "
-                          f"got {t_final!r}")
-    out_dir = Path(out_override or doc.get("output_dir", "."))
+    integ = _section(doc, "integration")
+    dt = _number(integ.get("dt", 1e-3), "integration.dt", low=0.0, strict=True)
+    t_final = integ.get("t_final")
+    if t_final is not None:
+        t_final = _number(t_final, "integration.t_final", low=dt)
+    pert = _section(doc, "perturbation")
+    out_dir = out_override or doc.get("output_dir", ".")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"output_dir must be a string, got {out_dir!r}")
     return RunConfig(
         lattice=cfg,
         potential=pot,
-        amplitude=None if amplitude is None else float(amplitude),
+        amplitude=amplitude,
         sweep=sweep,
-        mode=int(doc.get("mode", 1)),
+        mode=_number(doc.get("mode", 1), "mode", integer=True, low=1),
         sign=+1 if sign_str == "+" else -1,
         options=options,
-        dt=float(dt),
-        periods=int(periods),
-        t_final=None if t_final is None else float(t_final),
-        perturbation=doc.get("perturbation"),
-        out_dir=out_dir,
-        verify_points=int(doc.get("verify_points", 5)),
-        snapshot_stride=int(doc.get("snapshot_stride", 10)),
+        dt=dt,
+        periods=_number(integ.get("periods", 1), "integration.periods",
+                        integer=True, low=1),
+        t_final=t_final,
+        perturbation={
+            "scale": _number(pert.get("scale", 0.0), "perturbation.scale"),
+            "seed": _number(pert.get("seed", 0), "perturbation.seed",
+                            integer=True, low=0),
+        } if pert else None,
+        out_dir=Path(out_dir),
+        verify_points=_number(doc.get("verify_points", 5), "verify_points",
+                              integer=True, low=1),
+        snapshot_stride=_number(doc.get("snapshot_stride", 10),
+                                "snapshot_stride", integer=True, low=1),
     )
 
 
@@ -295,9 +330,8 @@ def cmd_simulate(config: RunConfig) -> None:
     sw = make_standing_wave(cfg, pot, a)
     u0 = sw.equilibrium.copy()
     if config.perturbation:
-        rng = np.random.default_rng(int(config.perturbation.get("seed", 0)))
-        u0 = u0 + float(config.perturbation.get("scale", 0.0)) \
-            * rng.standard_normal(len(u0))
+        rng = np.random.default_rng(config.perturbation["seed"])
+        u0 = u0 + config.perturbation["scale"] * rng.standard_normal(len(u0))
     if config.t_final is None:
         raise ConfigError("simulate requires integration.t_final")
     traj = integrate(cfg, pot, sw.omega, u0, config.dt, config.t_final)
@@ -351,10 +385,7 @@ def main(argv=None) -> int:
             config = replace(config, mode=args.k)
         if args.sign is not None:
             config = replace(config, sign=+1 if args.sign == "+" else -1)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
+    except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
     return dispatch(args.command, config)

@@ -3,8 +3,8 @@
 Complex site amplitudes u_j are stored as adjacent (Re, Im) pairs in a flat
 real vector of length 2n, sites indexed 0..n-1 with all neighbor sums mod n.
 Multiplication by i corresponds to the symplectic matrix J; the pair
-(J-convention, sign of the rotating-frame vector field) is pinned once here
-and self-tested at import.
+(J-convention, sign of the rotating-frame vector field) is pinned once here,
+and the test suite checks that rotating_rhs linearizes to -J D^2H(a_m).
 """
 
 from __future__ import annotations
@@ -189,46 +189,12 @@ def hessian(cfg: LatticeConfig, pot: Potential, omega: float, u) -> np.ndarray:
 
 def hessian_at_equilibrium(cfg: LatticeConfig, pot: Potential, a: float) -> np.ndarray:
     """D^2 H(a_m): block circulant, identity off-diagonal blocks and diagonal
-    blocks -2 cos(m zeta) I + 2 a^2 V''(a^2) e^{jm zeta J} e1 e1^T e^{-jm zeta J}."""
-    n, m, zeta = cfg.n, cfg.m, cfg.zeta
-    d = 2.0 * a * a * pot(a * a, 2)
-    e11 = np.diag([1.0, 0.0])
-    H = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        Rj = rot(j * m * zeta)
-        H[2 * j:2 * j + 2, 2 * j:2 * j + 2] = (
-            -2.0 * np.cos(m * zeta) * I2 + d * (Rj @ e11 @ Rj.T)
-        )
-        jp, jm_ = (j + 1) % n, (j - 1) % n
-        H[2 * j:2 * j + 2, 2 * jp:2 * jp + 2] += I2
-        H[2 * j:2 * j + 2, 2 * jm_:2 * jm_ + 2] += I2
-    return H
+    blocks -2 cos(m zeta) I + 2 a^2 V''(a^2) e^{jm zeta J} e1 e1^T e^{-jm zeta J}
+    (on site, omega - 2 + V'(a^2) = -2 cos(m zeta))."""
+    sw = make_standing_wave(cfg, pot, a)
+    return hessian(cfg, pot, sw.omega, sw.equilibrium)
 
 
 def symplectic_matrix(n: int) -> np.ndarray:
     """Block diagonal diag(J, ..., J) of size 2n."""
     return np.kron(np.eye(n), J2)
-
-
-def _startup_sign_check() -> None:
-    # Pins the sign convention: the linearization of rotating_rhs at the
-    # equilibrium must equal -J D^2H(a_m) (finite differences, tiny case).
-    cfg = LatticeConfig(n=3, m=0)
-    pot = Potential.cubic(1.0)
-    sw = make_standing_wave(cfg, pot, 0.3)
-    h = 1e-6
-    dim = 2 * cfg.n
-    fd = np.empty((dim, dim))
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = h
-        fd[:, i] = (
-            rotating_rhs(cfg, pot, sw.omega, sw.equilibrium + e)
-            - rotating_rhs(cfg, pot, sw.omega, sw.equilibrium - e)
-        ) / (2.0 * h)
-    target = -symplectic_matrix(cfg.n) @ hessian_at_equilibrium(cfg, pot, sw.a)
-    if np.abs(fd - target).max() > 1e-4:
-        raise RuntimeError("sign convention self-test failed: Drhs(a_m) != -J D2H(a_m)")
-
-
-_startup_sign_check()

@@ -1,7 +1,11 @@
-"""Shared brute-force oracles for the test suite: central finite differences
-and direct summation, kept deliberately independent of the package internals."""
+"""Shared brute-force oracles for the test suite: central finite differences,
+direct summation and literal loops, kept deliberately independent of the
+package internals they check."""
 
 import numpy as np
+
+from dnls_ring import ResonanceRecord, ResonanceReport, block_data
+from dnls_ring.bifurcation import L_MAX_CAP
 
 
 def fd_gradient(f, x, h=1e-5):
@@ -95,3 +99,36 @@ def reference_midpoint(n, pot, omega, u0, dt, T, tol=1e-13, max_iter=50):
             raise RuntimeError("reference midpoint solve did not converge")
         states.append(v)
     return np.array(states)
+
+
+def loop_resonances(cfg, pot, a, tol_res=1e-9):
+    """Resonance scan nu_j = l nu_k by nested loops over (k, +/-, j, +/-, l)."""
+    table = {}
+    for k in range(1, cfg.n):
+        bd = block_data(cfg, pot, a, k)
+        table[k] = {+1: bd.nu_plus, -1: bd.nu_minus}
+    positives = [abs(v.real) for k in table for v in table[k].values()
+                 if abs(v.imag) <= tol_res and v.real > tol_res]
+    all_abs = [abs(v) for k in table for v in table[k].values()]
+    if positives:
+        l_max = min(L_MAX_CAP, int(np.ceil(max(all_abs) / min(positives))))
+    else:
+        l_max = 1
+    records = []
+    for k in table:
+        for ksign, nu in table[k].items():
+            if abs(nu.imag) > tol_res or nu.real <= tol_res:
+                continue
+            for j in table:
+                if j == k:
+                    continue
+                for jsign, nuj in table[j].items():
+                    if abs(nuj.imag) > tol_res:
+                        continue
+                    for l in range(1, l_max + 1):
+                        delta = abs(nuj.real - l * nu.real)
+                        if delta < tol_res:
+                            records.append(ResonanceRecord(k, ksign, j, jsign, l, delta))
+    one_to_one = [k for k in table
+                  if abs(table[k][+1] - table[k][-1]) < tol_res]
+    return ResonanceReport(records=records, one_to_one=one_to_one)

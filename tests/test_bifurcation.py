@@ -6,6 +6,7 @@ from dnls_ring import (DegenerateAmplitudeError, LatticeConfig, Potential,
                        check_nonresonant, classify_mode, classify_stability,
                        enumerate_bifurcations)
 from dnls_ring.bifurcation import threshold_by_bisection
+from helpers import loop_resonances
 
 
 CFG = LatticeConfig(6, 1)
@@ -24,6 +25,13 @@ def test_zero_amplitude_is_degenerate():
     rep = check_nondegenerate(CFG, CUBIC, 0.0)
     assert not rep.nondegenerate
     assert any("2 a^2 V''" in f for f in rep.failures)
+
+
+def test_overflowing_rank_one_block_is_degenerate():
+    # a^2 overflows: the onset frequencies would be infinite
+    rep = check_nondegenerate(CFG, CUBIC, 1e200)
+    assert not rep.nondegenerate
+    assert any("overflows" in f for f in rep.failures)
 
 
 def test_k2_margin_stays_positive_on_sweep():
@@ -61,6 +69,35 @@ def test_one_to_one_flag_at_hopf_amplitude():
     # phi_1(a) = 1 at a = sqrt(alpha_1 / 2c) = 0.5 for the focusing cubic
     rep = check_nonresonant(CFG, CUBIC, 0.5)
     assert 1 in rep.one_to_one
+
+
+def test_resonance_scan_matches_loop_oracle():
+    # every m for n <= 12, a spread of m for n = 24 and 48; a = 0, 1/sqrt(2)
+    # and 1 put rational frequency ratios and 1:1 collisions on the grid
+    rings = ([(n, m) for n in range(3, 13) for m in range(n // 2 + 1)
+              if 4 * m != n] + [(24, 5), (24, 12), (48, 13)])
+    pots = [CUBIC, Potential.cubic(-1.0), Potential.saturable(1.0),
+            Potential.polynomial([0.0, 0.0, 0.5, 0.1])]
+    count = 0
+    for n, m in rings:
+        cfg = LatticeConfig(n, m)
+        for pot in pots:
+            for a in (0.0, 0.123, 0.3, 0.5, 1.0 / np.sqrt(2.0), 1.0):
+                got = check_nonresonant(cfg, pot, a)
+                want = loop_resonances(cfg, pot, a)
+                assert got.one_to_one == want.one_to_one
+                assert [vars(r) for r in got.records] == \
+                    [vars(r) for r in want.records]
+                assert all(type(r.delta) is float for r in got.records)
+                count += len(want.records)
+    assert count > 1000
+
+
+def test_zero_coefficient_has_no_thresholds():
+    # c = 0 makes phi_k vanish for every a
+    for pot in (Potential.cubic(0.0), Potential.saturable(0.0)):
+        th = amplitude_thresholds(CFG, pot, 1)
+        assert th.a_hopf is None and th.a_gamma is None
 
 
 def test_enumeration_fixture():

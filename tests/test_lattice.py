@@ -4,7 +4,7 @@ import pytest
 from dnls_ring import (ConfigError, DomainError, LatticeConfig, Potential,
                        gradient, hamiltonian, hessian, hessian_at_equilibrium,
                        make_standing_wave, rotating_rhs)
-from dnls_ring.lattice import apply_symplectic, rot
+from dnls_ring.lattice import apply_symplectic, rot, symplectic_matrix
 
 from helpers import (direct_hamiltonian, fd_gradient, fd_jacobian,
                      loop_hessian, roll_gradient)
@@ -228,6 +228,18 @@ def test_rotating_rhs_identity():
     u = rng.standard_normal(12)
     lhs = apply_symplectic(rotating_rhs(cfg, pot, sw.omega, u), cfg.n)
     assert np.abs(lhs - gradient(cfg, pot, sw.omega, u)).max() <= 1e-12
+
+
+def test_rotating_rhs_linearizes_to_minus_J_hessian():
+    # pins the sign convention: D rotating_rhs(a_m) = -J D^2H(a_m)
+    for n, m, pot, a in [(3, 0, Potential.cubic(1.0), 0.3),
+                         (6, 1, Potential.saturable(1.0), 0.7)]:
+        cfg = LatticeConfig(n, m)
+        sw = make_standing_wave(cfg, pot, a)
+        fd = fd_jacobian(lambda v: rotating_rhs(cfg, pot, sw.omega, v),
+                         sw.equilibrium, h=1e-6)
+        target = -symplectic_matrix(n) @ hessian_at_equilibrium(cfg, pot, a)
+        assert np.abs(fd - target).max() <= 1e-8
 
 
 def test_gauge_and_shift_invariance():
