@@ -15,6 +15,12 @@ from .spectral import alpha_beta, block_data
 
 L_MAX_CAP = 64  # resonance scan bound; harmonics beyond the Fourier cutoff
                 # of the continuation cannot be resolved anyway
+TOL_DEG = 1e-9       # V'', phi_k - gamma_k or a block determinant this small
+                     # counts as zero: the amplitude is degenerate
+TOL_RES = 1e-9       # frequencies this close are equal (resonant)
+NEAR_TOL = 1e-6      # onsets this close to phi_k = gamma_k or 1 are flagged
+A_MAX = 10.0         # thresholds without a closed form are sought on (0, A_MAX]
+SCAN_SAMPLES = 4096  # by a sign scan over this many equal steps, then brentq
 
 
 @dataclass
@@ -27,17 +33,17 @@ class DegeneracyReport:
     failures: list
 
 
-def check_nondegenerate(cfg: LatticeConfig, pot: Potential, a: float,
-                        tol_deg: float = 1e-9) -> DegeneracyReport:
+def check_nondegenerate(cfg: LatticeConfig, pot: Potential,
+                        a: float) -> DegeneracyReport:
     """Amplitude is non-degenerate when V''(a^2) != 0 and phi_k != gamma_k for
     k = 1..n-1; equivalently the Hessian has no kernel in the fixed space
     (nonzero block determinants and a nonzero, finite rank-one block
     2a^2 V'')."""
     v2 = pot(a * a, 2)
     failures = []
-    if abs(v2) <= tol_deg:
+    if abs(v2) <= TOL_DEG:
         failures.append(f"V''(a^2) = {v2:.3e} vanishes")
-    if not tol_deg < abs(2.0 * a * a * v2) < np.inf:
+    if not TOL_DEG < abs(2.0 * a * a * v2) < np.inf:
         failures.append(f"rank-one block 2 a^2 V''(a^2) = {2 * a * a * v2:.3e} "
                         "vanishes or overflows")
     margins = {}
@@ -46,15 +52,15 @@ def check_nondegenerate(cfg: LatticeConfig, pot: Potential, a: float,
         bd = block_data(cfg, pot, a, k)
         margins[k] = abs(bd.phi - bd.gamma)
         dets[k] = bd.beta ** 2 - bd.alpha ** 2 * (1.0 - bd.phi)
-        if margins[k] <= tol_deg:
-            failures.append(f"phi_{k} = gamma_{k} within {tol_deg:g} "
+        if margins[k] <= TOL_DEG:
+            failures.append(f"phi_{k} = gamma_{k} within {TOL_DEG:g} "
                             f"(margin {margins[k]:.3e})")
-        if abs(dets[k]) <= tol_deg:
+        if abs(dets[k]) <= TOL_DEG:
             failures.append(f"block determinant {k} vanishes ({dets[k]:.3e})")
     return DegeneracyReport(
         nondegenerate=not failures,
         v_second=float(v2),
-        v_second_nonzero=abs(v2) > tol_deg,
+        v_second_nonzero=abs(v2) > TOL_DEG,
         margins=margins,
         block_dets=dets,
         failures=failures,
@@ -63,7 +69,7 @@ def check_nondegenerate(cfg: LatticeConfig, pot: Potential, a: float,
 
 @dataclass
 class ResonanceRecord:
-    """nu_j^{jsign} = l * nu_k^{ksign} within tol (j != k)."""
+    """nu_j^{jsign} = l * nu_k^{ksign} within TOL_RES (j != k)."""
 
     k: int
     ksign: int
@@ -79,18 +85,18 @@ class ResonanceReport:
     one_to_one: list  # modes k with nu_k^+ = nu_k^- (phi_k = 1, Hopf flag)
 
 
-def check_nonresonant(cfg: LatticeConfig, pot: Potential, a: float,
-                      tol_res: float = 1e-9) -> ResonanceReport:
+def check_nonresonant(cfg: LatticeConfig, pot: Potential,
+                      a: float) -> ResonanceReport:
     """Scan for nu_j^+/- = l nu_k^+/- (j != k, 1 <= l <= l_max) over every
     positive candidate onset; flags the 1:1 case phi_k = 1 separately.
 
-    For nu_k > tol_res the window |nu_j - l nu_k| < tol_res is narrower than
+    For nu_k > TOL_RES the window |nu_j - l nu_k| < TOL_RES is narrower than
     2 nu_k, so only l = floor(nu_j / nu_k) and that plus one can fall in it;
     the scan tests those two per (k, j) pair."""
     bds = [block_data(cfg, pot, a, k) for k in range(1, cfg.n)]
     nus = np.array([(bd.nu_plus, bd.nu_minus) for bd in bds]).ravel()
-    real = np.abs(nus.imag) <= tol_res
-    onset = real & (nus.real > tol_res)
+    real = np.abs(nus.imag) <= TOL_RES
+    onset = real & (nus.real > TOL_RES)
     l_max = 1
     if onset.any():
         l_max = int(min(L_MAX_CAP,
@@ -101,13 +107,13 @@ def check_nonresonant(cfg: LatticeConfig, pot: Potential, a: float,
     delta = np.abs(nu_j - l * nu_k)
     mode = np.arange(len(nus)) // 2
     pair = onset[:, None] & real[None, :] & (mode[:, None] != mode[None, :])
-    hit = pair[..., None] & (l >= 1) & (l <= l_max) & (delta < tol_res)
+    hit = pair[..., None] & (l >= 1) & (l <= l_max) & (delta < TOL_RES)
     sign = (+1, -1)
     records = [ResonanceRecord(int(i // 2 + 1), sign[i % 2], int(j // 2 + 1),
                                sign[j % 2], int(l[i, j, c]), float(delta[i, j, c]))
                for i, j, c in zip(*np.nonzero(hit))]
     one_to_one = [int(k) + 1 for k in
-                  np.flatnonzero(np.abs(nus[0::2] - nus[1::2]) < tol_res)]
+                  np.flatnonzero(np.abs(nus[0::2] - nus[1::2]) < TOL_RES)]
     return ResonanceReport(records=records, one_to_one=one_to_one)
 
 
@@ -139,26 +145,25 @@ def _regime(bd, n: int) -> str:
     return "none"
 
 
-def enumerate_bifurcations(cfg: LatticeConfig, pot: Potential, a: float,
-                           tol_deg: float = 1e-9, tol_res: float = 1e-9,
-                           near_tol: float = 1e-6) -> list:
+def enumerate_bifurcations(cfg: LatticeConfig, pot: Potential,
+                           a: float) -> list:
     """All bifurcation onsets at amplitude a: case (a) modes (k = 1..n-1)
     contribute nu_k^+, case (b) modes (k <= n/2) contribute both nu_k^+/-.
     Modes with phi_k >= 1 contribute none (1:1/Hopf territory)."""
-    return _enumerate(cfg, pot, a, tol_deg, tol_res, near_tol)[0]
+    return _enumerate(cfg, pot, a)[0]
 
 
-def _enumerate(cfg, pot, a, tol_deg=1e-9, tol_res=1e-9, near_tol=1e-6) -> tuple:
+def _enumerate(cfg, pot, a) -> tuple:
     """(onsets, resonance report), from one resonance scan."""
-    rep = check_nondegenerate(cfg, pot, a, tol_deg)
+    rep = check_nondegenerate(cfg, pot, a)
     if not rep.nondegenerate:
         raise DegenerateAmplitudeError("; ".join(rep.failures))
-    res = check_nonresonant(cfg, pot, a, tol_res)
+    res = check_nonresonant(cfg, pot, a)
     points = []
     for k in range(1, cfg.n):
         bd = block_data(cfg, pot, a, k)
         regime = _regime(bd, cfg.n)
-        near = min(abs(bd.phi - bd.gamma), abs(bd.phi - 1.0)) < near_tol
+        near = min(abs(bd.phi - bd.gamma), abs(bd.phi - 1.0)) < NEAR_TOL
         if regime in ("a", "b"):
             points.append(_make_point(k, +1, bd.nu_plus.real, regime, res, near))
         if regime == "b":
@@ -194,8 +199,8 @@ def _phi_fn(cfg, pot, k):
     return phi
 
 
-def _scan_root(g, a_max: float, samples: int = 4096) -> Optional[float]:
-    grid = np.linspace(0.0, a_max, samples + 1)[1:]
+def _scan_root(g) -> Optional[float]:
+    grid = np.linspace(0.0, A_MAX, SCAN_SAMPLES + 1)[1:]
     vals = np.array([g(a) for a in grid])
     sign = np.sign(vals)
     for i in range(len(grid) - 1):
@@ -207,15 +212,15 @@ def _scan_root(g, a_max: float, samples: int = 4096) -> Optional[float]:
 
 
 def threshold_by_bisection(cfg: LatticeConfig, pot: Potential, k: int,
-                           target: float, a_max: float = 10.0) -> Optional[float]:
-    """Smallest root of phi_k(a) = target on (0, a_max], by scan + bisection.
+                           target: float) -> Optional[float]:
+    """Smallest root of phi_k(a) = target on (0, A_MAX], by scan + bisection.
     Works for any potential; used as cross-check for the closed forms."""
     phi = _phi_fn(cfg, pot, k)
-    return _scan_root(lambda a: phi(a) - target, a_max)
+    return _scan_root(lambda a: phi(a) - target)
 
 
-def amplitude_thresholds(cfg: LatticeConfig, pot: Potential, k: int,
-                         a_max: float = 10.0) -> Thresholds:
+def amplitude_thresholds(cfg: LatticeConfig, pot: Potential,
+                         k: int) -> Thresholds:
     """Amplitudes where phi_k crosses 1 (Hopf collision) and gamma_k
     (standing-wave degeneracy). Closed forms for cubic and saturable,
     bisection otherwise; None when no positive root exists."""
@@ -234,8 +239,8 @@ def amplitude_thresholds(cfg: LatticeConfig, pot: Potential, k: int,
         a_hopf = _saturable_root(alpha, c, 1.0)
         a_gamma = _saturable_root(alpha, c, gamma)
     else:
-        a_hopf = threshold_by_bisection(cfg, pot, k, 1.0, a_max)
-        a_gamma = threshold_by_bisection(cfg, pot, k, gamma, a_max)
+        a_hopf = threshold_by_bisection(cfg, pot, k, 1.0)
+        a_gamma = threshold_by_bisection(cfg, pot, k, gamma)
     return Thresholds(a_hopf=a_hopf, a_gamma=a_gamma)
 
 

@@ -12,7 +12,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -28,9 +28,6 @@ from .spectral import block_data, classify_stability, full_spectrum
 from .symmetry import embed_reduced
 from .verify import (closure_error, integrate, invariant_drift,
                      spatial_period_error, traveling_wave_error)
-
-COMMANDS = ("spectrum", "stability", "thresholds", "bifurcations",
-            "continue", "verify", "simulate")
 
 
 @dataclass
@@ -115,16 +112,14 @@ def parse_config(doc: dict, out_override: Optional[str] = None) -> RunConfig:
     if sign_str not in ("+", "-"):
         raise ConfigError(f"sign must be '+' or '-', got {sign_str!r}")
 
-    cont = dict(_section(doc, "continuation"))
-    for f in fields(ContinuationOptions):
-        if f.name in cont and not (f.default is None and cont[f.name] is None):
-            integer = type(f.default) is int
-            cont[f.name] = _number(cont[f.name], f"continuation.{f.name}",
-                                   integer=integer, low=1 if integer else -np.inf)
-    try:
-        options = ContinuationOptions(**cont)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid continuation options: {exc}") from exc
+    cont = _section(doc, "continuation")
+    for key in cont:
+        if key not in ("n_harmonics", "max_steps"):
+            raise ConfigError(f"continuation.{key} is not a setting; the "
+                              "block takes n_harmonics and max_steps only")
+    options = ContinuationOptions(**{
+        key: _number(v, f"continuation.{key}", integer=True, low=1)
+        for key, v in cont.items()})
 
     integ = _section(doc, "integration")
     dt = _number(integ.get("dt", 1e-3), "integration.dt", low=0.0, strict=True)
@@ -225,7 +220,7 @@ def cmd_stability(config: RunConfig) -> None:
     rows = []
     for a in _amplitudes(config):
         v = classify_stability(cfg, pot, float(a))
-        rows.append([a, v.sigma, v.stable, v.covered, v.phi_1,
+        rows.append([a, v.sigma, v.covered, v.covered, v.phi_1,
                      v.max_real_part, v.empirical_stable])
     write_csv(config.out_dir / "stability.csv",
               ["a", "sigma", "stable", "covered", "phi_1",
@@ -241,17 +236,20 @@ def cmd_thresholds(config: RunConfig) -> None:
     write_csv(config.out_dir / "thresholds.csv", ["k", "a_hopf", "a_gamma"], rows)
 
 
+def _sign_char(sign: int) -> str:
+    return "+" if sign > 0 else "-"
+
+
 def _flag_string(p) -> str:
-    parts = [f"1:{r.l}_with_nu_{r.j}{'+' if r.jsign > 0 else '-'}"
-             for r in p.resonances]
-    return ";".join(parts)
+    return ";".join(f"1:{r.l}_with_nu_{r.j}{_sign_char(r.jsign)}"
+                    for r in p.resonances)
 
 
 def cmd_bifurcations(config: RunConfig) -> None:
     cfg, pot = config.lattice, config.potential
     a = _require_amplitude(config)
     points, res = _enumerate(cfg, pot, a)
-    rows = [[p.k, "+" if p.sign > 0 else "-", p.nu_onset, p.regime,
+    rows = [[p.k, _sign_char(p.sign), p.nu_onset, p.regime,
              p.near_degenerate, p.suppressed, _flag_string(p)] for p in points]
     for k in res.one_to_one:
         rows.append([k, "", "", "hopf", "", "", "1:1"])
@@ -269,13 +267,9 @@ def _run_branch(config: RunConfig) -> tuple:
     if not match:
         raise ConfigError(
             f"no bifurcation onset for mode k={config.mode} "
-            f"sign={'+' if config.sign > 0 else '-'} at a={a:g}")
+            f"sign={_sign_char(config.sign)} at a={a:g}")
     branch = continue_branch(cfg, pot, sw, match[0], config.options)
     return sw, branch
-
-
-def _sign_char(sign: int) -> str:
-    return "+" if sign > 0 else "-"
 
 
 def cmd_continue(config: RunConfig) -> None:
@@ -342,19 +336,21 @@ def cmd_simulate(config: RunConfig) -> None:
     write_csv(config.out_dir / "trajectory.csv", header, rows)
 
 
+COMMANDS = {
+    "spectrum": cmd_spectrum,
+    "stability": cmd_stability,
+    "thresholds": cmd_thresholds,
+    "bifurcations": cmd_bifurcations,
+    "continue": cmd_continue,
+    "verify": cmd_verify,
+    "simulate": cmd_simulate,
+}
+
+
 def dispatch(command: str, config: RunConfig) -> int:
     """Run one subcommand against a parsed config; returns the exit code."""
-    handlers = {
-        "spectrum": cmd_spectrum,
-        "stability": cmd_stability,
-        "thresholds": cmd_thresholds,
-        "bifurcations": cmd_bifurcations,
-        "continue": cmd_continue,
-        "verify": cmd_verify,
-        "simulate": cmd_simulate,
-    }
     try:
-        handlers[command](config)
+        COMMANDS[command](config)
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
@@ -365,18 +361,20 @@ def dispatch(command: str, config: RunConfig) -> int:
     return 0
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="dnls-ring",
+    description="Standing-wave spectra, stability and traveling-wave "
+                "branches of the periodic discrete NLS lattice.")
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("--config", required=True, help="JSON config document")
+_PARSER.add_argument("--out", default=None, help="output directory")
+_PARSER.add_argument("--k", type=int, default=None, help="mode override")
+_PARSER.add_argument("--sign", choices=["+", "-"], default=None,
+                     help="onset sign override")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="dnls-ring",
-        description="Standing-wave spectra, stability and traveling-wave "
-                    "branches of the periodic discrete NLS lattice.")
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", required=True, help="JSON config document")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--k", type=int, default=None, help="mode override")
-    parser.add_argument("--sign", choices=["+", "-"], default=None,
-                        help="onset sign override")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         with open(args.config) as fh:
             doc = json.load(fh)

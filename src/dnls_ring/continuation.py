@@ -25,22 +25,19 @@ from .spectral import block_data
 from .symmetry import LatticeLoop, ReducedProfile
 
 
+NEWTON_TOL = 1e-10     # residual and constraint bound of every Newton solve
+MAX_NEWTON_ITER = 25
+DS0, DS_MIN, DS_MAX = 1e-2, 1e-5, 1e-1  # first step, halving floor, growth cap
+FIRST_STEP_EPS = 1e-3  # offset along the onset kernel of the first point
+NU_MIN = 1e-6          # a branch whose frequency falls to this ends
+KERNEL_RTOL = 1e-8     # singular values below this fraction of the largest
+                       # span the onset kernel
+
+
 @dataclass
 class ContinuationOptions:
     n_harmonics: int = 32
-    newton_tol: float = 1e-10
-    max_newton_iter: int = 25
-    ds0: float = 1e-2
-    ds_min: float = 1e-5
-    ds_max: float = 1e-1
     max_steps: int = 500
-    amplitude_cap: Optional[float] = None  # defaults to 10 * a at run time
-    first_step_eps: float = 1e-3
-    nu_min: float = 1e-6
-
-    def __post_init__(self):
-        if not (0 < self.ds_min <= self.ds0 <= self.ds_max):
-            raise ValueError("need 0 < ds_min <= ds0 <= ds_max")
 
 
 @dataclass
@@ -150,8 +147,7 @@ def loop_vector_field(loop: LatticeLoop, nu: float, cfg: LatticeConfig,
 
 
 def onset_kernel(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
-                 k: int, sign: int, n_harmonics: int = 32,
-                 kernel_rtol: float = 1e-8) -> tuple:
+                 k: int, sign: int, n_harmonics: int = 32) -> tuple:
     """Normalized null direction of the reduced linearization at
     (0, nu_k^sign); refuses resonant onsets with a non-simple kernel."""
     bd = block_data(cfg, pot, sw.a, k)
@@ -168,7 +164,7 @@ def onset_kernel(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
     sys_ = ReducedSystem(cfg, pot, sw, k, n_harmonics)
     A = sys_.jacobian(np.zeros(sys_.dim), nu)[:, :-1]
     _, svals, Vt = np.linalg.svd(A)
-    small = svals < kernel_rtol * svals[0]
+    small = svals < KERNEL_RTOL * svals[0]
     dim_kernel = int(small.sum())
     if dim_kernel == 0:
         raise ConvergenceError(f"no kernel at onset nu = {nu:.12g}")
@@ -183,16 +179,16 @@ def onset_kernel(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
     return ReducedProfile.from_vector(k, tangent), nu
 
 
-def _newton(sys_: ReducedSystem, y: np.ndarray, constraint, opts) -> tuple:
+def _newton(sys_: ReducedSystem, y: np.ndarray, constraint) -> tuple:
     """Solve {residual(p, nu) = 0, constraint(y) = 0}; constraint returns
     (value, gradient row of length dim+1)."""
     y = y.copy()
-    for _ in range(opts.max_newton_iter):
+    for _ in range(MAX_NEWTON_ITER):
         p, nu = y[:-1], y[-1]
         r = sys_.residual(p, nu)
         cval, cgrad = constraint(y)
         rnorm = float(np.linalg.norm(r))
-        if rnorm <= opts.newton_tol and abs(cval) <= opts.newton_tol:
+        if rnorm <= NEWTON_TOL and abs(cval) <= NEWTON_TOL:
             return y, rnorm
         Jfull = np.vstack([sys_.jacobian(p, nu), cgrad])
         try:
@@ -203,7 +199,7 @@ def _newton(sys_: ReducedSystem, y: np.ndarray, constraint, opts) -> tuple:
         if y[-1] <= 0:
             raise ConvergenceError("frequency left the positive domain")
     raise ConvergenceError(
-        f"Newton did not converge in {opts.max_newton_iter} iterations")
+        f"Newton did not converge in {MAX_NEWTON_ITER} iterations")
 
 
 def continue_branch(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
@@ -223,21 +219,18 @@ def continue_branch(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
         raise ValueError("onset frequency disagrees with block data")
     sys_ = ReducedSystem(cfg, pot, sw, onset.k, opts.n_harmonics)
     tvec = tangent.as_vector()
-    eps = opts.first_step_eps
-    cap = opts.amplitude_cap
-    if cap is None:
-        cap = 10.0 * sw.a if sw.a > 0 else 1.0
+    cap = 10.0 * sw.a if sw.a > 0 else 1.0
 
     branch = Branch(onset=onset)
 
     def first_constraint(y):
         grad = np.concatenate([tvec, [0.0]])
-        return float(y[:-1] @ tvec - eps), grad
+        return float(y[:-1] @ tvec - FIRST_STEP_EPS), grad
 
     y0 = np.concatenate([np.zeros(sys_.dim), [nu0]])
     try:
-        y, rnorm = _newton(sys_, np.concatenate([eps * tvec, [nu0]]),
-                           first_constraint, opts)
+        y, rnorm = _newton(sys_, np.concatenate([FIRST_STEP_EPS * tvec, [nu0]]),
+                           first_constraint)
     except DomainError:
         branch.termination = "domain_violation"
         return branch
@@ -245,7 +238,7 @@ def continue_branch(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
                                      float(np.linalg.norm(y[:-1])), rnorm))
     tau = y - y0
     tau /= np.linalg.norm(tau)
-    ds = opts.ds0
+    ds = DS0
     branch.termination = "max_steps"
     while len(branch.points) < opts.max_steps:
         pred = y + ds * tau
@@ -254,13 +247,13 @@ def continue_branch(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
             return float(tau @ (yy - pred)), tau
 
         try:
-            ynew, rnorm = _newton(sys_, pred, arclength_constraint, opts)
+            ynew, rnorm = _newton(sys_, pred, arclength_constraint)
         except DomainError:
             branch.termination = "domain_violation"
             break
         except ConvergenceError:
             ds *= 0.5
-            if ds < opts.ds_min:
+            if ds < DS_MIN:
                 branch.termination = "newton_failure"
                 break
             continue
@@ -269,8 +262,8 @@ def continue_branch(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
         y = ynew
         branch.points.append(BranchPoint(sys_.profile(y[:-1]), float(y[-1]),
                                          float(np.linalg.norm(y[:-1])), rnorm))
-        ds = min(ds * 1.3, opts.ds_max)
-        if y[-1] <= opts.nu_min:
+        ds = min(ds * 1.3, DS_MAX)
+        if y[-1] <= NU_MIN:
             branch.termination = "nu_bound"
             break
         if np.linalg.norm(y[:-1]) >= cap:
@@ -280,17 +273,15 @@ def continue_branch(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
 
 
 def refine_point(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
-                 point: BranchPoint, n_harmonics: int,
-                 opts: Optional[ContinuationOptions] = None) -> tuple:
+                 point: BranchPoint, n_harmonics: int) -> tuple:
     """Re-solve an accepted point at a finer harmonic cutoff with nu held
     fixed; returns (profile, residual_norm). Used for spectral-convergence
     checks."""
-    opts = opts or ContinuationOptions()
     sys_ = ReducedSystem(cfg, pot, sw, point.profile.k, n_harmonics)
     e_nu = np.zeros(sys_.dim + 1)
     e_nu[-1] = 1.0
     y0 = np.concatenate([point.profile.padded(n_harmonics).as_vector(), [point.nu]])
-    y, rnorm = _newton(sys_, y0, lambda y: (float(y[-1] - point.nu), e_nu), opts)
+    y, rnorm = _newton(sys_, y0, lambda y: (float(y[-1] - point.nu), e_nu))
     return sys_.profile(y[:-1]), rnorm
 
 

@@ -148,14 +148,13 @@ class ModeRecord:
 class StabilityVerdict:
     """Linear stability of the standing wave.
 
-    `stable` is exactly the analytic criterion (sigma < 0, or sigma > 0 and
-    phi_1 < 1); `covered` is False in the regime the criterion does not
-    decide, where `empirical_stable` (from the dense spectrum oracle) is the
-    only answer reported.
+    `covered` is the analytic criterion (sigma < 0, or sigma > 0 and
+    phi_1 < 1): True where it proves stability, False in the regime it does
+    not decide, where `empirical_stable` (from the dense spectrum oracle) is
+    the only answer reported.
     """
 
     sigma: int
-    stable: bool
     covered: bool
     phi_1: float
     per_k: list
@@ -163,8 +162,8 @@ class StabilityVerdict:
     empirical_stable: bool
 
 
-def classify_stability(cfg: LatticeConfig, pot: Potential, a: float,
-                       spectral_tol: float = 1e-8) -> StabilityVerdict:
+def classify_stability(cfg: LatticeConfig, pot: Potential,
+                       a: float) -> StabilityVerdict:
     v2 = pot(a * a, 2)
     # sgn(V'') for m < n/4 (the m = 0 case extends the same cos(m zeta) > 0
     # sign rule), flipped for m > n/4; m = n/4 is excluded by LatticeConfig.
@@ -179,12 +178,16 @@ def classify_stability(cfg: LatticeConfig, pot: Potential, a: float,
     covered = sigma < 0 or (sigma > 0 and phi_1 < 1.0)
     eig = full_spectrum(cfg, pot, a)
     max_re = float(np.abs(eig.real).max())
+    # The solver splits the defective gauge zero by ~sqrt(eps) ||J D^2H||. J
+    # only permutes and negates rows, so ||J D^2H||_inf = ||D^2H||_inf, and
+    # that bounds the 2-norm too (J orthogonal, D^2H symmetric).
+    split = 10.0 * np.sqrt(np.finfo(float).eps) * np.linalg.norm(
+        hessian_at_equilibrium(cfg, pot, a), np.inf)
     return StabilityVerdict(
         sigma=sigma,
-        stable=bool(covered),
         covered=bool(covered),
         phi_1=float(phi_1),
         per_k=per_k,
         max_real_part=max_re,
-        empirical_stable=bool(max_re <= spectral_tol),
+        empirical_stable=bool(max_re <= split),
     )

@@ -13,23 +13,25 @@ from .errors import ConvergenceError
 from .lattice import (LatticeConfig, Potential, StandingWave, hamiltonian,
                       hessian, rotating_rhs, symplectic_matrix)
 
+MIDPOINT_TOL = 1e-13     # residual norm each midpoint Newton solve meets
+MIDPOINT_MAX_ITER = 50
+
 
 @dataclass
 class Trajectory:
     times: np.ndarray
     states: np.ndarray          # (nt, 2n)
     dt: float
-    integrator: str = "implicit_midpoint"
     newton_iterations: int = 0  # Newton corrections summed over all steps
 
 
-def _midpoint_step(cfg, pot, omega, u, v, dt, I, Jbig, tol=1e-13, max_iter=50):
+def _midpoint_step(cfg, pot, omega, u, v, dt, I, Jbig):
     # Newton on g(v) = v - u - dt f((u+v)/2), f = -J grad H, from the
     # prediction v; returns the step and the number of corrections.
-    for it in range(max_iter):
+    for it in range(MIDPOINT_MAX_ITER):
         mid = 0.5 * (u + v)
         g = v - u - dt * rotating_rhs(cfg, pot, omega, mid)
-        if np.linalg.norm(g) <= tol:
+        if np.linalg.norm(g) <= MIDPOINT_TOL:
             return v, it
         Jg = I + 0.5 * dt * (Jbig @ hessian(cfg, pot, omega, mid))
         v = v - np.linalg.solve(Jg, g)

@@ -109,7 +109,7 @@ def test_criterion_4_stability_threshold():
     lo, hi = 0.1, 1.0
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        if classify_stability(cfg, focusing, mid).stable:
+        if classify_stability(cfg, focusing, mid).covered:
             lo = mid
         else:
             hi = mid
@@ -117,10 +117,11 @@ def test_criterion_4_stability_threshold():
     closed_form = 0.5                      # sqrt(alpha_1 / 2c)
     ok = abs(flip - closed_form) <= 1e-6
 
-    defocusing_ok = all(classify_stability(cfg, Potential.cubic(-1.0), a).stable
-                        for a in np.linspace(0.05, 2.0, 20))
+    defocusing_ok = all(
+        classify_stability(cfg, Potential.cubic(-1.0), a).covered
+        for a in np.linspace(0.05, 2.0, 20))
     cfg3 = LatticeConfig(6, 3)
-    focusing_m3_ok = all(classify_stability(cfg3, focusing, a).stable
+    focusing_m3_ok = all(classify_stability(cfg3, focusing, a).covered
                          for a in np.linspace(0.05, 2.0, 20))
     report("criterion 4: stability threshold",
            ok and defocusing_ok and focusing_m3_ok,
@@ -167,7 +168,7 @@ def test_criterion_6_branch_continuation(acceptance_branch):
     max_res = max(p.residual_norm for p in branch.points)
     onset_err = abs(extrapolate_onset(branch) - 1.959592)
     mid = branch.points[npoints // 2]
-    prof64, _ = refine_point(cfg, pot, sw, mid, 64, opts)
+    prof64, _ = refine_point(cfg, pot, sw, mid, 64)
     change = float(np.linalg.norm(prof64.as_vector()
                                   - mid.profile.padded(64).as_vector()))
     ok = (npoints >= 20 and max_res <= 1e-10 and onset_err <= 1e-6

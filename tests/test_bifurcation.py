@@ -202,11 +202,11 @@ def test_polynomial_threshold_by_bisection():
 def test_stability_flip_at_threshold():
     # classify_stability must flip exactly at the k=1 collision amplitude
     lo, hi = 0.1, 1.0
-    assert classify_stability(CFG, CUBIC, lo).stable
+    assert classify_stability(CFG, CUBIC, lo).covered
     assert not classify_stability(CFG, CUBIC, hi).covered
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if classify_stability(CFG, CUBIC, mid).stable:
+        if classify_stability(CFG, CUBIC, mid).covered:
             lo = mid
         else:
             hi = mid

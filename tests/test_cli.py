@@ -1,6 +1,8 @@
 import copy
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +66,24 @@ INVALID = [
     ("fractional_periods", dict(BASE, integration={"periods": 2.5}), "periods"),
     ("zero_periods", dict(BASE, integration={"periods": 0}), "periods"),
     ("removed_fd_step", dict(BASE, continuation={"fd_step": 1e-7}), "fd_step"),
+    ("removed_newton_tol", dict(BASE, continuation={"newton_tol": 1e-10}),
+     "newton_tol"),
+    ("removed_max_newton_iter", dict(BASE, continuation={"max_newton_iter": 25}),
+     "max_newton_iter"),
+    ("removed_ds0", dict(BASE, continuation={"ds0": 1e-2}), "ds0"),
+    ("removed_ds_min", dict(BASE, continuation={"ds_min": 1e-5}), "ds_min"),
+    ("removed_ds_max", dict(BASE, continuation={"ds_max": 1e-1}), "ds_max"),
+    ("removed_amplitude_cap", dict(BASE, continuation={"amplitude_cap": 2.0}),
+     "amplitude_cap"),
+    ("removed_null_amplitude_cap",
+     dict(BASE, continuation={"amplitude_cap": None}), "amplitude_cap"),
+    ("removed_first_step_eps", dict(BASE, continuation={"first_step_eps": 1e-3}),
+     "first_step_eps"),
+    ("removed_nu_min", dict(BASE, continuation={"nu_min": 1e-6}), "nu_min"),
+    ("zero_n_harmonics", dict(BASE, continuation={"n_harmonics": 0}),
+     "continuation.n_harmonics"),
+    ("fractional_max_steps", dict(BASE, continuation={"max_steps": 2.5}),
+     "continuation.max_steps"),
     ("negative_dt", dict(BASE, integration={"dt": -1}), "dt"),
     ("zero_dt", dict(BASE, integration={"dt": 0}), "dt"),
     ("nan_dt", dict(BASE, integration={"dt": float("nan")}), "dt"),
@@ -235,15 +255,16 @@ def test_outputs_are_deterministic(tmp_path):
     assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-README_CONFIG = {
-    "lattice": {"n": 6, "m": 1},
-    "potential": {"kind": "cubic", "c": 1.0},
-    "amplitude": 0.2,
-    "mode": 3,
-    "sign": "+",
-    "continuation": {"n_harmonics": 32, "max_steps": 40},
-    "integration": {"dt": 1e-3, "periods": 1},
-}
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+
+def readme_block(lang):
+    """The README's one fenced code block in the given language."""
+    (block,) = re.findall(rf"^```{lang}\n(.*?)^```$", README, re.M | re.S)
+    return block
+
+
+README_CONFIG = json.loads(readme_block("json"))
 KEY_PATHS = [()] + [(key,) for key in README_CONFIG] + [
     (key, sub) for key, sec in README_CONFIG.items() if isinstance(sec, dict)
     for sub in sec]
@@ -304,3 +325,9 @@ def test_mutated_readme_config_exits_0_2_or_3(tmp_path, command, mutations):
         code = main([command, "--config", str(path), "--out", str(tmp_path)])
     event(f"exit {code}")
     assert code in (0, 2, 3)
+
+
+def test_readme_library_sketch_runs():
+    scope = {}
+    exec(readme_block("python"), scope)
+    assert scope["branch"].points

@@ -7,7 +7,8 @@ from dnls_ring import (ContinuationOptions, GroupElement, LatticeConfig,
                        loop_vector_field, make_standing_wave, onset_kernel,
                        project_reduced, refine_point)
 from dnls_ring.bifurcation import BifurcationPoint
-from dnls_ring.continuation import ReducedSystem, extrapolate_onset
+from dnls_ring.continuation import (FIRST_STEP_EPS, NEWTON_TOL, ReducedSystem,
+                                    extrapolate_onset)
 from dnls_ring.spectral import block_data
 from dnls_ring.symmetry import LatticeLoop
 
@@ -136,10 +137,10 @@ def test_short_branch_and_onset_extrapolation():
     opts = ContinuationOptions(n_harmonics=8, max_steps=6)
     br = continue_branch(CFG, CUBIC, SW, on, opts)
     assert len(br.points) == 6
-    assert all(p.residual_norm <= opts.newton_tol for p in br.points)
+    assert all(p.residual_norm <= NEWTON_TOL for p in br.points)
     amps = [p.amplitude for p in br.points]
     assert all(a2 > a1 for a1, a2 in zip(amps, amps[1:]))
-    assert br.points[0].amplitude <= 2 * opts.first_step_eps
+    assert br.points[0].amplitude <= 2 * FIRST_STEP_EPS
     assert extrapolate_onset(br) == pytest.approx(on.nu_onset, abs=1e-6)
 
 
@@ -160,10 +161,10 @@ def test_refinement_is_spectrally_converged():
     opts = ContinuationOptions(n_harmonics=8, max_steps=5)
     br = continue_branch(CFG, CUBIC, SW, on, opts)
     point = br.points[-1]
-    prof, rnorm = refine_point(CFG, CUBIC, SW, point, 16, opts)
+    prof, rnorm = refine_point(CFG, CUBIC, SW, point, 16)
     diff = np.linalg.norm(prof.as_vector() - point.profile.padded(16).as_vector())
     assert diff <= 1e-8
-    assert rnorm <= opts.newton_tol
+    assert rnorm <= NEWTON_TOL
 
 
 def test_vector_field_equivariance():
