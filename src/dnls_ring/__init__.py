@@ -12,7 +12,7 @@ from .errors import (ConfigError, ConvergenceError, DegenerateAmplitudeError,
                      DnlsRingError, DomainError, ResonanceError)
 from .lattice import (LatticeConfig, Potential, StandingWave, gradient,
                       hamiltonian, hessian, hessian_at_equilibrium,
-                      make_standing_wave, rotating_rhs)
+                      make_standing_wave, onsite_blocks, rotating_rhs)
 from .spectral import (BlockData, StabilityVerdict, alpha_beta, block_basis,
                        block_data, classify_stability, expected_spectrum,
                        full_spectrum, matching_distance)

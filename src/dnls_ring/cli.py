@@ -58,20 +58,31 @@ def _section(doc: dict, key: str) -> dict:
     return sec
 
 
+# Size caps. The dense Newton matrix and spectrum are (2n)^2 doubles, 8 MiB at
+# n = 512 (each resonance-scan array twice that); the reduced system's
+# synthesis and analysis matrices, 32 nh^2 doubles each, 16 MiB at nh = 256.
+MAX_SITES = 512
+MAX_SWEEP_STEPS = 10_000
+CONTINUATION_CAPS = {"n_harmonics": 256, "max_steps": 10_000}
+
+
 def _number(v, name: str, *, integer: bool = False, low: float = -np.inf,
-            strict: bool = False):
+            strict: bool = False, high: float = np.inf):
     """v as a finite JSON number (an integer if asked) that is at least low,
-    or above it if strict. Anything else, a missing value (None) included,
-    is a ConfigError naming the key."""
+    or above it if strict, and at most high. Anything else, a missing value
+    (None) included, is a ConfigError naming the key."""
     try:
         ok = (type(v) in (int, float) and math.isfinite(v)
-              and not (integer and v % 1) and (v > low if strict else v >= low))
+              and not (integer and v % 1) and v <= high
+              and (v > low if strict else v >= low))
     except OverflowError:             # an integer too large for a float
         ok = False
     if not ok:
         rule = "an integer" if integer else "a number"
         if low > -np.inf:
             rule += f" {'>' if strict else '>='} {low:g}"
+        if high < np.inf:
+            rule += f" <= {high:g}"
         raise ConfigError(f"{name} must be finite and {rule}, got {v!r}")
     return int(v) if integer else float(v)
 
@@ -80,7 +91,8 @@ def parse_config(doc: dict, out_override: Optional[str] = None) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
     lat = _section(doc, "lattice")
-    cfg = LatticeConfig(n=_number(lat.get("n"), "lattice.n", integer=True),
+    cfg = LatticeConfig(n=_number(lat.get("n"), "lattice.n", integer=True,
+                                  high=MAX_SITES),
                         m=_number(lat.get("m"), "lattice.m", integer=True))
 
     pot_doc = _section(doc, "potential")
@@ -106,7 +118,8 @@ def parse_config(doc: dict, out_override: Optional[str] = None) -> RunConfig:
         a_min = _number(sw.get("a_min"), "sweep.a_min", low=0.0)
         sweep = (a_min,
                  _number(sw.get("a_max"), "sweep.a_max", low=a_min, strict=True),
-                 _number(sw.get("steps"), "sweep.steps", integer=True, low=2))
+                 _number(sw.get("steps"), "sweep.steps", integer=True, low=2,
+                         high=MAX_SWEEP_STEPS))
 
     sign_str = str(doc.get("sign", "+"))
     if sign_str not in ("+", "-"):
@@ -114,11 +127,12 @@ def parse_config(doc: dict, out_override: Optional[str] = None) -> RunConfig:
 
     cont = _section(doc, "continuation")
     for key in cont:
-        if key not in ("n_harmonics", "max_steps"):
+        if key not in CONTINUATION_CAPS:
             raise ConfigError(f"continuation.{key} is not a setting; the "
                               "block takes n_harmonics and max_steps only")
     options = ContinuationOptions(**{
-        key: _number(v, f"continuation.{key}", integer=True, low=1)
+        key: _number(v, f"continuation.{key}", integer=True, low=1,
+                     high=CONTINUATION_CAPS[key])
         for key, v in cont.items()})
 
     integ = _section(doc, "integration")

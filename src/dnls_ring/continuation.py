@@ -19,7 +19,7 @@ import numpy as np
 
 from .bifurcation import BifurcationPoint
 from .errors import ConvergenceError, DomainError, ResonanceError
-from .lattice import (LatticeConfig, Potential, StandingWave, apply_symplectic,
+from .lattice import (J_SIGNS, LatticeConfig, Potential, StandingWave,
                       gradient)
 from .spectral import block_data
 from .symmetry import LatticeLoop, ReducedProfile
@@ -142,7 +142,7 @@ def loop_vector_field(loop: LatticeLoop, nu: float, cfg: LatticeConfig,
     Xd = loop.differentiated().sample(times)
     U = sw.equilibrium.reshape(1, 2 * n) + X.reshape(M, 2 * n)
     G = gradient(cfg, pot, sw.omega, U)
-    F = (apply_symplectic(Xd.reshape(M, 2 * n), n) - G / nu).reshape(M, n, 2)
+    F = Xd.reshape(M, n, 2)[..., ::-1] * J_SIGNS - (G / nu).reshape(M, n, 2)
     return LatticeLoop.from_samples(F, out_nh)
 
 

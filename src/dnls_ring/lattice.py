@@ -18,6 +18,10 @@ from .errors import ConfigError, DomainError
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 R2 = np.array([[1.0, 0.0], [0.0, -1.0]])
 I2 = np.eye(2)
+# J (p, q) = (-q, p) = J_SIGNS * (q, p) on each site pair: applied as this
+# swap and sign, never as a dense product, J leaves every value exact.
+J_SIGNS = np.array([-1.0, 1.0])
+_MINUS_J_SIGNS = -J_SIGNS
 
 
 def rot(theta: float) -> np.ndarray:
@@ -149,39 +153,44 @@ def hamiltonian(cfg: LatticeConfig, pot: Potential, omega: float, u) -> float:
 def gradient(cfg: LatticeConfig, pot: Potential, omega: float, u) -> np.ndarray:
     """grad H(u); vanishes at every standing-wave equilibrium. Supports batched
     leading axes (shape (..., 2n))."""
+    return _site_gradient(cfg, pot, omega, u, None).reshape(np.shape(u))
+
+
+def _site_gradient(cfg, pot, omega, u, vp):
     x = _sites(u, cfg.n)
-    s = (x * x).sum(axis=-1)
-    vp = np.asarray(pot(s, 1))
+    if vp is None:
+        vp = np.asarray(pot((x * x).sum(axis=-1), 1))
     pad = np.concatenate((x[..., -1:, :], x, x[..., :1, :]), axis=-2)
     lap = pad[..., 2:, :] + pad[..., :-2, :] - 2.0 * x    # cyclic neighbours
-    g = (omega + vp)[..., None] * x + lap
-    return g.reshape(np.shape(u))
+    return (omega + vp)[..., None] * x + lap              # (..., n, 2)
 
 
-def apply_symplectic(u, n: int) -> np.ndarray:
-    """Blockwise J u: (x, y) -> (-y, x) per site, the real form of i*u."""
-    x = _sites(u, n)
-    out = np.empty_like(x)
-    out[..., 0] = -x[..., 1]
-    out[..., 1] = x[..., 0]
-    return out.reshape(np.shape(u))
+def rotating_rhs(cfg: LatticeConfig, pot: Potential, omega: float, u,
+                 vp=None) -> np.ndarray:
+    """udot = -J grad H(u), so J udot = grad H(u); vp = V'(|u_j|^2) if the
+    caller has it."""
+    g = _site_gradient(cfg, pot, omega, u, vp)
+    return (g[..., ::-1] * _MINUS_J_SIGNS).reshape(np.shape(u))
 
 
-def rotating_rhs(cfg: LatticeConfig, pot: Potential, omega: float, u) -> np.ndarray:
-    """udot with J udot = grad H(u), i.e. udot = -J grad H(u)."""
-    return -apply_symplectic(gradient(cfg, pot, omega, u), cfg.n)
+def onsite_blocks(pot: Potential, omega: float, x: np.ndarray, s: np.ndarray,
+                  vp: np.ndarray) -> np.ndarray:
+    """Diagonal 2x2 blocks (omega - 2 + V'(s_j)) I + 2 V''(s_j) x_j x_j^T of
+    D^2H for site pairs x (shape (n, 2)), s_j = |x_j|^2 and vp = V'(s)."""
+    return ((omega - 2.0 + vp)[:, None, None] * I2
+            + (2.0 * np.asarray(pot(s, 2)))[:, None, None]
+            * (x[:, :, None] * x[:, None, :]))
 
 
 def hessian(cfg: LatticeConfig, pot: Potential, omega: float, u) -> np.ndarray:
-    """D^2 H(u) as a dense symmetric 2n x 2n matrix (general state)."""
+    """D^2 H(u) as a dense symmetric 2n x 2n matrix (general state): the
+    on-site blocks plus identity blocks between neighbours."""
     n = cfg.n
     x = _sites(u, n)
     s = (x * x).sum(axis=-1)
     j = np.arange(n)
     H = np.zeros((n, 2, n, 2))
-    H[j, :, j, :] = ((omega - 2.0 + np.asarray(pot(s, 1)))[:, None, None] * I2
-                     + (2.0 * np.asarray(pot(s, 2)))[:, None, None]
-                     * (x[:, :, None] * x[:, None, :]))
+    H[j, :, j, :] = onsite_blocks(pot, omega, x, s, np.asarray(pot(s, 1)))
     H[j, :, (j + 1) % n, :] += I2
     H[j, :, (j - 1) % n, :] += I2
     return H.reshape(2 * n, 2 * n)
@@ -193,8 +202,3 @@ def hessian_at_equilibrium(cfg: LatticeConfig, pot: Potential, a: float) -> np.n
     (on site, omega - 2 + V'(a^2) = -2 cos(m zeta))."""
     sw = make_standing_wave(cfg, pot, a)
     return hessian(cfg, pot, sw.omega, sw.equilibrium)
-
-
-def symplectic_matrix(n: int) -> np.ndarray:
-    """Block diagonal diag(J, ..., J) of size 2n."""
-    return np.kron(np.eye(n), J2)

@@ -13,8 +13,8 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .lattice import (J2, LatticeConfig, Potential, hessian_at_equilibrium,
-                      rot, symplectic_matrix)
+from .lattice import (J2, J_SIGNS, LatticeConfig, Potential,
+                      hessian_at_equilibrium, rot)
 
 
 def alpha_beta(cfg: LatticeConfig, k: int) -> tuple[float, float]:
@@ -82,11 +82,16 @@ def full_spectrum(cfg: LatticeConfig, pot: Potential, a: float,
     restores O(eps) accuracy for defective pairs (the cluster mean perturbs
     linearly, the members only as a root of the multiplicity).
     """
-    M = symplectic_matrix(cfg.n) @ hessian_at_equilibrium(cfg, pot, a)
-    eig = np.linalg.eigvals(M)
+    eig = _jacobian_eigvals(hessian_at_equilibrium(cfg, pot, a))
     if cluster_tol > 0.0:
         eig = _average_clusters(eig, cluster_tol)
     return eig
+
+
+def _jacobian_eigvals(H: np.ndarray) -> np.ndarray:
+    """Eigenvalues of J H, J applied to the row pairs of H."""
+    JH = H.reshape(-1, 2, len(H))[:, ::-1] * J_SIGNS[:, None]
+    return np.linalg.eigvals(JH.reshape(H.shape))
 
 
 def _average_clusters(eig: np.ndarray, tol: float) -> np.ndarray:
@@ -176,13 +181,12 @@ def classify_stability(cfg: LatticeConfig, pot: Potential,
                                 real_pair=bd.phi is not None and bd.phi <= 1.0))
     phi_1 = per_k[0].phi
     covered = sigma < 0 or (sigma > 0 and phi_1 < 1.0)
-    eig = full_spectrum(cfg, pot, a)
-    max_re = float(np.abs(eig.real).max())
+    H = hessian_at_equilibrium(cfg, pot, a)
+    max_re = float(np.abs(_jacobian_eigvals(H).real).max())
     # The solver splits the defective gauge zero by ~sqrt(eps) ||J D^2H||. J
     # only permutes and negates rows, so ||J D^2H||_inf = ||D^2H||_inf, and
     # that bounds the 2-norm too (J orthogonal, D^2H symmetric).
-    split = 10.0 * np.sqrt(np.finfo(float).eps) * np.linalg.norm(
-        hessian_at_equilibrium(cfg, pot, a), np.inf)
+    split = 10.0 * np.sqrt(np.finfo(float).eps) * np.linalg.norm(H, np.inf)
     return StabilityVerdict(
         sigma=sigma,
         covered=bool(covered),

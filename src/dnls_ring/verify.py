@@ -8,10 +8,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
+from scipy.linalg.lapack import dgesv
 
 from .errors import ConvergenceError
-from .lattice import (LatticeConfig, Potential, StandingWave, hamiltonian,
-                      hessian, rotating_rhs, symplectic_matrix)
+from .lattice import (I2, J2, J_SIGNS, LatticeConfig, Potential, StandingWave,
+                      hamiltonian, onsite_blocks, rotating_rhs)
 
 MIDPOINT_TOL = 1e-13     # residual norm each midpoint Newton solve meets
 MIDPOINT_MAX_ITER = 50
@@ -25,19 +27,6 @@ class Trajectory:
     newton_iterations: int = 0  # Newton corrections summed over all steps
 
 
-def _midpoint_step(cfg, pot, omega, u, v, dt, I, Jbig):
-    # Newton on g(v) = v - u - dt f((u+v)/2), f = -J grad H, from the
-    # prediction v; returns the step and the number of corrections.
-    for it in range(MIDPOINT_MAX_ITER):
-        mid = 0.5 * (u + v)
-        g = v - u - dt * rotating_rhs(cfg, pot, omega, mid)
-        if np.linalg.norm(g) <= MIDPOINT_TOL:
-            return v, it
-        Jg = I + 0.5 * dt * (Jbig @ hessian(cfg, pot, omega, mid))
-        v = v - np.linalg.solve(Jg, g)
-    raise ConvergenceError("implicit midpoint solve did not converge")
-
-
 def integrate(cfg: LatticeConfig, pot: Potential, omega: float,
               u0: np.ndarray, dt: float, T: float) -> Trajectory:
     """Implicit-midpoint trajectory of J udot = grad H(u) from u0 to time T.
@@ -45,16 +34,24 @@ def integrate(cfg: LatticeConfig, pot: Potential, omega: float,
     dt is adjusted to the nearest value dividing T evenly so the grid tiles
     the interval (required downstream for trigonometric interpolation).
     Each step is predicted by extrapolating the last three states (Euler on
-    the first step, linear on the second) and corrected by dense Newton.
+    the first step, linear on the second) and corrected by dense Newton with
+    I + (dt/2) J D^2H at each correction's midpoint, of which only the on-site
+    blocks change.
     """
     if not 0 < dt <= T < np.inf:
         raise ValueError("need finite dt > 0 and T >= dt")
-    nsteps = max(1, int(round(T / dt)))
+    n, nsteps = cfg.n, max(1, int(round(T / dt)))
     dt_used = T / nsteps
-    I, Jbig = np.eye(len(u0)), symplectic_matrix(cfg.n)
-    states = np.empty((nsteps + 1, len(u0)))
+    h, j = 0.5 * dt_used, np.arange(n)
+    newton = np.zeros((n, 2, n, 2))
+    newton[j, :, (j + 1) % n, :] = newton[j, :, (j - 1) % n, :] = h * J2
+    newton = newton.reshape(2 * n, 2 * n)
+    rs, cs = newton.strides               # the n diagonal 2x2 blocks, writable
+    onsite = as_strided(newton, (n, 2, 2), (2 * (rs + cs), rs, cs))
+    h_j = h * J_SIGNS[:, None]
+    states = np.empty((nsteps + 1, 2 * n))
     states[0] = np.asarray(u0, dtype=float)
-    newton = 0
+    corrections = 0
     for i in range(nsteps):
         u = states[i]
         if i == 0:
@@ -63,11 +60,29 @@ def integrate(cfg: LatticeConfig, pot: Potential, omega: float,
             v = 2.0 * u - states[0]
         else:           # quadratic extrapolation, off by O(dt^3)
             v = 3.0 * (u - states[i - 1]) + states[i - 2]
-        states[i + 1], its = _midpoint_step(cfg, pot, omega, u, v, dt_used, I, Jbig)
-        newton += its
+        for it in range(MIDPOINT_MAX_ITER):    # g(v) = v - u - dt f((u+v)/2)
+            mid = 0.5 * (u + v)
+            x = mid.reshape(n, 2)
+            s = (x * x).sum(axis=-1)
+            vp = np.asarray(pot(s, 1))
+            g = v - u - dt_used * rotating_rhs(cfg, pot, omega, mid, vp)
+            if np.sqrt(g.dot(g)) <= MIDPOINT_TOL:   # np.linalg.norm(g)
+                break
+            # I + h J B_j, J applied to the row pair of each block
+            np.multiply(onsite_blocks(pot, omega, x, s, vp)[:, ::-1], h_j,
+                        out=onsite)
+            onsite += I2
+            _, _, dv, info = dgesv(newton, g)
+            if info:
+                raise np.linalg.LinAlgError("Singular matrix")
+            v = v - dv
+        else:
+            raise ConvergenceError("implicit midpoint solve did not converge")
+        states[i + 1] = v
+        corrections += it
     times = dt_used * np.arange(nsteps + 1)
     return Trajectory(times=times, states=states, dt=dt_used,
-                      newton_iterations=newton)
+                      newton_iterations=corrections)
 
 
 def invariant_drift(traj: Trajectory, cfg: LatticeConfig, pot: Potential,
@@ -104,11 +119,7 @@ def traveling_wave_error(traj: Trajectory, sw: StandingWave, k: int,
     shift = np.exp(2j * np.pi * freqs * k / n)
     shifted = np.real(np.fft.ifft(np.fft.fft(norms, axis=0)
                                   * shift[:, None], axis=0))
-    err = 0.0
-    for j in range(n):
-        jp = (j + 1) % n
-        err = max(err, float(np.abs(norms[:, jp] - shifted[:, j]).max()))
-    return err
+    return float(np.abs(np.roll(norms, -1, axis=1) - shifted).max())
 
 
 def spatial_period_error(traj: Trajectory, cfg: LatticeConfig, k: int,

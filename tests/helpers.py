@@ -4,8 +4,10 @@ package internals they check."""
 
 import numpy as np
 
-from dnls_ring import ResonanceRecord, ResonanceReport, block_data
+from dnls_ring import (ConvergenceError, ResonanceRecord, ResonanceReport,
+                       block_data, hessian, rotating_rhs)
 from dnls_ring.bifurcation import L_MAX_CAP
+from dnls_ring.verify import MIDPOINT_MAX_ITER, MIDPOINT_TOL
 
 
 def fd_gradient(f, x, h=1e-5):
@@ -73,6 +75,11 @@ def loop_hessian(n, pot, omega, u):
     return H
 
 
+def symplectic_matrix(n):
+    """Block diagonal diag(J, ..., J) of size 2n, J = [[0, -1], [1, 0]]."""
+    return np.kron(np.eye(n), np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+
 def reference_midpoint(n, pot, omega, u0, dt, T, tol=1e-13, max_iter=50):
     """Implicit-midpoint states from u0 to T: every step predicted by Euler
     and corrected by dense Newton, with roll_gradient and loop_hessian.
@@ -81,7 +88,7 @@ def reference_midpoint(n, pot, omega, u0, dt, T, tol=1e-13, max_iter=50):
         g = roll_gradient(n, pot, omega, u).reshape(n, 2)
         return np.stack((g[:, 1], -g[:, 0]), axis=-1).ravel()
 
-    Jbig = np.kron(np.eye(n), np.array([[0.0, -1.0], [1.0, 0.0]]))
+    Jbig = symplectic_matrix(n)
     nsteps = max(1, int(round(T / dt)))
     dt = T / nsteps
     states = [np.asarray(u0, dtype=float)]
@@ -99,6 +106,41 @@ def reference_midpoint(n, pot, omega, u0, dt, T, tol=1e-13, max_iter=50):
             raise RuntimeError("reference midpoint solve did not converge")
         states.append(v)
     return np.array(states)
+
+
+def dense_midpoint(cfg, pot, omega, u0, dt, T):
+    """(states, corrections) of the implicit-midpoint stepper that builds the
+    whole Newton matrix I + (dt/2) Jbig D^2H from `hessian` and a dense
+    product with diag(J, ..., J) at every correction and solves it with
+    np.linalg.solve. Same predictor, tolerance and cap as `integrate`, so the
+    two agree bit for bit."""
+    def step(u, v, dt, I, Jbig):
+        for it in range(MIDPOINT_MAX_ITER):
+            mid = 0.5 * (u + v)
+            g = v - u - dt * rotating_rhs(cfg, pot, omega, mid)
+            if np.linalg.norm(g) <= MIDPOINT_TOL:
+                return v, it
+            Jg = I + 0.5 * dt * (Jbig @ hessian(cfg, pot, omega, mid))
+            v = v - np.linalg.solve(Jg, g)
+        raise ConvergenceError("implicit midpoint solve did not converge")
+
+    nsteps = max(1, int(round(T / dt)))
+    dt_used = T / nsteps
+    I, Jbig = np.eye(len(u0)), symplectic_matrix(cfg.n)
+    states = np.empty((nsteps + 1, len(u0)))
+    states[0] = np.asarray(u0, dtype=float)
+    newton = 0
+    for i in range(nsteps):
+        u = states[i]
+        if i == 0:
+            v = u + dt_used * rotating_rhs(cfg, pot, omega, u)
+        elif i == 1:
+            v = 2.0 * u - states[0]
+        else:
+            v = 3.0 * (u - states[i - 1]) + states[i - 2]
+        states[i + 1], its = step(u, v, dt_used, I, Jbig)
+        newton += its
+    return states, newton
 
 
 def loop_resonances(cfg, pot, a, tol_res=1e-9):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
-from dnls_ring.cli import main, read_csv
+from dnls_ring import ConfigError
+from dnls_ring.cli import main, parse_config, read_csv
 
 
 BASE = {
@@ -126,6 +127,27 @@ def test_invalid_config_names_key_and_exits_2(tmp_path, capsys, doc, key):
     assert main(["stability", "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path)]) == 2
     assert key in capsys.readouterr().err
+
+
+CAPS = [  # the documented caps (README)
+    ("lattice.n", lambda v: dict(BASE, lattice={"n": v, "m": 1}), 512),
+    ("sweep.steps", lambda v: dict(BASE, sweep={"a_min": 0.1, "a_max": 0.3,
+                                                "steps": v}), 10_000),
+    ("continuation.n_harmonics",
+     lambda v: dict(BASE, continuation={"n_harmonics": v}), 256),
+    ("continuation.max_steps",
+     lambda v: dict(BASE, continuation={"max_steps": v}), 10_000),
+]
+
+
+@pytest.mark.parametrize("key, make, cap", CAPS, ids=[c[0] for c in CAPS])
+def test_size_caps_name_the_key(key, make, cap):
+    # Checked by parse_config alone, so a run at the cap is never started;
+    # main turns the ConfigError into exit 2 (test_invalid_config_...).
+    parse_config(make(cap))
+    for value in (cap + 1, 10**30):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(make(value))
 
 
 def test_verify_over_two_periods(tmp_path):

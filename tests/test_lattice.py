@@ -3,11 +3,11 @@ import pytest
 
 from dnls_ring import (ConfigError, DomainError, LatticeConfig, Potential,
                        gradient, hamiltonian, hessian, hessian_at_equilibrium,
-                       make_standing_wave, rotating_rhs)
-from dnls_ring.lattice import apply_symplectic, rot, symplectic_matrix
+                       make_standing_wave, onsite_blocks, rotating_rhs)
+from dnls_ring.lattice import rot
 
 from helpers import (direct_hamiltonian, fd_gradient, fd_jacobian,
-                     loop_hessian, roll_gradient)
+                     loop_hessian, roll_gradient, symplectic_matrix)
 
 
 def phase_rotate(u, theta: float, n: int) -> np.ndarray:
@@ -226,7 +226,7 @@ def test_rotating_rhs_identity():
     assert np.abs(rotating_rhs(cfg, pot, sw.omega, sw.equilibrium)).max() <= 1e-12
     assert np.abs(rotating_rhs(cfg, pot, sw.omega, np.zeros(12))).max() == 0.0
     u = rng.standard_normal(12)
-    lhs = apply_symplectic(rotating_rhs(cfg, pot, sw.omega, u), cfg.n)
+    lhs = symplectic_matrix(cfg.n) @ rotating_rhs(cfg, pot, sw.omega, u)
     assert np.abs(lhs - gradient(cfg, pot, sw.omega, u)).max() <= 1e-12
 
 
@@ -255,3 +255,21 @@ def test_gauge_and_shift_invariance():
             pytest.approx(h0, abs=1e-12)
         assert hamiltonian(cfg, pot, omega, site_shift(u, 1, cfg.n)) == \
             pytest.approx(h0, abs=1e-12)
+
+
+def test_onsite_blocks_equal_loop_hessian_diagonal():
+    # onsite_blocks is the only on-site formula: hessian scatters it, the
+    # midpoint Newton matrix refreshes it. The per-site loop oracle forms the
+    # same products in the same order, so the blocks agree exactly.
+    rng = np.random.default_rng(12)
+    pots = [Potential.cubic(1.0), Potential.cubic(-1.0), Potential.saturable(1.0),
+            Potential.polynomial([0.0, 0.5, -0.3, 0.2, 0.1])]
+    for n in (3, 6, 12):
+        for pot in pots:
+            u = 0.4 * rng.standard_normal(2 * n)
+            x = u.reshape(n, 2)
+            s = (x * x).sum(axis=-1)
+            blocks = onsite_blocks(pot, 0.7, x, s, pot(s, 1))
+            H = loop_hessian(n, pot, 0.7, u)
+            for j in range(n):
+                assert np.array_equal(blocks[j], H[2 * j:2 * j + 2, 2 * j:2 * j + 2])

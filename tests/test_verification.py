@@ -7,7 +7,7 @@ from dnls_ring import (ContinuationOptions, LatticeConfig, Potential,
                        invariant_drift, make_standing_wave,
                        spatial_period_error, traveling_wave_error)
 
-from helpers import reference_midpoint
+from helpers import dense_midpoint, reference_midpoint
 
 
 CFG = LatticeConfig(6, 1)
@@ -95,6 +95,24 @@ def test_random_perturbation_does_not_travel():
     assert traveling_wave_error(traj, SW, 3, nu) > 1e-4
 
 
+def test_traveling_wave_error_is_the_site_loop_maximum():
+    # Off the symmetry class on five sites every site pair (j, j+1) differs,
+    # so the error must be the largest per-pair defect, bit for bit.
+    cfg, k, nu = LatticeConfig(5, 1), 2, 1.7
+    sw = make_standing_wave(cfg, CUBIC, 0.3)
+    u0 = sw.equilibrium + 0.1 * np.random.default_rng(4).standard_normal(10)
+    traj = integrate(cfg, CUBIC, sw.omega, u0, 1e-2, 2 * np.pi / nu)
+    npts = len(traj.times) - 1
+    norms = np.sqrt((traj.states[:npts].reshape(npts, 5, 2) ** 2).sum(axis=-1))
+    shift = np.exp(2j * np.pi * np.fft.fftfreq(npts, d=1.0 / npts) * k / 5)
+    shifted = np.real(np.fft.ifft(np.fft.fft(norms, axis=0) * shift[:, None],
+                                  axis=0))
+    want = max(float(np.abs(norms[:, (j + 1) % 5] - shifted[:, j]).max())
+               for j in range(5))
+    assert traveling_wave_error(traj, sw, k, nu) == want
+    assert want > 1e-3
+
+
 def test_equilibrium_traveling_error_vanishes():
     nu = 2.0
     traj = integrate(CFG, CUBIC, SW.omega, SW.equilibrium, 1e-3, 2 * np.pi / nu)
@@ -166,6 +184,51 @@ def test_integrate_matches_reference_stepper(short_branch):
         ref = reference_midpoint(cfg.n, pot, omega, u0, dt, T)
         assert traj.states.shape == ref.shape, name
         assert np.abs(traj.states - ref).max() <= 1e-12, name
+
+
+POTENTIALS = {"cubic": Potential.cubic(1.0),
+              "defocusing": Potential.cubic(-1.0),
+              "saturable": Potential.saturable(1.0),
+              "quartic": Potential.polynomial([0.0, 0.5, -0.3, 0.2, 0.1])}
+
+
+@pytest.mark.parametrize("n", [3, 5, 6, 12, 48, 96])
+@pytest.mark.parametrize("kind", sorted(POTENTIALS))
+def test_integrate_equals_dense_stepper(n, kind):
+    # Refreshing only the on-site blocks, applying J as a row swap and
+    # solving with dgesv reorders no floating-point operation of the dense
+    # stepper, so the states agree exactly, not to a tolerance. 40 steps
+    # cover the Euler, linear and quadratic predictors.
+    cfg, pot = LatticeConfig(n, 1), POTENTIALS[kind]
+    sw = make_standing_wave(cfg, pot, 0.3)
+    u0 = sw.equilibrium + 0.1 * np.random.default_rng(n).standard_normal(2 * n)
+    traj = integrate(cfg, pot, sw.omega, u0, 2e-3, 0.08)
+    states, corrections = dense_midpoint(cfg, pot, sw.omega, u0, 2e-3, 0.08)
+    assert len(traj.times) == 41
+    assert np.array_equal(traj.states, states)
+    assert traj.newton_iterations == corrections
+
+
+def test_branch_orbit_equals_dense_stepper(short_branch):
+    point = short_branch.points[-1]
+    u0, T = branch_initial_state(point), 2 * np.pi / point.nu
+    traj = integrate(CFG, CUBIC, SW.omega, u0, 1e-3, T)
+    states, corrections = dense_midpoint(CFG, CUBIC, SW.omega, u0, 1e-3, T)
+    assert np.array_equal(traj.states, states)
+    assert traj.newton_iterations == corrections
+
+
+def test_singular_newton_matrix_raises():
+    # Uniform state (1, 0) on four sites, V(s) = s^2/4, omega = -9/2 and
+    # dt = 1: the Euler-predicted midpoint is (1, 2) on every site. There
+    # the k=1 Fourier block of D^2H has eigenvalues mu = omega - 2 + V'(5)
+    # = -4 and mu + 2 V''(5) * 5 = 1, so the matching block of
+    # I + (dt/2) J D^2H has determinant 1 + (1/4)(-4)(1) = 0. Every entry is
+    # dyadic, so the LU meets an exact zero pivot.
+    cfg = LatticeConfig(4, 0)
+    pot = Potential.polynomial([0.0, 0.0, 0.25])
+    with pytest.raises(np.linalg.LinAlgError):
+        integrate(cfg, pot, -4.5, np.tile([1.0, 0.0], 4), 1.0, 1.0)
 
 
 @pytest.mark.parametrize("dt, T", [(float("nan"), 1.0), (1e-2, float("nan")),
