@@ -27,9 +27,7 @@ SCAN_SAMPLES = 4096  # by a sign scan over this many equal steps, then brentq
 class DegeneracyReport:
     nondegenerate: bool
     v_second: float
-    v_second_nonzero: bool
     margins: dict          # k -> |phi_k - gamma_k|
-    block_dets: dict       # k -> beta_k^2 - alpha_k^2 (1 - phi_k)
     failures: list
 
 
@@ -37,8 +35,8 @@ def check_nondegenerate(cfg: LatticeConfig, pot: Potential,
                         a: float) -> DegeneracyReport:
     """Amplitude is non-degenerate when V''(a^2) != 0 and phi_k != gamma_k for
     k = 1..n-1; equivalently the Hessian has no kernel in the fixed space
-    (nonzero block determinants and a nonzero, finite rank-one block
-    2a^2 V'')."""
+    (nonzero block determinants beta_k^2 - alpha_k^2 (1 - phi_k) and a
+    nonzero, finite rank-one block 2a^2 V'')."""
     v2 = pot(a * a, 2)
     failures = []
     if abs(v2) <= TOL_DEG:
@@ -46,23 +44,19 @@ def check_nondegenerate(cfg: LatticeConfig, pot: Potential,
     if not TOL_DEG < abs(2.0 * a * a * v2) < np.inf:
         failures.append(f"rank-one block 2 a^2 V''(a^2) = {2 * a * a * v2:.3e} "
                         "vanishes or overflows")
-    margins = {}
-    dets = {}
-    for k in range(1, cfg.n):
-        bd = block_data(cfg, pot, a, k)
-        margins[k] = abs(bd.phi - bd.gamma)
-        dets[k] = bd.beta ** 2 - bd.alpha ** 2 * (1.0 - bd.phi)
-        if margins[k] <= TOL_DEG:
+    bd = block_data(cfg, pot, a, np.arange(1, cfg.n))
+    margins = np.abs(bd.phi - bd.gamma)
+    dets = np.square(bd.beta) - np.square(bd.alpha) * (1.0 - bd.phi)
+    for k, margin, det in zip(bd.k, margins, dets):
+        if margin <= TOL_DEG:
             failures.append(f"phi_{k} = gamma_{k} within {TOL_DEG:g} "
-                            f"(margin {margins[k]:.3e})")
-        if abs(dets[k]) <= TOL_DEG:
-            failures.append(f"block determinant {k} vanishes ({dets[k]:.3e})")
+                            f"(margin {margin:.3e})")
+        if abs(det) <= TOL_DEG:
+            failures.append(f"block determinant {k} vanishes ({det:.3e})")
     return DegeneracyReport(
         nondegenerate=not failures,
         v_second=float(v2),
-        v_second_nonzero=abs(v2) > TOL_DEG,
-        margins=margins,
-        block_dets=dets,
+        margins=dict(zip(bd.k.tolist(), margins.tolist())),
         failures=failures,
     )
 
@@ -93,8 +87,8 @@ def check_nonresonant(cfg: LatticeConfig, pot: Potential,
     For nu_k > TOL_RES the window |nu_j - l nu_k| < TOL_RES is narrower than
     2 nu_k, so only l = floor(nu_j / nu_k) and that plus one can fall in it;
     the scan tests those two per (k, j) pair."""
-    bds = [block_data(cfg, pot, a, k) for k in range(1, cfg.n)]
-    nus = np.array([(bd.nu_plus, bd.nu_minus) for bd in bds]).ravel()
+    bd = block_data(cfg, pot, a, np.arange(1, cfg.n))
+    nus = np.stack([bd.nu_plus, bd.nu_minus], axis=-1).ravel()
     real = np.abs(nus.imag) <= TOL_RES
     onset = real & (nus.real > TOL_RES)
     l_max = 1
@@ -132,17 +126,14 @@ class BifurcationPoint:
 
 def classify_mode(cfg: LatticeConfig, pot: Potential, a: float, k: int) -> str:
     """Case label for mode k: 'a', 'b', 'hopf' (phi_k >= 1) or 'none'."""
-    return _regime(block_data(cfg, pot, a, k), cfg.n)
+    return str(_regime(block_data(cfg, pot, a, k), cfg.n))
 
 
-def _regime(bd, n: int) -> str:
-    if bd.phi < bd.gamma:
-        return "a"
-    if bd.gamma < bd.phi < 1.0 and 2 * bd.k <= n:
-        return "b"
-    if bd.phi >= 1.0:
-        return "hopf"
-    return "none"
+def _regime(bd, n: int) -> np.ndarray:
+    """Case label of every mode in bd, shaped like bd.k."""
+    return np.select([bd.phi < bd.gamma,
+                      (bd.gamma < bd.phi) & (bd.phi < 1.0) & (2 * bd.k <= n),
+                      bd.phi >= 1.0], ["a", "b", "hopf"], "none")
 
 
 def enumerate_bifurcations(cfg: LatticeConfig, pot: Potential,
@@ -159,15 +150,15 @@ def _enumerate(cfg, pot, a) -> tuple:
     if not rep.nondegenerate:
         raise DegenerateAmplitudeError("; ".join(rep.failures))
     res = check_nonresonant(cfg, pot, a)
+    bd = block_data(cfg, pot, a, np.arange(1, cfg.n))
+    regimes = _regime(bd, cfg.n)
+    near = np.minimum(np.abs(bd.phi - bd.gamma), np.abs(bd.phi - 1.0)) < NEAR_TOL
     points = []
-    for k in range(1, cfg.n):
-        bd = block_data(cfg, pot, a, k)
-        regime = _regime(bd, cfg.n)
-        near = min(abs(bd.phi - bd.gamma), abs(bd.phi - 1.0)) < NEAR_TOL
-        if regime in ("a", "b"):
-            points.append(_make_point(k, +1, bd.nu_plus.real, regime, res, near))
+    for i in np.flatnonzero((regimes == "a") | (regimes == "b")):
+        k, regime = int(bd.k[i]), str(regimes[i])
+        points.append(_make_point(k, +1, bd.nu_plus[i].real, regime, res, near[i]))
         if regime == "b":
-            points.append(_make_point(k, -1, bd.nu_minus.real, "b", res, near))
+            points.append(_make_point(k, -1, bd.nu_minus[i].real, "b", res, near[i]))
     for p in points:
         if p.nu_onset <= 0:
             raise AssertionError(f"onset frequency not positive for k={p.k}")
@@ -180,7 +171,7 @@ def _make_point(k, sign, nu, regime, res: ResonanceReport, near) -> BifurcationP
     # with this onset; the bifurcation is only guaranteed at the biggest one.
     suppressed = bool(recs)
     return BifurcationPoint(k=k, sign=sign, nu_onset=float(nu), regime=regime,
-                            resonances=recs, near_degenerate=near,
+                            resonances=recs, near_degenerate=bool(near),
                             suppressed=suppressed)
 
 
@@ -200,15 +191,17 @@ def _phi_fn(cfg, pot, k):
 
 
 def _scan_root(g) -> Optional[float]:
+    """First root of g on (0, A_MAX]: g is evaluated on the whole grid at once
+    and the first zero or sign change is refined by brentq."""
     grid = np.linspace(0.0, A_MAX, SCAN_SAMPLES + 1)[1:]
-    vals = np.array([g(a) for a in grid])
-    sign = np.sign(vals)
-    for i in range(len(grid) - 1):
-        if sign[i] == 0:
-            return float(grid[i])
-        if sign[i] * sign[i + 1] < 0:
-            return float(brentq(g, grid[i], grid[i + 1], xtol=1e-14, rtol=1e-15))
-    return None
+    sign = np.sign(g(grid))
+    hits = np.flatnonzero((sign[:-1] == 0) | (sign[:-1] * sign[1:] < 0))
+    if not hits.size:
+        return None
+    i = hits[0]
+    if sign[i] == 0:
+        return float(grid[i])
+    return float(brentq(g, grid[i], grid[i + 1], xtol=1e-14, rtol=1e-15))
 
 
 def threshold_by_bisection(cfg: LatticeConfig, pot: Potential, k: int,
@@ -227,7 +220,7 @@ def amplitude_thresholds(cfg: LatticeConfig, pot: Potential,
     if not 1 <= k <= cfg.n - 1:
         raise ValueError(f"mode k must be in 1..n-1, got {k}")
     alpha, beta = alpha_beta(cfg, k)
-    gamma = 1.0 - (beta / alpha) ** 2
+    gamma = 1.0 - np.square(beta / alpha)     # as in block_data
     if pot.kind in ("cubic", "saturable") and pot.params[0] == 0.0:
         return Thresholds(a_hopf=None, a_gamma=None)   # phi_k = 0 for every a
     if pot.kind == "cubic":

@@ -214,12 +214,15 @@ def _amplitudes(config: RunConfig) -> np.ndarray:
 def cmd_spectrum(config: RunConfig) -> None:
     cfg, pot = config.lattice, config.potential
     a = _require_amplitude(config)
-    rows = []
-    for k in range(1, cfg.n + 1):
-        bd = block_data(cfg, pot, a, k)
-        rows.append([k, bd.alpha, bd.beta, bd.phi, bd.gamma,
-                     bd.nu_plus.real, bd.nu_plus.imag,
-                     bd.nu_minus.real, bd.nu_minus.imag])
+
+    def columns(bd):
+        return [bd.k, bd.alpha, bd.beta, bd.phi, bd.gamma,
+                bd.nu_plus.real, bd.nu_plus.imag,
+                bd.nu_minus.real, bd.nu_minus.imag]
+
+    # k = 1..n-1 from one array call; k = n has no phi, gamma or onset
+    rows = list(zip(*columns(block_data(cfg, pot, a, np.arange(1, cfg.n)))))
+    rows.append(columns(block_data(cfg, pot, a, cfg.n)))
     write_csv(config.out_dir / "spectrum.csv",
               ["k", "alpha", "beta", "phi", "gamma",
                "nu_plus_re", "nu_plus_im", "nu_minus_re", "nu_minus_im"], rows)

@@ -20,7 +20,7 @@ import numpy as np
 from .bifurcation import BifurcationPoint
 from .errors import ConvergenceError, DomainError, ResonanceError
 from .lattice import (J_SIGNS, LatticeConfig, Potential, StandingWave,
-                      gradient)
+                      gradient, onsite_blocks)
 from .spectral import block_data
 from .symmetry import LatticeLoop, ReducedProfile
 
@@ -117,9 +117,11 @@ class ReducedSystem:
         """Exact Jacobian with respect to (p, nu): (dim, dim+1)."""
         u = self._site0(pvec)
         s = (u * u).sum(axis=0)
-        # pointwise Hessian V'(s) I + 2 V''(s) u_0 u_0^T, shape (2, 2, M)
-        hess = (np.eye(2)[:, :, None] * self.pot(s, 1)
-                + 2.0 * self.pot(s, 2) * u[:, None] * u[None, :])
+        # pointwise Hessian V'(s) I + 2 V''(s) u_0 u_0^T, the on-site block
+        # of D^2H with omega - 2 = 0, laid out (2, 2, M) so that the product
+        # comes out contiguous and the reshape below copies nothing
+        hess = np.ascontiguousarray(onsite_blocks(
+            self.pot, 2.0, u.T, s, self.pot(s, 1)).transpose(1, 2, 0))
         onsite = self.analysis @ np.einsum(
             "cdt,dtj->ctj", hess, self.synthesis).reshape(-1, self.dim)
         return np.column_stack([self.j_dt - (self.coupling + onsite) / nu,

@@ -13,16 +13,17 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .lattice import (J2, J_SIGNS, LatticeConfig, Potential,
+from .lattice import (J_SIGNS, LatticeConfig, Potential,
                       hessian_at_equilibrium, rot)
 
 
-def alpha_beta(cfg: LatticeConfig, k: int) -> tuple[float, float]:
-    """alpha_k = 4 cos(m zeta) sin^2(k zeta/2), beta_k = 2 sin(m zeta) sin(k zeta)."""
+def alpha_beta(cfg: LatticeConfig, k) -> tuple:
+    """alpha_k = 4 cos(m zeta) sin^2(k zeta/2) and
+    beta_k = 2 sin(m zeta) sin(k zeta), shaped like k (one mode or an array)."""
     z = cfg.zeta
-    alpha = 4.0 * np.cos(cfg.m * z) * np.sin(k * z / 2.0) ** 2
+    alpha = 4.0 * np.cos(cfg.m * z) * np.square(np.sin(k * z / 2.0))
     beta = 2.0 * np.sin(cfg.m * z) * np.sin(k * z)
-    return float(alpha), float(beta)
+    return alpha, beta
 
 
 def block_basis(cfg: LatticeConfig, k: int, z: np.ndarray) -> np.ndarray:
@@ -37,55 +38,63 @@ def block_basis(cfg: LatticeConfig, k: int, z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BlockData:
-    """Per-mode quantities; phi/gamma/reduced are None for k = n where
+    """Per-mode quantities shaped like the mode index k; B and reduced carry
+    two more trailing axes. phi/gamma/reduced are None for k = n, where
     alpha_n = 0 leaves them genuinely undefined."""
 
-    k: int
-    alpha: float
-    beta: float
-    phi: Optional[float]
-    gamma: Optional[float]
+    k: int | np.ndarray
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
+    phi: Optional[float | np.ndarray]
+    gamma: Optional[float | np.ndarray]
     B: np.ndarray
-    nu_plus: complex
-    nu_minus: complex
+    nu_plus: complex | np.ndarray
+    nu_minus: complex | np.ndarray
     reduced: Optional[np.ndarray]
 
 
-def block_data(cfg: LatticeConfig, pot: Potential, a: float, k: int) -> BlockData:
+def block_data(cfg: LatticeConfig, pot: Potential, a: float, k) -> BlockData:
     """Block B_k of D^2H(a_m) on the k-th Fourier subspace and the
-    eigenvalues nu_k^+/- of iJB_k restricted to R x iR."""
-    if not 1 <= k <= cfg.n:
-        raise ValueError(f"mode k must be in 1..n, got {k}")
-    alpha, beta = alpha_beta(cfg, k)
+    eigenvalues nu_k^+/- of iJB_k restricted to R x iR.
+
+    k is one mode in 1..n or an integer array of modes in 1..n-1; one mode
+    and the same mode inside an array give the same bits."""
     d = 2.0 * a * a * pot(a * a, 2)
-    if k == cfg.n:
-        B = np.diag([d, 0.0]).astype(complex)
-        return BlockData(k, alpha, beta, None, None, B, 0.0 + 0.0j, 0.0 + 0.0j, None)
+    if np.ndim(k) == 0:
+        if not 1 <= k <= cfg.n:
+            raise ValueError(f"mode k must be in 1..n, got {k}")
+        if k == cfg.n:
+            alpha, beta = alpha_beta(cfg, k)
+            B = np.diag([d, 0.0]).astype(complex)
+            return BlockData(k, alpha, beta, None, None, B, 0.0 + 0.0j,
+                             0.0 + 0.0j, None)
+    else:
+        k = np.asarray(k)
+        if np.any((k < 1) | (k >= cfg.n)):
+            raise ValueError(f"modes in an array must be in 1..n-1, got {k}")
+    alpha, beta = alpha_beta(cfg, k)
     phi = d / alpha
-    gamma = 1.0 - (beta / alpha) ** 2
-    B = np.diag([d - alpha, -alpha]).astype(complex) + 1j * beta * J2
+    gamma = 1.0 - np.square(beta / alpha)
+    # 2x2 entries shaped like k, stacked as the trailing axes
+    B = np.moveaxis(np.array([[d - alpha, -1j * beta], [1j * beta, -alpha]]),
+                    (0, 1), (-2, -1))
     # Real form of iJB_k on R x iR (conjugation by diag(1, i)).
-    reduced = np.array([[beta, -alpha], [alpha * (phi - 1.0), beta]])
-    root = np.sqrt(complex(alpha * alpha * (1.0 - phi)))
-    return BlockData(k, alpha, beta, float(phi), float(gamma), B,
-                     beta + root, beta - root, reduced)
+    reduced = np.moveaxis(np.array([[beta, -alpha],
+                                    [alpha * (phi - 1.0), beta]]),
+                          (0, 1), (-2, -1))
+    root = np.sqrt((alpha * alpha * (1.0 - phi)).astype(complex))
+    return BlockData(k, alpha, beta, phi, gamma, B, beta + root, beta - root,
+                     reduced)
 
 
-def full_spectrum(cfg: LatticeConfig, pot: Potential, a: float,
-                  cluster_tol: float = 0.0) -> np.ndarray:
+def full_spectrum(cfg: LatticeConfig, pot: Potential, a: float) -> np.ndarray:
     """All 2n eigenvalues of J D^2H(a_m) by a dense general eigensolver.
 
     This is the brute-force oracle: no block structure is used. The gauge
     symmetry makes the double zero eigenvalue defective for a > 0, so the QR
-    iteration splits it by ~sqrt(machine eps); with cluster_tol > 0,
-    eigenvalue clusters within that radius are replaced by their mean, which
-    restores O(eps) accuracy for defective pairs (the cluster mean perturbs
-    linearly, the members only as a root of the multiplicity).
+    iteration splits it by ~sqrt(machine eps) times the matrix scale.
     """
-    eig = _jacobian_eigvals(hessian_at_equilibrium(cfg, pot, a))
-    if cluster_tol > 0.0:
-        eig = _average_clusters(eig, cluster_tol)
-    return eig
+    return _jacobian_eigvals(hessian_at_equilibrium(cfg, pot, a))
 
 
 def _jacobian_eigvals(H: np.ndarray) -> np.ndarray:
@@ -94,37 +103,11 @@ def _jacobian_eigvals(H: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(JH.reshape(H.shape))
 
 
-def _average_clusters(eig: np.ndarray, tol: float) -> np.ndarray:
-    """Replace each group of eigenvalues within tol of one another (union of
-    overlapping pairs) by the group mean, keeping multiplicity."""
-    nvals = len(eig)
-    parent = list(range(nvals))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(nvals):
-        for j in range(i + 1, nvals):
-            if abs(eig[i] - eig[j]) < tol:
-                parent[find(i)] = find(j)
-    out = eig.copy()
-    for root in set(find(i) for i in range(nvals)):
-        members = [i for i in range(nvals) if find(i) == root]
-        out[members] = eig[members].mean()
-    return out
-
-
 def expected_spectrum(cfg: LatticeConfig, pot: Potential, a: float) -> np.ndarray:
     """Closed-form multiset {i nu_k^+/-: k=1..n-1} plus the gauge double zero."""
-    vals = []
-    for k in range(1, cfg.n):
-        bd = block_data(cfg, pot, a, k)
-        vals.extend([1j * bd.nu_plus, 1j * bd.nu_minus])
-    vals.extend([0.0 + 0.0j, 0.0 + 0.0j])
-    return np.array(vals)
+    bd = block_data(cfg, pot, a, np.arange(1, cfg.n))
+    nus = np.stack([bd.nu_plus, bd.nu_minus], axis=-1).ravel()
+    return np.concatenate([1j * nus, [0.0 + 0.0j, 0.0 + 0.0j]])
 
 
 def matching_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -140,29 +123,19 @@ def matching_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 @dataclass
-class ModeRecord:
-    k: int
-    phi: Optional[float]
-    gamma: Optional[float]
-    nu_plus: complex
-    nu_minus: complex
-    real_pair: bool
-
-
-@dataclass
 class StabilityVerdict:
     """Linear stability of the standing wave.
 
     `covered` is the analytic criterion (sigma < 0, or sigma > 0 and
     phi_1 < 1): True where it proves stability, False in the regime it does
     not decide, where `empirical_stable` (from the dense spectrum oracle) is
-    the only answer reported.
+    the only answer reported. `per_k` is the block data of k = 1..n-1.
     """
 
     sigma: int
     covered: bool
     phi_1: float
-    per_k: list
+    per_k: BlockData
     max_real_part: float
     empirical_stable: bool
 
@@ -174,12 +147,8 @@ def classify_stability(cfg: LatticeConfig, pot: Potential,
     # sign rule), flipped for m > n/4; m = n/4 is excluded by LatticeConfig.
     sign = int(np.sign(v2))
     sigma = sign if 4 * cfg.m < cfg.n else -sign
-    per_k = []
-    for k in range(1, cfg.n):
-        bd = block_data(cfg, pot, a, k)
-        per_k.append(ModeRecord(k, bd.phi, bd.gamma, bd.nu_plus, bd.nu_minus,
-                                real_pair=bd.phi is not None and bd.phi <= 1.0))
-    phi_1 = per_k[0].phi
+    per_k = block_data(cfg, pot, a, np.arange(1, cfg.n))
+    phi_1 = per_k.phi[0]
     covered = sigma < 0 or (sigma > 0 and phi_1 < 1.0)
     H = hessian_at_equilibrium(cfg, pot, a)
     max_re = float(np.abs(_jacobian_eigvals(H).real).max())

@@ -75,6 +75,32 @@ def loop_hessian(n, pot, omega, u):
     return H
 
 
+def average_clusters(eig: np.ndarray, tol: float) -> np.ndarray:
+    """Replace each group of eigenvalues within tol of one another (union of
+    overlapping pairs) by the group mean, keeping multiplicity. A cluster
+    mean perturbs linearly, its members only as a root of the multiplicity,
+    so this restores O(eps) accuracy to the defective gauge double zero that
+    the dense eigensolver splits by ~sqrt(eps)."""
+    nvals = len(eig)
+    parent = list(range(nvals))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(nvals):
+        for j in range(i + 1, nvals):
+            if abs(eig[i] - eig[j]) < tol:
+                parent[find(i)] = find(j)
+    out = eig.copy()
+    for root in set(find(i) for i in range(nvals)):
+        members = [i for i in range(nvals) if find(i) == root]
+        out[members] = eig[members].mean()
+    return out
+
+
 def symplectic_matrix(n):
     """Block diagonal diag(J, ..., J) of size 2n, J = [[0, -1], [1, 0]]."""
     return np.kron(np.eye(n), np.array([[0.0, -1.0], [1.0, 0.0]]))

@@ -1,9 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from dnls_ring import (LatticeConfig, Potential, alpha_beta, block_basis,
-                       block_data, classify_stability, expected_spectrum,
-                       full_spectrum, hessian_at_equilibrium, matching_distance)
+from dnls_ring import (BlockData, LatticeConfig, Potential, alpha_beta,
+                       block_basis, block_data, classify_stability,
+                       expected_spectrum, full_spectrum,
+                       hessian_at_equilibrium, matching_distance)
+
+from helpers import average_clusters
 
 
 CFG = LatticeConfig(6, 1)
@@ -79,6 +84,40 @@ def test_block_k_equals_n():
     assert np.abs(bd.B - np.diag([2 * 0.04 * 1.0, 0.0])).max() <= 1e-14
 
 
+def test_block_data_array_matches_scalar_calls():
+    # One array call per ring gives the per-k scalar calls bit for bit, on
+    # every m for n <= 48 and each potential of the benchmark survey.
+    names = [f.name for f in fields(BlockData)]
+    for n in range(3, 49):
+        for m in range(n // 2 + 1):
+            if 4 * m == n:
+                continue
+            cfg = LatticeConfig(n, m)
+            a = (0.3, 1.0)[(n + m) % 2]
+            for pot in (CUBIC, Potential.cubic(-1.0), Potential.saturable(1.0)):
+                table = block_data(cfg, pot, a, np.arange(1, n))
+                rows = [block_data(cfg, pot, a, k) for k in range(1, n)]
+                for name in names:
+                    assert np.array_equal(getattr(table, name),
+                                          [getattr(r, name) for r in rows]), \
+                        (n, m, pot, name)
+
+
+def test_block_data_array_shapes_and_range():
+    ks = np.array([[1, 2, 3], [5, 4, 1]])
+    bd = block_data(CFG, CUBIC, 0.2, ks)
+    assert bd.phi.shape == bd.nu_minus.shape == (2, 3)
+    assert bd.B.shape == bd.reduced.shape == (2, 3, 2, 2)
+    assert np.array_equal(bd.B[1, 0], block_data(CFG, CUBIC, 0.2, 5).B)
+    # k = n has no phi or onsets, so an array may not hold it
+    for bad in (np.arange(1, 7), np.array([0, 1]), np.array([[2], [7]])):
+        with pytest.raises(ValueError):
+            block_data(CFG, CUBIC, 0.2, bad)
+    for bad in (0, 7):
+        with pytest.raises(ValueError):
+            block_data(CFG, CUBIC, 0.2, bad)
+
+
 def test_zero_amplitude_frequencies():
     for k in range(1, 6):
         bd = block_data(CFG, CUBIC, 0.0, k)
@@ -100,7 +139,7 @@ def test_mode_reflection_identity():
 
 
 def test_full_spectrum_matches_blocks():
-    got = full_spectrum(CFG, CUBIC, 0.2, cluster_tol=1e-6)
+    got = average_clusters(full_spectrum(CFG, CUBIC, 0.2), 1e-6)
     want = expected_spectrum(CFG, CUBIC, 0.2)
     assert matching_distance(got, want) <= 1e-8
 
@@ -175,10 +214,10 @@ def test_empirical_stability_matches_closed_form():
             for pot, amps in amplitudes:
                 a = amps[(n + m) % 2]
                 v = classify_stability(cfg, pot, a)
-                if min(abs(r.phi - 1.0) for r in v.per_k) < 1e-6:
+                if np.abs(v.per_k.phi - 1.0).min() < 1e-6:
                     continue
-                growth = max(max(abs(r.nu_plus.imag), abs(r.nu_minus.imag))
-                             for r in v.per_k)
+                growth = max(np.abs(v.per_k.nu_plus.imag).max(),
+                             np.abs(v.per_k.nu_minus.imag).max())
                 case = (n, m, pot, a, v.max_real_part)
                 if growth == 0.0:
                     assert v.empirical_stable, case
@@ -199,5 +238,5 @@ def test_stability_large_wavenumber_and_defocusing():
 
 def test_stability_per_k_real_flags():
     v = classify_stability(CFG, CUBIC, 0.2)
-    assert len(v.per_k) == 5
-    assert all(r.real_pair for r in v.per_k)
+    assert len(v.per_k.k) == 5
+    assert (v.per_k.phi <= 1.0).all()
