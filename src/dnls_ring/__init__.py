@@ -13,9 +13,8 @@ from .errors import (ConfigError, ConvergenceError, DegenerateAmplitudeError,
 from .lattice import (LatticeConfig, Potential, StandingWave, gradient,
                       hamiltonian, hessian, hessian_at_equilibrium,
                       make_standing_wave, onsite_blocks, rotating_rhs)
-from .spectral import (BlockData, StabilityVerdict, alpha_beta, block_basis,
-                       block_data, classify_stability, expected_spectrum,
-                       full_spectrum, matching_distance)
+from .spectral import (BlockData, StabilityVerdict, alpha_beta, block_data,
+                       classify_stability, full_spectrum)
 from .symmetry import (GroupElement, LatticeLoop, ReducedProfile, act,
                        embed_reduced, project_reduced)
 from .verify import (Trajectory, closure_error, integrate, invariant_drift,

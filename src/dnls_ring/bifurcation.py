@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DegenerateAmplitudeError
 from .lattice import LatticeConfig, Potential
@@ -201,6 +200,7 @@ def _scan_root(g) -> Optional[float]:
     i = hits[0]
     if sign[i] == 0:
         return float(grid[i])
+    from scipy.optimize import brentq  # here, so the package imports numpy alone
     return float(brentq(g, grid[i], grid[i + 1], xtol=1e-14, rtol=1e-15))
 
 

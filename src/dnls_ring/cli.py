@@ -1,8 +1,9 @@
 """Batch front door: JSON config in, CSV tables out.
 
 Exit codes: 0 success, 2 invalid config (message names the violated
-invariant), 3 numerical failure (message names the failing stage). Numbers
-are serialized with 17 significant digits so reruns are byte-identical.
+invariant) or unwritable outputs (message names the path), 3 numerical
+failure (message names the failing stage). Numbers are serialized with 17
+significant digits so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -375,6 +376,10 @@ def dispatch(command: str, config: RunConfig) -> int:
             DomainError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure in '{command}': {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"cannot write outputs to {config.out_dir}: {exc}",
+              file=sys.stderr)
+        return 2
     return 0
 
 
@@ -393,7 +398,7 @@ _PARSER.add_argument("--sign", choices=["+", "-"], default=None,
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
         config = parse_config(doc, out_override=args.out)
         if args.k is not None:
@@ -402,6 +407,14 @@ def main(argv=None) -> int:
             config = replace(config, sign=+1 if args.sign == "+" else -1)
     except (OSError, json.JSONDecodeError, ConfigError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"invalid config: {args.config} is not UTF-8: {exc}",
+              file=sys.stderr)
+        return 2
+    except RecursionError:
+        print(f"invalid config: {args.config} nests too deeply to parse",
+              file=sys.stderr)
         return 2
     return dispatch(args.command, config)
 

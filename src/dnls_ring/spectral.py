@@ -11,10 +11,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .lattice import (J_SIGNS, LatticeConfig, Potential,
-                      hessian_at_equilibrium, rot)
+from .lattice import J_SIGNS, LatticeConfig, Potential, hessian_at_equilibrium
 
 
 def alpha_beta(cfg: LatticeConfig, k) -> tuple:
@@ -24,16 +22,6 @@ def alpha_beta(cfg: LatticeConfig, k) -> tuple:
     alpha = 4.0 * np.cos(cfg.m * z) * np.square(np.sin(k * z / 2.0))
     beta = 2.0 * np.sin(cfg.m * z) * np.sin(k * z)
     return alpha, beta
-
-
-def block_basis(cfg: LatticeConfig, k: int, z: np.ndarray) -> np.ndarray:
-    """T_k z: complex 2n-vector with site-j block n^{-1/2} e^{j(ikI+mJ)zeta} z."""
-    n, m, zeta = cfg.n, cfg.m, cfg.zeta
-    z = np.asarray(z, dtype=complex)
-    out = np.empty((n, 2), dtype=complex)
-    for j in range(n):
-        out[j] = np.exp(1j * j * k * zeta) * (rot(j * m * zeta) @ z)
-    return out.ravel() / np.sqrt(n)
 
 
 @dataclass
@@ -101,25 +89,6 @@ def _jacobian_eigvals(H: np.ndarray) -> np.ndarray:
     """Eigenvalues of J H, J applied to the row pairs of H."""
     JH = H.reshape(-1, 2, len(H))[:, ::-1] * J_SIGNS[:, None]
     return np.linalg.eigvals(JH.reshape(H.shape))
-
-
-def expected_spectrum(cfg: LatticeConfig, pot: Potential, a: float) -> np.ndarray:
-    """Closed-form multiset {i nu_k^+/-: k=1..n-1} plus the gauge double zero."""
-    bd = block_data(cfg, pot, a, np.arange(1, cfg.n))
-    nus = np.stack([bd.nu_plus, bd.nu_minus], axis=-1).ravel()
-    return np.concatenate([1j * nus, [0.0 + 0.0j, 0.0 + 0.0j]])
-
-
-def matching_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max pair distance under the optimal matching of two equal-size
-    complex multisets."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError("multisets must have equal size")
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
 
 
 @dataclass

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg.lapack import dgesv
 
 from .errors import ConvergenceError
 from .lattice import (I2, J2, J_SIGNS, LatticeConfig, Potential, StandingWave,
@@ -40,6 +39,7 @@ def integrate(cfg: LatticeConfig, pot: Potential, omega: float,
     """
     if not 0 < dt <= T < np.inf:
         raise ValueError("need finite dt > 0 and T >= dt")
+    from scipy.linalg.lapack import dgesv  # here, so the package imports numpy alone
     n, nsteps = cfg.n, max(1, int(round(T / dt)))
     dt_used = T / nsteps
     h, j = 0.5 * dt_used, np.arange(n)

@@ -3,10 +3,12 @@ direct summation and literal loops, kept deliberately independent of the
 package internals they check."""
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from dnls_ring import (ConvergenceError, ResonanceRecord, ResonanceReport,
                        block_data, hessian, rotating_rhs)
 from dnls_ring.bifurcation import L_MAX_CAP
+from dnls_ring.lattice import rot
 from dnls_ring.verify import MIDPOINT_MAX_ITER, MIDPOINT_TOL
 
 
@@ -99,6 +101,35 @@ def average_clusters(eig: np.ndarray, tol: float) -> np.ndarray:
         members = [i for i in range(nvals) if find(i) == root]
         out[members] = eig[members].mean()
     return out
+
+
+def block_basis(cfg, k, z):
+    """T_k z: complex 2n-vector with site-j block n^{-1/2} e^{j(ikI+mJ)zeta} z."""
+    n, m, zeta = cfg.n, cfg.m, cfg.zeta
+    z = np.asarray(z, dtype=complex)
+    out = np.empty((n, 2), dtype=complex)
+    for j in range(n):
+        out[j] = np.exp(1j * j * k * zeta) * (rot(j * m * zeta) @ z)
+    return out.ravel() / np.sqrt(n)
+
+
+def expected_spectrum(cfg, pot, a):
+    """Closed-form multiset {i nu_k^+/-: k=1..n-1} plus the gauge double zero."""
+    bd = block_data(cfg, pot, a, np.arange(1, cfg.n))
+    nus = np.stack([bd.nu_plus, bd.nu_minus], axis=-1).ravel()
+    return np.concatenate([1j * nus, [0.0 + 0.0j, 0.0 + 0.0j]])
+
+
+def matching_distance(a, b):
+    """Max pair distance under the optimal matching of two equal-size
+    complex multisets."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        raise ValueError("multisets must have equal size")
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
 
 
 def symplectic_matrix(n):

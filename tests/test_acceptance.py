@@ -8,20 +8,20 @@ import numpy as np
 import pytest
 
 from dnls_ring import (ContinuationOptions, GroupElement, LatticeConfig,
-                       Potential, ResonanceError, act, block_basis,
-                       block_data, check_nonresonant, classify_stability,
+                       Potential, ResonanceError, act, block_data,
+                       check_nonresonant, classify_stability,
                        continue_branch, embed_reduced, enumerate_bifurcations,
-                       expected_spectrum, full_spectrum, gradient,
-                       hamiltonian, hessian_at_equilibrium, integrate,
-                       invariant_drift, loop_vector_field, make_standing_wave,
-                       matching_distance, onset_kernel, refine_point,
-                       spatial_period_error, traveling_wave_error,
-                       closure_error)
+                       full_spectrum, gradient, hamiltonian,
+                       hessian_at_equilibrium, integrate, invariant_drift,
+                       loop_vector_field, make_standing_wave, onset_kernel,
+                       refine_point, spatial_period_error,
+                       traveling_wave_error, closure_error)
 from dnls_ring.continuation import extrapolate_onset
 from dnls_ring.symmetry import LatticeLoop
 from dnls_ring.cli import main as cli_main
 
-from helpers import average_clusters, fd_gradient, fd_jacobian
+from helpers import (average_clusters, block_basis, expected_spectrum,
+                     fd_gradient, fd_jacobian, matching_distance)
 
 
 def report(label, ok, detail=""):

@@ -1,6 +1,9 @@
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -21,8 +24,12 @@ BASE = {
 
 
 def write_config(tmp_path, doc, name="config.json"):
+    """doc as JSON text, or bytes written as they are."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -118,6 +125,8 @@ INVALID = [
      "coefficients"),
     ("string_coefficients", dict(BASE, potential=dict(POLY, coefficients=["x"])),
      "coefficients"),
+    ("invalid_utf8", b'{"amplitude": "\xff"}', "not UTF-8"),
+    ("deeply_nested", b"[" * 100_000, "nests too deeply"),
 ]
 
 
@@ -148,6 +157,15 @@ def test_size_caps_name_the_key(key, make, cap):
     for value in (cap + 1, 10**30):
         with pytest.raises(ConfigError, match=re.escape(key)):
             parse_config(make(value))
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["spectrum", "--config", write_config(tmp_path, BASE),
+                 "--out", str(taken)]) == 2
+    assert str(taken) in capsys.readouterr().err
+    assert taken.read_text() == ""
 
 
 def test_verify_over_two_periods(tmp_path):
@@ -353,3 +371,60 @@ def test_readme_library_sketch_runs():
     scope = {}
     exec(readme_block("python"), scope)
     assert scope["branch"].points
+
+
+# One fresh interpreter: the scipy modules loaded after the import and after
+# each command, printed as the last line of JSON.
+COLD_START = """
+import json, sys
+import dnls_ring, dnls_ring.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+config, polynomial, out = sys.argv[1:]
+seen = {"import": [0, scipy_modules()]}
+for command in ["spectrum", "stability", "thresholds", "bifurcations",
+                "continue", "verify"]:
+    code = dnls_ring.cli.main([command, "--config", config, "--out", out])
+    seen[command] = [code, scipy_modules()]
+code = dnls_ring.cli.main(["thresholds", "--config", polynomial,
+                           "--out", out + "/polynomial"])
+seen["polynomial"] = [code, scipy_modules()]
+print(json.dumps(seen))
+"""
+
+# thresholds.csv of the README config on V(s) = s + s^2/2 - s^3/20: every
+# entry comes from brentq, and these bits predate its deferred import.
+POLYNOMIAL_THRESHOLDS = """\
+k,a_hopf,a_gamma\r
+1,0.52175980020491619,2.1771192324792326\r
+2,1.0675300417187037,1.8257418583505536\r
+3,,\r
+4,1.0675300417187039,1.8257418583505531\r
+5,0.52175980020491664,2.1771192324792321\r
+"""
+
+
+def test_cold_start_loads_scipy_only_where_needed(tmp_path):
+    config = write_config(tmp_path, README_CONFIG)
+    polynomial = write_config(tmp_path, dict(
+        README_CONFIG, potential={"kind": "polynomial",
+                                  "coefficients": [0.0, 1.0, 0.5, -0.05]}),
+        name="polynomial.json")
+    src = Path(__file__).resolve().parent.parent / "src"
+    run = subprocess.run(
+        [sys.executable, "-c", COLD_START, config, polynomial, str(tmp_path)],
+        capture_output=True, text=True, cwd=tmp_path, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    seen = json.loads(run.stdout.splitlines()[-1])
+    for stage in ["import", "spectrum", "stability", "thresholds",
+                  "bifurcations", "continue"]:
+        assert seen[stage] == [0, []], stage
+    code, loaded = seen["verify"]
+    assert code == 0
+    assert "scipy.linalg.lapack" in loaded and "scipy.optimize" not in loaded
+    code, loaded = seen["polynomial"]
+    assert code == 0 and "scipy.optimize" in loaded
+    assert ((tmp_path / "polynomial" / "thresholds.csv").read_bytes()
+            == POLYNOMIAL_THRESHOLDS.encode())

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from dnls_ring import (BlockData, LatticeConfig, Potential, alpha_beta,
-                       block_basis, block_data, classify_stability,
-                       expected_spectrum, full_spectrum,
-                       hessian_at_equilibrium, matching_distance)
+                       block_data, classify_stability, full_spectrum,
+                       hessian_at_equilibrium)
 
-from helpers import average_clusters
+from helpers import (average_clusters, block_basis, expected_spectrum,
+                     matching_distance)
 
 
 CFG = LatticeConfig(6, 1)
