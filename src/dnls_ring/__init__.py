@@ -7,7 +7,7 @@ from .bifurcation import (BifurcationPoint, DegeneracyReport, ResonanceRecord,
                           classify_mode, enumerate_bifurcations)
 from .continuation import (Branch, BranchPoint, ContinuationOptions,
                            ReducedSystem, continue_branch, extrapolate_onset,
-                           loop_vector_field, onset_kernel, refine_point)
+                           onset_kernel, refine_point)
 from .errors import (ConfigError, ConvergenceError, DegenerateAmplitudeError,
                      DnlsRingError, DomainError, ResonanceError)
 from .lattice import (LatticeConfig, Potential, StandingWave, gradient,

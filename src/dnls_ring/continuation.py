@@ -1,13 +1,14 @@
 """Fourier-Galerkin residual in the dihedral fixed space and pseudo-arclength
 continuation of traveling-wave branches from their onsets.
 
-The reduced unknown is the site-0 profile (cos/sin coefficients up to the
+The reduced unknown y is the site-0 profile (cos/sin coefficients up to the
 harmonic cutoff) plus the frequency nu. Time-translation symmetry is fully
 quotiented by the reversibility constraint built into the profile, so the
-bordered and arclength systems are square. Every site in the fixed space is
-a rotated, time-shifted copy of site 0, so the residual is evaluated on site
-0 alone, with an exact Jacobian. The full-ring `loop_vector_field` is the
-oracle the site-0 residual is tested against.
+residual bordered by one hyperplane row is square. Every site in the fixed
+space is a rotated, time-shifted copy of site 0, so the residual is
+evaluated on site 0 alone, with an exact Jacobian. Every Newton solve, a
+continuation step or a refinement, finds the residual's zero on a
+hyperplane row . (y - y0) = 0 through its starting point y0.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from typing import Optional
 import numpy as np
 
 from .bifurcation import BifurcationPoint
-from .errors import ConvergenceError, DomainError, ResonanceError
-from .lattice import (J_SIGNS, LatticeConfig, Potential, StandingWave,
-                      gradient, onsite_blocks)
+from .errors import ConvergenceError, ResonanceError
+from .lattice import LatticeConfig, Potential, StandingWave, onsite_blocks
 from .spectral import block_data
-from .symmetry import LatticeLoop, ReducedProfile
+from .symmetry import ReducedProfile
 
 
 NEWTON_TOL = 1e-10     # residual and constraint bound of every Newton solve
@@ -128,28 +128,8 @@ class ReducedSystem:
                                 self._gradient(pvec) / nu ** 2])
 
 
-def loop_vector_field(loop: LatticeLoop, nu: float, cfg: LatticeConfig,
-                      pot: Potential, sw: StandingWave,
-                      out_nh: Optional[int] = None,
-                      oversample: int = 8) -> LatticeLoop:
-    """Full-space vector field F(x) = J xdot - nu^{-1} grad H(a_m + x) as a
-    loop, via time-domain collocation. With the default oversampling the
-    output is alias-free for a cubic nonlinearity."""
-    nh = loop.nh
-    out_nh = nh if out_nh is None else out_nh
-    M = max(oversample * nh + 1, 2 * out_nh + 1)
-    times = 2.0 * np.pi * np.arange(M) / M
-    n = cfg.n
-    X = loop.sample(times)
-    Xd = loop.differentiated().sample(times)
-    U = sw.equilibrium.reshape(1, 2 * n) + X.reshape(M, 2 * n)
-    G = gradient(cfg, pot, sw.omega, U)
-    F = Xd.reshape(M, n, 2)[..., ::-1] * J_SIGNS - (G / nu).reshape(M, n, 2)
-    return LatticeLoop.from_samples(F, out_nh)
-
-
 def onset_kernel(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
-                 k: int, sign: int, n_harmonics: int = 32) -> tuple:
+                 k: int, sign: int, n_harmonics: int) -> tuple:
     """Normalized null direction of the reduced linearization at
     (0, nu_k^sign); refuses resonant onsets with a non-simple kernel."""
     bd = block_data(cfg, pot, sw.a, k)
@@ -181,25 +161,23 @@ def onset_kernel(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
     return ReducedProfile.from_vector(k, tangent), nu
 
 
-def _newton(sys_: ReducedSystem, y: np.ndarray, constraint) -> tuple:
-    """Solve {residual(p, nu) = 0, constraint(y) = 0}; constraint returns
-    (value, gradient row of length dim+1)."""
-    y = y.copy()
+def _newton(sys_: ReducedSystem, y0: np.ndarray, row: np.ndarray) -> tuple:
+    """Solve residual(p, nu) = 0 on the hyperplane row . (y - y0) = 0 by
+    Newton's method from y0; returns (y, residual norm)."""
+    y = y0
     for _ in range(MAX_NEWTON_ITER):
         p, nu = y[:-1], y[-1]
         r = sys_.residual(p, nu)
-        cval, cgrad = constraint(y)
+        c = float(row @ (y - y0))
         rnorm = float(np.linalg.norm(r))
-        if rnorm <= NEWTON_TOL and abs(cval) <= NEWTON_TOL:
+        if rnorm <= NEWTON_TOL and abs(c) <= NEWTON_TOL:
             return y, rnorm
-        Jfull = np.vstack([sys_.jacobian(p, nu), cgrad])
+        Jfull = np.vstack([sys_.jacobian(p, nu), row])
         try:
-            delta = np.linalg.solve(Jfull, -np.concatenate([r, [cval]]))
+            delta = np.linalg.solve(Jfull, -np.concatenate([r, [c]]))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular bordered system: {exc}") from exc
         y = y + delta
-        if y[-1] <= 0:
-            raise ConvergenceError("frequency left the positive domain")
     raise ConvergenceError(
         f"Newton did not converge in {MAX_NEWTON_ITER} iterations")
 
@@ -207,9 +185,14 @@ def _newton(sys_: ReducedSystem, y: np.ndarray, constraint) -> tuple:
 def continue_branch(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
                     onset: BifurcationPoint,
                     opts: Optional[ContinuationOptions] = None) -> Branch:
-    """Follow the branch emanating from (0, nu_onset). The first point steps
-    off the trivial branch via a bordered system; subsequent points use a
-    pseudo-arclength predictor-corrector. Terminates with a recorded reason."""
+    """Follow the branch emanating from (0, nu_onset) by pseudo-arclength
+    steps: the first, of length FIRST_STEP_EPS, along the onset kernel
+    (tangent, 0), the rest along the last secant, each corrected on the
+    hyperplane through its prediction normal to the step direction. A failed
+    step halves ds and a success grows it by 1.3 up to DS_MAX; a failed first
+    step raises ConvergenceError. The branch holds at least one point, and
+    `termination` is "nu_bound", "amplitude_cap", "max_steps" or
+    "newton_failure" (ds below DS_MIN)."""
     opts = opts or ContinuationOptions()
     if onset.suppressed:
         raise ResonanceError(
@@ -220,40 +203,19 @@ def continue_branch(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
     if abs(nu0 - onset.nu_onset) > 1e-6 * max(1.0, abs(nu0)):
         raise ValueError("onset frequency disagrees with block data")
     sys_ = ReducedSystem(cfg, pot, sw, onset.k, opts.n_harmonics)
-    tvec = tangent.as_vector()
     cap = 10.0 * sw.a if sw.a > 0 else 1.0
 
-    branch = Branch(onset=onset)
-
-    def first_constraint(y):
-        grad = np.concatenate([tvec, [0.0]])
-        return float(y[:-1] @ tvec - FIRST_STEP_EPS), grad
-
-    y0 = np.concatenate([np.zeros(sys_.dim), [nu0]])
-    try:
-        y, rnorm = _newton(sys_, np.concatenate([FIRST_STEP_EPS * tvec, [nu0]]),
-                           first_constraint)
-    except DomainError:
-        branch.termination = "domain_violation"
-        return branch
-    branch.points.append(BranchPoint(sys_.profile(y[:-1]), float(y[-1]),
-                                     float(np.linalg.norm(y[:-1])), rnorm))
-    tau = y - y0
-    tau /= np.linalg.norm(tau)
-    ds = DS0
-    branch.termination = "max_steps"
-    while len(branch.points) < opts.max_steps:
+    branch = Branch(onset=onset, termination="max_steps")
+    y = np.concatenate([np.zeros(sys_.dim), [nu0]])
+    tau = np.concatenate([tangent.as_vector(), [0.0]])
+    ds = FIRST_STEP_EPS
+    while True:
         pred = y + ds * tau
-
-        def arclength_constraint(yy, pred=pred, tau=tau):
-            return float(tau @ (yy - pred)), tau
-
         try:
-            ynew, rnorm = _newton(sys_, pred, arclength_constraint)
-        except DomainError:
-            branch.termination = "domain_violation"
-            break
+            ynew, rnorm = _newton(sys_, pred, tau)
         except ConvergenceError:
+            if not branch.points:
+                raise
             ds *= 0.5
             if ds < DS_MIN:
                 branch.termination = "newton_failure"
@@ -264,12 +226,14 @@ def continue_branch(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
         y = ynew
         branch.points.append(BranchPoint(sys_.profile(y[:-1]), float(y[-1]),
                                          float(np.linalg.norm(y[:-1])), rnorm))
-        ds = min(ds * 1.3, DS_MAX)
+        ds = DS0 if len(branch.points) == 1 else min(ds * 1.3, DS_MAX)
         if y[-1] <= NU_MIN:
             branch.termination = "nu_bound"
             break
         if np.linalg.norm(y[:-1]) >= cap:
             branch.termination = "amplitude_cap"
+            break
+        if len(branch.points) >= opts.max_steps:
             break
     return branch
 
@@ -283,7 +247,7 @@ def refine_point(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
     e_nu = np.zeros(sys_.dim + 1)
     e_nu[-1] = 1.0
     y0 = np.concatenate([point.profile.padded(n_harmonics).as_vector(), [point.nu]])
-    y, rnorm = _newton(sys_, y0, lambda y: (float(y[-1] - point.nu), e_nu))
+    y, rnorm = _newton(sys_, y0, e_nu)
     return sys_.profile(y[:-1]), rnorm
 
 

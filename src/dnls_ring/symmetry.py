@@ -84,11 +84,6 @@ class LatticeLoop:
             c[:, nh + l, :] = C[l % M]
         return cls(c)
 
-    def differentiated(self) -> "LatticeLoop":
-        """Exact spectral time derivative: harmonic l multiplied by il."""
-        ls = self.harmonic_range()
-        return LatticeLoop(self.coeffs * (1j * ls)[None, :, None])
-
 
 def act(g: GroupElement, x: LatticeLoop, cfg: LatticeConfig) -> LatticeLoop:
     """Apply rho(g) to a loop, exactly on the truncated series."""

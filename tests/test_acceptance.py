@@ -13,15 +13,16 @@ from dnls_ring import (ContinuationOptions, GroupElement, LatticeConfig,
                        continue_branch, embed_reduced, enumerate_bifurcations,
                        full_spectrum, gradient, hamiltonian,
                        hessian_at_equilibrium, integrate, invariant_drift,
-                       loop_vector_field, make_standing_wave, onset_kernel,
-                       refine_point, spatial_period_error,
-                       traveling_wave_error, closure_error)
+                       make_standing_wave, onset_kernel, refine_point,
+                       spatial_period_error, traveling_wave_error,
+                       closure_error)
 from dnls_ring.continuation import extrapolate_onset
 from dnls_ring.symmetry import LatticeLoop
 from dnls_ring.cli import main as cli_main
 
 from helpers import (average_clusters, block_basis, expected_spectrum,
                      fd_gradient, fd_jacobian, matching_distance)
+from oracles import loop_vector_field
 
 
 def report(label, ok, detail=""):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from dnls_ring import (ContinuationOptions, GroupElement, LatticeConfig,
-                       Potential, ReducedProfile, ResonanceError, act,
-                       continue_branch, embed_reduced, enumerate_bifurcations,
-                       loop_vector_field, make_standing_wave, onset_kernel,
-                       project_reduced, refine_point)
+from dnls_ring import (ContinuationOptions, ConvergenceError, GroupElement,
+                       LatticeConfig, Potential, ReducedProfile,
+                       ResonanceError, act, continuation, continue_branch,
+                       embed_reduced, enumerate_bifurcations,
+                       make_standing_wave, onset_kernel, project_reduced,
+                       refine_point)
 from dnls_ring.bifurcation import BifurcationPoint
 from dnls_ring.continuation import (FIRST_STEP_EPS, NEWTON_TOL, ReducedSystem,
                                     extrapolate_onset)
@@ -13,6 +14,7 @@ from dnls_ring.spectral import block_data
 from dnls_ring.symmetry import LatticeLoop
 
 from helpers import fd_jacobian
+from oracles import loop_vector_field
 
 
 CFG = LatticeConfig(6, 1)
@@ -142,6 +144,29 @@ def test_short_branch_and_onset_extrapolation():
     assert all(a2 > a1 for a1, a2 in zip(amps, amps[1:]))
     assert br.points[0].amplitude <= 2 * FIRST_STEP_EPS
     assert extrapolate_onset(br) == pytest.approx(on.nu_onset, abs=1e-6)
+
+
+def test_first_point_is_one_step_along_the_onset_kernel(monkeypatch):
+    onset = next(p for p in enumerate_bifurcations(CFG, CUBIC, 0.2)
+                 if p.k == 3 and p.sign == +1)
+    opts = ContinuationOptions(n_harmonics=8, max_steps=2)
+    tangent, _ = onset_kernel(CFG, CUBIC, SW, 3, +1, n_harmonics=8)
+    first = continue_branch(CFG, CUBIC, SW, onset, opts).points[0]
+    assert abs(tangent.as_vector() @ first.profile.as_vector()
+               - FIRST_STEP_EPS) <= NEWTON_TOL
+    # a failed first step raises at once: no halving, no empty branch
+    monkeypatch.setattr(continuation, "MAX_NEWTON_ITER", 0)
+    with pytest.raises(ConvergenceError):
+        continue_branch(CFG, CUBIC, SW, onset, opts)
+
+
+def test_max_steps_one_gives_one_point():
+    onset = next(p for p in enumerate_bifurcations(CFG, CUBIC, 0.2)
+                 if p.k == 3 and p.sign == +1)
+    br = continue_branch(CFG, CUBIC, SW, onset,
+                         ContinuationOptions(n_harmonics=8, max_steps=1))
+    assert len(br.points) == 1
+    assert br.termination == "max_steps"
 
 
 def test_case_b_mode_gives_two_distinct_branch_starts():
