@@ -36,6 +36,11 @@ def check_nondegenerate(cfg: LatticeConfig, pot: Potential,
     k = 1..n-1; equivalently the Hessian has no kernel in the fixed space
     (nonzero block determinants beta_k^2 - alpha_k^2 (1 - phi_k) and a
     nonzero, finite rank-one block 2a^2 V'')."""
+    return _degeneracy(pot, a, block_data(cfg, pot, a, np.arange(1, cfg.n)))
+
+
+def _degeneracy(pot: Potential, a: float, bd) -> DegeneracyReport:
+    """check_nondegenerate on the block table bd of k = 1..n-1."""
     v2 = pot(a * a, 2)
     failures = []
     if abs(v2) <= TOL_DEG:
@@ -43,7 +48,6 @@ def check_nondegenerate(cfg: LatticeConfig, pot: Potential,
     if not TOL_DEG < abs(2.0 * a * a * v2) < np.inf:
         failures.append(f"rank-one block 2 a^2 V''(a^2) = {2 * a * a * v2:.3e} "
                         "vanishes or overflows")
-    bd = block_data(cfg, pot, a, np.arange(1, cfg.n))
     margins = np.abs(bd.phi - bd.gamma)
     dets = np.square(bd.beta) - np.square(bd.alpha) * (1.0 - bd.phi)
     for k, margin, det in zip(bd.k, margins, dets):
@@ -86,7 +90,11 @@ def check_nonresonant(cfg: LatticeConfig, pot: Potential,
     For nu_k > TOL_RES the window |nu_j - l nu_k| < TOL_RES is narrower than
     2 nu_k, so only l = floor(nu_j / nu_k) and that plus one can fall in it;
     the scan tests those two per (k, j) pair."""
-    bd = block_data(cfg, pot, a, np.arange(1, cfg.n))
+    return _resonances(block_data(cfg, pot, a, np.arange(1, cfg.n)))
+
+
+def _resonances(bd) -> ResonanceReport:
+    """check_nonresonant on the block table bd of k = 1..n-1."""
     nus = np.stack([bd.nu_plus, bd.nu_minus], axis=-1).ravel()
     real = np.abs(nus.imag) <= TOL_RES
     onset = real & (nus.real > TOL_RES)
@@ -144,12 +152,12 @@ def enumerate_bifurcations(cfg: LatticeConfig, pot: Potential,
 
 
 def _enumerate(cfg, pot, a) -> tuple:
-    """(onsets, resonance report), from one resonance scan."""
-    rep = check_nondegenerate(cfg, pot, a)
+    """(onsets, resonance report) from one block table and one scan."""
+    bd = block_data(cfg, pot, a, np.arange(1, cfg.n))
+    rep = _degeneracy(pot, a, bd)
     if not rep.nondegenerate:
         raise DegenerateAmplitudeError("; ".join(rep.failures))
-    res = check_nonresonant(cfg, pot, a)
-    bd = block_data(cfg, pot, a, np.arange(1, cfg.n))
+    res = _resonances(bd)
     regimes = _regime(bd, cfg.n)
     near = np.minimum(np.abs(bd.phi - bd.gamma), np.abs(bd.phi - 1.0)) < NEAR_TOL
     points = []

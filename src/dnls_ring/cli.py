@@ -59,9 +59,9 @@ def _section(doc: dict, key: str) -> dict:
     return sec
 
 
-# Size caps. The dense Newton matrix and spectrum are (2n)^2 doubles, 8 MiB at
-# n = 512 (each resonance-scan array twice that); the reduced system's
-# synthesis and analysis matrices, 32 nh^2 doubles each, 16 MiB at nh = 256.
+# Size caps. At n = 512 the dense Newton matrix and spectrum are (2n)^2
+# doubles, 8 MiB (each resonance-scan array twice that); at nh = 256 the
+# reduced system's bordered Newton matrix is (2nh + 2)^2 doubles, 2 MiB.
 MAX_SITES = 512
 MAX_SWEEP_STEPS = 10_000
 CONTINUATION_CAPS = {"n_harmonics": 256, "max_steps": 10_000}

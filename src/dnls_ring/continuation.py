@@ -21,7 +21,7 @@ import numpy as np
 from .bifurcation import BifurcationPoint
 from .errors import ConvergenceError, ResonanceError
 from .lattice import LatticeConfig, Potential, StandingWave, onsite_blocks
-from .spectral import block_data
+from .spectral import alpha_beta, block_data
 from .symmetry import ReducedProfile
 
 
@@ -55,11 +55,21 @@ class Branch:
     termination: str = ""
 
 
+def grid_size(nh: int) -> int:
+    """Least M >= 8 nh + 1 of the form 2^a 3^b 5^c, so dividing a power of
+    30: a collocation grid alias-free to degree 7, and quick to transform."""
+    return next(M for M in range(8 * nh + 1, 16 * nh + 3)
+                if 30 ** M.bit_length() % M == 0)
+
+
 class ReducedSystem:
     """Site-0 residual and its exact Jacobian for one (config, potential,
     standing wave, mode k, cutoff) tuple. The neighbour coupling and J xdot
     act on each harmonic pair (a_l, b_l) as exact 2x2 blocks; only the
-    on-site term is collocated, on 8 nh + 1 times (alias-free to degree 7)."""
+    on-site term is collocated, on M = grid_size(nh) times, by real FFTs.
+    Its Jacobian block is Toeplitz plus Hankel in the grid Fourier
+    coefficients C(q), S(q), |q| <= 2 nh, of the pointwise Hessian h(t), as
+    cos(lt) cos(l't) = (cos((l-l')t) + cos((l+l')t)) / 2 on the grid."""
 
     def __init__(self, cfg: LatticeConfig, pot: Potential, sw: StandingWave,
                  k: int, n_harmonics: int):
@@ -68,17 +78,8 @@ class ReducedSystem:
         self.k = k
         self.nh = nh = n_harmonics
         self.dim = 2 * nh + 1
-        M = 8 * nh + 1
+        self.M = grid_size(nh)
         ls = np.arange(nh + 1)
-        lt = np.outer(2.0 * np.pi * np.arange(M) / M, ls)
-        # x_0 on the grid, (component, time), from the coefficients, and the
-        # discrete cos/sin transform that reads grid values back
-        self.synthesis = np.zeros((2, M, self.dim))
-        self.synthesis[0, :, : nh + 1] = np.cos(lt)
-        self.synthesis[1, :, nh + 1:] = np.sin(lt[:, 1:])
-        weights = np.full(self.dim, 2.0 / M)
-        weights[0] = 1.0 / M
-        self.analysis = weights[:, None] * self.synthesis.reshape(2 * M, -1).T
         # (omega - 2) x_0 + x_1 + x_{-1} with x_{+-1}(t) = e^{+-m zeta J}
         # x_0(t +- k zeta), and J xdot, on each pair (a_l, b_l)
         mz, lkz = cfg.m * cfg.zeta, ls * k * cfg.zeta
@@ -89,22 +90,46 @@ class ReducedSystem:
             -2.0 * np.sin(mz) * np.sin(lkz[1:])
         self.j_dt = np.zeros((self.dim, self.dim))
         self.j_dt[ia, ib] = self.j_dt[ib, ia] = -ls[1:]
+        self._g_eq = float(pot(sw.a ** 2, 1)) * sw.a
+        self._grid = (None,)
+        # a_l, b_l sit at harmonic l of the half-spectra (scaled by 1/M) of
+        # x_0 = (sum a_l cos(lt), sum b_l sin(lt))
+        self._slots = np.concatenate([ls, self.M // 2 + 1 + ls[1:]])
+        self._to_grid = np.concatenate([[1.0], [0.5] * nh, [-0.5j] * nh])
+        # Entry (i, i') at harmonics l, l' of kinds c, c' (0 cos, 1 sin) is
+        # T(l - l') + sign T(l + l'), T the row of h_cc' in a table over q in
+        # [-2nh, 2nh]: C(q), S(-q) for cos-sin, S(q) for sin-cos. The sign is
+        # -1 in sin columns, read from a negated copy of the table, and the
+        # a_0 row, whose weight is half, reads a zero past both copies.
+        lh, Q = np.concatenate([ls, ls[1:]]), 4 * nh + 1
+        kind = np.arange(self.dim) > nh
+        rows = 2 * Q * kind + 2 * nh + lh
+        self._toeplitz = np.add.outer(rows, Q * kind - lh)
+        self._hankel = np.add.outer(rows, 5 * Q * kind + lh)
+        self._hankel[0] = 8 * Q
 
     def profile(self, pvec: np.ndarray) -> ReducedProfile:
         return ReducedProfile.from_vector(self.k, pvec)
 
-    def _site0(self, pvec: np.ndarray) -> np.ndarray:
-        """u_0 = a e_1 + x_0 on the collocation grid, shape (2, M)."""
-        u = self.synthesis @ pvec
-        u[0] += self.sw.a
-        return u
+    def _site0(self, pvec: np.ndarray) -> tuple:
+        """u_0 = a e_1 + x_0 on the grid, shape (2, M), s = |u_0|^2 and V'(s),
+        kept for the last profile, where a Jacobian follows its residual."""
+        if not np.array_equal(self._grid[0], pvec):
+            spec = np.zeros(2 * (self.M // 2 + 1), dtype=complex)
+            spec[self._slots] = self._to_grid * pvec
+            spec[0] += self.sw.a
+            u = np.fft.irfft(spec.reshape(2, -1), self.M, norm="forward")
+            s = (u * u).sum(axis=0)
+            self._grid = (pvec.copy(), u, s, self.pot(s, 1))
+        return self._grid[1:]
 
     def _gradient(self, pvec: np.ndarray) -> np.ndarray:
         """Site-0 component of grad H(a_m + x) as cos/sin coefficients."""
-        u = self._site0(pvec)
-        g = self.pot((u * u).sum(axis=0), 1) * u
-        g[0] -= self.pot(self.sw.a ** 2, 1) * self.sw.a
-        return self.coupling @ pvec + self.analysis @ g.ravel()
+        u, _, vp = self._site0(pvec)
+        g = np.fft.rfft(vp * u, axis=1, norm="forward").ravel()[self._slots]
+        g = (g / self._to_grid).real
+        g[0] -= self._g_eq
+        return self.coupling @ pvec + g
 
     def residual(self, pvec: np.ndarray, nu: float) -> np.ndarray:
         """f(x; nu) = J xdot - nu^{-1} grad H(a_m + x) at site 0, as reduced
@@ -113,19 +138,25 @@ class ReducedSystem:
             raise ConvergenceError("frequency left the positive domain")
         return self.j_dt @ pvec - self._gradient(pvec) / nu
 
-    def jacobian(self, pvec: np.ndarray, nu: float) -> np.ndarray:
-        """Exact Jacobian with respect to (p, nu): (dim, dim+1)."""
-        u = self._site0(pvec)
-        s = (u * u).sum(axis=0)
+    def jacobian(self, pvec: np.ndarray, nu: float,
+                 r: Optional[np.ndarray] = None) -> np.ndarray:
+        """Exact Jacobian in (p, nu), (dim, dim+1); its nu column is
+        (j_dt p - r) / nu, from the residual r at (p, nu) if given."""
+        if r is None:
+            r = self.residual(pvec, nu)
+        u, s, vp = self._site0(pvec)
         # pointwise Hessian V'(s) I + 2 V''(s) u_0 u_0^T, the on-site block
-        # of D^2H with omega - 2 = 0, laid out (2, 2, M) so that the product
-        # comes out contiguous and the reshape below copies nothing
-        hess = np.ascontiguousarray(onsite_blocks(
-            self.pot, 2.0, u.T, s, self.pot(s, 1)).transpose(1, 2, 0))
-        onsite = self.analysis @ np.einsum(
-            "cdt,dtj->ctj", hess, self.synthesis).reshape(-1, self.dim)
-        return np.column_stack([self.j_dt - (self.coupling + onsite) / nu,
-                                self._gradient(pvec) / nu ** 2])
+        # of D^2H with omega - 2 = 0, as rows h00, h01, h10, h11
+        hess = onsite_blocks(self.pot, 2.0, u.T, s, vp).reshape(self.M, 4)
+        h = np.fft.rfft(hess, axis=0, norm="forward")[: 2 * self.nh + 1].T
+        # C(q) = Re h(q), S(q) = -Im h(q) = Re(i h(q)), h(-q) = conj h(q)
+        tab = (np.concatenate([h[:, :0:-1].conj(), h], axis=1)
+               * np.array([[1.0], [-1j], [1j], [1.0]])).real.ravel()
+        tab = np.concatenate([tab, -tab, [0.0]])
+        onsite = tab[self._toeplitz] + tab[self._hankel]
+        onsite += self.coupling
+        return np.column_stack([self.j_dt - onsite / nu,
+                                (self.j_dt @ pvec - r) / nu])
 
 
 def onset_kernel(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
@@ -143,19 +174,26 @@ def onset_kernel(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
         raise ValueError(f"onset frequency nu_{k}^{'+' if sign > 0 else '-'} "
                          f"= {nu} is not a positive real")
     nu = float(nu.real)
-    sys_ = ReducedSystem(cfg, pot, sw, k, n_harmonics)
-    A = sys_.jacobian(np.zeros(sys_.dim), nu)[:, :-1]
-    _, svals, Vt = np.linalg.svd(A)
-    small = svals < KERNEL_RTOL * svals[0]
-    dim_kernel = int(small.sum())
-    if dim_kernel == 0:
+    # At p = 0 the Jacobian is block-diagonal, with symmetric blocks [[alpha -
+    # d, beta - l nu], [beta - l nu, alpha]] / nu of mode lk on (a_l, b_l),
+    # d = 2 a^2 V''(a^2), and -d / nu on a_0 alone.
+    ls = np.arange(n_harmonics + 1)
+    alpha, beta = alpha_beta(cfg, ls * k)
+    d = 2.0 * sw.a ** 2 * pot(sw.a ** 2, 2)
+    w, v = np.linalg.eigh(np.moveaxis(np.array(
+        [[alpha - d, beta - ls * nu], [beta - ls * nu, alpha]]) / nu,
+        (0, 1), (-2, -1)))
+    svals = np.abs(w)
+    svals[0] = abs(d / nu), np.nan
+    small = svals < KERNEL_RTOL * np.nanmax(svals)
+    if not small[1].any():
         raise ConvergenceError(f"no kernel at onset nu = {nu:.12g}")
-    if dim_kernel > 1:
+    if small.sum() > 1:
         raise ResonanceError(
-            f"kernel dimension {dim_kernel} at onset nu = {nu:.12g}: "
+            f"kernel dimension {small.sum()} at onset nu = {nu:.12g}: "
             "resonant onset, refusing to continue")
-    tangent = Vt[-1]
-    tangent = tangent / np.linalg.norm(tangent)
+    tangent = np.zeros(2 * n_harmonics + 1)
+    tangent[[1, n_harmonics + 1]] = v[1][:, np.argmin(svals[1])]
     if tangent[np.argmax(np.abs(tangent))] < 0:
         tangent = -tangent
     return ReducedProfile.from_vector(k, tangent), nu
@@ -172,7 +210,7 @@ def _newton(sys_: ReducedSystem, y0: np.ndarray, row: np.ndarray) -> tuple:
         rnorm = float(np.linalg.norm(r))
         if rnorm <= NEWTON_TOL and abs(c) <= NEWTON_TOL:
             return y, rnorm
-        Jfull = np.vstack([sys_.jacobian(p, nu), row])
+        Jfull = np.vstack([sys_.jacobian(p, nu, r), row])
         try:
             delta = np.linalg.solve(Jfull, -np.concatenate([r, [c]]))
         except np.linalg.LinAlgError as exc:

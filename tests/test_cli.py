@@ -374,7 +374,8 @@ def test_readme_library_sketch_runs():
 
 
 # One fresh interpreter: the scipy modules loaded after the import and after
-# each command, printed as the last line of JSON.
+# each command, and the numpy.fft modules loaded by the import, printed as the
+# last line of JSON.
 COLD_START = """
 import json, sys
 import dnls_ring, dnls_ring.cli
@@ -383,7 +384,8 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 config, polynomial, out = sys.argv[1:]
-seen = {"import": [0, scipy_modules()]}
+seen = {"import": [0, scipy_modules()],
+        "numpy.fft": sorted(m for m in sys.modules if m.startswith("numpy.fft"))}
 for command in ["spectrum", "stability", "thresholds", "bifurcations",
                 "continue", "verify"]:
     code = dnls_ring.cli.main([command, "--config", config, "--out", out])
@@ -407,6 +409,8 @@ k,a_hopf,a_gamma\r
 
 
 def test_cold_start_loads_scipy_only_where_needed(tmp_path):
+    # and no numpy.fft on import: the reduced system reaches it only inside
+    # its methods
     config = write_config(tmp_path, README_CONFIG)
     polynomial = write_config(tmp_path, dict(
         README_CONFIG, potential={"kind": "polynomial",
@@ -418,6 +422,7 @@ def test_cold_start_loads_scipy_only_where_needed(tmp_path):
         capture_output=True, text=True, cwd=tmp_path, check=True,
         env={**os.environ, "PYTHONPATH": str(src)})
     seen = json.loads(run.stdout.splitlines()[-1])
+    assert seen["numpy.fft"] == []
     for stage in ["import", "spectrum", "stability", "thresholds",
                   "bifurcations", "continue"]:
         assert seen[stage] == [0, []], stage

@@ -1,20 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from dnls_ring import (ContinuationOptions, ConvergenceError, GroupElement,
                        LatticeConfig, Potential, ReducedProfile,
-                       ResonanceError, act, continuation, continue_branch,
-                       embed_reduced, enumerate_bifurcations,
+                       ResonanceError, act, check_nonresonant, continuation,
+                       continue_branch, embed_reduced, enumerate_bifurcations,
                        make_standing_wave, onset_kernel, project_reduced,
                        refine_point)
 from dnls_ring.bifurcation import BifurcationPoint
-from dnls_ring.continuation import (FIRST_STEP_EPS, NEWTON_TOL, ReducedSystem,
-                                    extrapolate_onset)
+from dnls_ring.continuation import (FIRST_STEP_EPS, KERNEL_RTOL, NEWTON_TOL,
+                                    ReducedSystem, extrapolate_onset,
+                                    grid_size)
 from dnls_ring.spectral import block_data
 from dnls_ring.symmetry import LatticeLoop
 
 from helpers import fd_jacobian
-from oracles import loop_vector_field
+from oracles import dense_jacobian, dense_residual, loop_vector_field, svd_kernel
 
 
 CFG = LatticeConfig(6, 1)
@@ -205,3 +209,146 @@ def test_vector_field_equivariance():
             lhs = loop_vector_field(act(g, x, CFG), nu, CFG, CUBIC, SW)
             rhs = act(g, fx, CFG)
             assert np.abs(lhs.coeffs - rhs.coeffs).max() <= 1e-10
+
+
+POTENTIALS = [Potential.cubic(1.0), Potential.cubic(-1.0),
+              Potential.saturable(1.0),
+              Potential.polynomial([0.0, 0.5, -0.3, 0.1, 0.05])]
+
+
+def _fourier_error(cfg, pot, a, k, nh, seed):
+    """Largest relative gap of the Fourier residual and Jacobian to the dense
+    oracles at a random decaying profile and frequency."""
+    rng = np.random.default_rng(seed)
+    sys_ = ReducedSystem(cfg, pot, make_standing_wave(cfg, pot, a), k, nh)
+    p = _decaying_profile(rng, k, nh, 0.3).as_vector()
+    nu = float(rng.uniform(0.5, 2.5))
+    r, r_dense = sys_.residual(p, nu), dense_residual(sys_, p, nu)
+    J, J_dense = sys_.jacobian(p, nu), dense_jacobian(sys_, p, nu)
+    return max(np.abs(r - r_dense).max() / np.abs(r_dense).max(),
+               np.abs(J - J_dense).max() / np.abs(J_dense).max())
+
+
+@pytest.mark.parametrize("pot", POTENTIALS)
+def test_fourier_forms_match_dense_oracles(pot):
+    for n in (3, 6, 24):
+        for nh in (4, 16, 64):
+            cfg = LatticeConfig(n, 1)
+            for k in sorted({1, n // 2, n - 1}):
+                assert _fourier_error(cfg, pot, 0.3, k, nh, seed=n + nh) <= 1e-13
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fourier_forms_match_dense_oracles_on_random_rings(data):
+    n = data.draw(st.integers(3, 12), label="n")
+    m = data.draw(st.integers(0, n // 2).filter(lambda m: 4 * m != n), label="m")
+    pot = data.draw(st.sampled_from(POTENTIALS), label="potential")
+    a = data.draw(st.floats(0.0, 1.0), label="a")
+    k = data.draw(st.integers(1, n - 1), label="k")
+    nh = data.draw(st.integers(1, 24), label="nh")
+    assert _fourier_error(LatticeConfig(n, m), pot, a, k, nh,
+                          seed=data.draw(st.integers(0, 2 ** 32 - 1))) <= 1e-13
+
+
+def test_grid_size_is_the_least_5_smooth_length():
+    smooth = sorted(2 ** a * 3 ** b * 5 ** c for a in range(12)
+                    for b in range(8) for c in range(6))
+    for nh in range(1, 257):
+        want = next(M for M in smooth if M >= 8 * nh + 1)
+        assert grid_size(nh) == want
+    assert [grid_size(nh) for nh in (32, 64, 256)] == [270, 540, 2160]
+    assert ReducedSystem(CFG, CUBIC, SW, 3, 32).M == 270
+
+
+def _unsuppressed_onsets():
+    for pot, a in [(Potential.cubic(1.0), 0.2), (Potential.cubic(-1.0), 0.3),
+                   (Potential.saturable(1.0), 0.3),
+                   (Potential.saturable(-1.0), 0.3)]:
+        for n in (5, 6):
+            for m in range(n // 2 + 1):
+                if 4 * m == n:
+                    continue
+                cfg = LatticeConfig(n, m)
+                for on in enumerate_bifurcations(cfg, pot, a):
+                    if not on.suppressed:
+                        yield cfg, pot, make_standing_wave(cfg, pot, a), on
+
+
+def test_closed_form_kernel_matches_svd_oracle():
+    count = 0
+    for cfg, pot, sw, on in _unsuppressed_onsets():
+        tangent, nu = onset_kernel(cfg, pot, sw, on.k, on.sign, n_harmonics=16)
+        dim_kernel, want = svd_kernel(cfg, pot, sw, on.k, nu, 16)
+        assert dim_kernel == 1
+        assert np.abs(tangent.as_vector() - want).max() <= 1e-12
+        count += 1
+    assert count >= 40
+
+
+def _singular_blocks(cfg, pot, sw, k, nu, nh):
+    """Harmonics l >= 2 whose 2x2 block of the Fourier Jacobian at p = 0 has
+    an eigenvalue below KERNEL_RTOL times the Jacobian's norm."""
+    A = ReducedSystem(cfg, pot, sw, k, nh).jacobian(np.zeros(2 * nh + 1), nu)[:, :-1]
+    scale = KERNEL_RTOL * np.linalg.norm(A, 2)
+    return {l for l in range(2, nh + 1)
+            if np.abs(np.linalg.eigvalsh(A[np.ix_([l, nh + l], [l, nh + l])])
+                      ).min() < scale}
+
+
+def test_singular_higher_block_only_at_a_resonance_record():
+    # at a_res, nu_2^+ = 2 nu_1^- on the cubic ring n = 6, m = 1, so the l = 2
+    # block of mode k = 1 at nu_1^- is singular: a 1:2 resonance
+    cfg, pot = LatticeConfig(6, 1), Potential.cubic(1.0)
+    a_res = brentq(lambda a: (block_data(cfg, pot, a, 2).nu_plus
+                              - 2.0 * block_data(cfg, pot, a, 1).nu_minus).real,
+                   0.48, 0.49, xtol=1e-15)
+    found = set()
+    for pot in (Potential.cubic(1.0), Potential.cubic(-1.0),
+                Potential.saturable(1.0), Potential.saturable(-1.0)):
+        for n in (5, 6, 7, 8):
+            for m in range(n // 2 + 1):
+                if 4 * m == n:
+                    continue
+                cfg = LatticeConfig(n, m)
+                for a in (0.2, 0.3, 0.45, a_res):
+                    sw = make_standing_wave(cfg, pot, a)
+                    records = {(r.k, r.ksign, r.l)
+                               for r in check_nonresonant(cfg, pot, a).records}
+                    for k in range(1, n):
+                        bd = block_data(cfg, pot, a, k)
+                        for sign, nu in ((+1, bd.nu_plus), (-1, bd.nu_minus)):
+                            if abs(nu.imag) > 0 or nu.real <= 0:
+                                continue
+                            for l in _singular_blocks(cfg, pot, sw, k, nu.real, 6):
+                                assert (k, sign, l) in records
+                                found.add((pot, n, m, a, k, sign, l))
+    assert (Potential.cubic(1.0), 6, 1, a_res, 1, -1, 2) in found
+    sw = make_standing_wave(LatticeConfig(6, 1), Potential.cubic(1.0), a_res)
+    with pytest.raises(ResonanceError, match="kernel dimension 2"):
+        onset_kernel(LatticeConfig(6, 1), Potential.cubic(1.0), sw, 1, -1, 8)
+
+
+def test_gradient_formed_once_per_residual_on_acceptance_branch(monkeypatch):
+    # counts completed calls: a residual refused at nu <= 0 forms nothing
+    calls = {"residual": 0, "jacobian": 0, "gradient": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls[name] += 1
+            return out
+        return wrapper
+
+    for name in ("residual", "jacobian"):
+        monkeypatch.setattr(ReducedSystem, name,
+                            counted(name, getattr(ReducedSystem, name)))
+    monkeypatch.setattr(ReducedSystem, "_gradient",
+                        counted("gradient", ReducedSystem._gradient))
+    onset = next(p for p in enumerate_bifurcations(CFG, CUBIC, 0.2)
+                 if p.k == 3 and p.sign == +1)
+    branch = continue_branch(CFG, CUBIC, SW, onset,
+                             ContinuationOptions(n_harmonics=32, max_steps=20))
+    assert len(branch.points) == 20
+    assert calls["jacobian"] > 0
+    assert calls["gradient"] == calls["residual"]
