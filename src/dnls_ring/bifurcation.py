@@ -25,7 +25,6 @@ SCAN_SAMPLES = 4096  # by a sign scan over this many equal steps, then brentq
 @dataclass
 class DegeneracyReport:
     nondegenerate: bool
-    v_second: float
     margins: dict          # k -> |phi_k - gamma_k|
     failures: list
 
@@ -58,7 +57,6 @@ def _degeneracy(pot: Potential, a: float, bd) -> DegeneracyReport:
             failures.append(f"block determinant {k} vanishes ({det:.3e})")
     return DegeneracyReport(
         nondegenerate=not failures,
-        v_second=float(v2),
         margins=dict(zip(bd.k.tolist(), margins.tolist())),
         failures=failures,
     )

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -88,7 +88,7 @@ def _number(v, name: str, *, integer: bool = False, low: float = -np.inf,
     return int(v) if integer else float(v)
 
 
-def parse_config(doc: dict, out_override: Optional[str] = None) -> RunConfig:
+def parse_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
     lat = _section(doc, "lattice")
@@ -142,7 +142,7 @@ def parse_config(doc: dict, out_override: Optional[str] = None) -> RunConfig:
     if t_final is not None:
         t_final = _number(t_final, "integration.t_final", low=dt)
     pert = _section(doc, "perturbation")
-    out_dir = out_override or doc.get("output_dir", ".")
+    out_dir = doc.get("output_dir", ".")
     if not isinstance(out_dir, str):
         raise ConfigError(f"output_dir must be a string, got {out_dir!r}")
     return RunConfig(
@@ -365,24 +365,6 @@ COMMANDS = {
 }
 
 
-def dispatch(command: str, config: RunConfig) -> int:
-    """Run one subcommand against a parsed config; returns the exit code."""
-    try:
-        COMMANDS[command](config)
-    except ConfigError as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 2
-    except (ConvergenceError, ResonanceError, DegenerateAmplitudeError,
-            DomainError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure in '{command}': {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"cannot write outputs to {config.out_dir}: {exc}",
-              file=sys.stderr)
-        return 2
-    return 0
-
-
 _PARSER = argparse.ArgumentParser(
     prog="dnls-ring",
     description="Standing-wave spectra, stability and traveling-wave "
@@ -396,18 +378,18 @@ _PARSER.add_argument("--sign", choices=["+", "-"], default=None,
 
 
 def main(argv=None) -> int:
+    """Run one command; returns the exit code (0, 2 or 3)."""
     args = _PARSER.parse_args(argv)
+    config = None
     try:
         with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
-        config = parse_config(doc, out_override=args.out)
-        if args.k is not None:
-            config = replace(config, mode=args.k)
-        if args.sign is not None:
-            config = replace(config, sign=+1 if args.sign == "+" else -1)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 2
+        # each flag passes the same check as the key it sets
+        flags = {"mode": args.k, "sign": args.sign, "output_dir": args.out}
+        if isinstance(doc, dict):
+            doc.update((key, v) for key, v in flags.items() if v is not None)
+        config = parse_config(doc)
+        COMMANDS[args.command](config)
     except UnicodeDecodeError as exc:
         print(f"invalid config: {args.config} is not UTF-8: {exc}",
               file=sys.stderr)
@@ -416,7 +398,21 @@ def main(argv=None) -> int:
         print(f"invalid config: {args.config} nests too deeply to parse",
               file=sys.stderr)
         return 2
-    return dispatch(args.command, config)
+    except (json.JSONDecodeError, ConfigError) as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        if config is None:
+            print(f"invalid config: {exc}", file=sys.stderr)
+        else:
+            print(f"cannot write outputs to {config.out_dir}: {exc}",
+                  file=sys.stderr)
+        return 2
+    except (ConvergenceError, ResonanceError, DegenerateAmplitudeError,
+            DomainError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure in '{args.command}': {exc}", file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -45,10 +45,6 @@ class LatticeLoop:
         return (self.coeffs.shape[1] - 1) // 2
 
     @classmethod
-    def zeros(cls, n: int, nh: int) -> "LatticeLoop":
-        return cls(np.zeros((n, 2 * nh + 1, 2), dtype=complex))
-
-    @classmethod
     def random(cls, n: int, nh: int, rng, scale: float = 1.0) -> "LatticeLoop":
         """Random real-valued loop (conjugate-symmetric coefficients)."""
         c = np.zeros((n, 2 * nh + 1, 2), dtype=complex)
@@ -58,9 +54,6 @@ class LatticeLoop:
             c[:, nh + l, :] = z
             c[:, nh - l, :] = np.conj(z)
         return cls(c)
-
-    def copy(self) -> "LatticeLoop":
-        return LatticeLoop(self.coeffs.copy())
 
     def harmonic_range(self) -> np.ndarray:
         return np.arange(-self.nh, self.nh + 1)
@@ -136,43 +129,28 @@ class ReducedProfile:
         return ReducedProfile(self.k, a, b)
 
 
-def _site0_coeffs(p: ReducedProfile) -> np.ndarray:
-    nh = p.nh
-    c0 = np.zeros((2 * nh + 1, 2), dtype=complex)
-    c0[nh, 0] = p.cos_a[0]
-    for l in range(1, nh + 1):
-        c0[nh + l] = (0.5 * p.cos_a[l], -0.5j * p.sin_b[l - 1])
-        c0[nh - l] = np.conj(c0[nh + l])
-    return c0
-
-
 def embed_reduced(p: ReducedProfile, cfg: LatticeConfig) -> LatticeLoop:
     """Full loop x_j(t) = e^{j m zeta J} x_0(t + j k zeta) from the profile."""
-    n, m, zeta, k = cfg.n, cfg.m, cfg.zeta, p.k
-    nh = p.nh
-    c0 = _site0_coeffs(p)
-    ls = np.arange(-nh, nh + 1)
-    c = np.empty((n, 2 * nh + 1, 2), dtype=complex)
-    for j in range(n):
-        c[j] = (c0 * np.exp(1j * ls * j * k * zeta)[:, None]) @ rot(j * m * zeta).T
-    return LatticeLoop(c)
+    n, m, zeta, nh = cfg.n, cfg.m, cfg.zeta, p.nh
+    # site 0: harmonic l > 0 is (a_l / 2, -i b_l / 2), harmonic -l its conjugate
+    pos = np.stack([0.5 * p.cos_a[1:], -0.5j * p.sin_b], axis=-1)
+    c0 = np.concatenate([pos[::-1].conj(), [[p.cos_a[0], 0.0]], pos])
+    j = np.arange(n)
+    shift = np.exp(1j * np.arange(-nh, nh + 1) * j[:, None] * p.k * zeta)
+    # rot of n angles is (2, 2, n), so .T stacks the n transposed rotations
+    return LatticeLoop(c0 * shift[:, :, None] @ rot(j * m * zeta).T)
 
 
 def project_reduced(x: LatticeLoop, k: int, cfg: LatticeConfig) -> ReducedProfile:
     """Group-average over the dihedral subgroup generated by (zeta, -k zeta)
-    and kappa, then restrict to site 0. Left inverse of embed_reduced."""
-    n, zeta = cfg.n, cfg.zeta
-    nh = x.nh
-    acc = np.zeros_like(x.coeffs)
-    for s in range(n):
-        acc += act(GroupElement(shift=s, phase=-s * k * zeta), x, cfg).coeffs
-    avg = LatticeLoop(acc / n)
-    sym = 0.5 * (avg.coeffs + act(GroupElement(reflect=True), avg, cfg).coeffs)
-    c0 = sym[0]
-    cos_a = np.empty(nh + 1)
-    sin_b = np.empty(nh)
-    cos_a[0] = c0[nh, 0].real
-    for l in range(1, nh + 1):
-        cos_a[l] = 2.0 * c0[nh + l, 0].real
-        sin_b[l - 1] = -2.0 * c0[nh + l, 1].imag
+    and kappa, restricted to site 0. Left inverse of embed_reduced."""
+    n, m, zeta, nh = cfg.n, cfg.m, cfg.zeta, x.nh
+    s = np.arange(n)
+    # site 0 of image s is rot(-s m zeta) x_s(t - s k zeta)
+    phase = np.exp(1j * x.harmonic_range() * (-s[:, None] * k * zeta))
+    avg = np.mean(x.coeffs @ rot(-s * m * zeta).T * phase[:, :, None], axis=0)
+    # the reflection pairs harmonic l with -l through R2 = diag(1, -1)
+    cos_a = (avg[nh:, 0] + avg[nh::-1, 0]).real
+    cos_a[0] *= 0.5
+    sin_b = (avg[nh - 1::-1, 1] - avg[nh + 1:, 1]).imag
     return ReducedProfile(k, cos_a, sin_b)

@@ -259,6 +259,31 @@ def test_mode_override_flags(tmp_path):
     assert (tmp_path / "branch_k1-.csv").exists()
 
 
+COMMAND_NAMES = ["spectrum", "stability", "thresholds", "bifurcations",
+                 "continue", "verify", "simulate"]
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+@pytest.mark.parametrize("command", COMMAND_NAMES)
+def test_mode_flag_is_checked_as_mode(tmp_path, capsys, command, k):
+    # --k sets the mode key, so it meets the same check before any command
+    doc = dict(BASE, mode=3, sign="+")
+    assert main([command, "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path), "--k", k]) == 2
+    assert "mode must be" in capsys.readouterr().err
+
+
+def test_out_flag_wins_over_output_dir(tmp_path):
+    doc = dict(BASE, output_dir=str(tmp_path / "doc"))
+    cfgp = write_config(tmp_path, doc)
+    assert main(["thresholds", "--config", cfgp]) == 0
+    assert (tmp_path / "doc" / "thresholds.csv").exists()
+    assert main(["spectrum", "--config", cfgp,
+                 "--out", str(tmp_path / "flag")]) == 0
+    assert (tmp_path / "flag" / "spectrum.csv").exists()
+    assert not (tmp_path / "doc" / "spectrum.csv").exists()
+
+
 def test_missing_onset_exits_2(tmp_path):
     doc = dict(BASE, mode=3, sign="-")     # case (a) has no minus branch
     cfgp = write_config(tmp_path, doc)

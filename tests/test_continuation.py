@@ -51,12 +51,15 @@ def _decaying_profile(rng, k, nh, scale):
                           decay[1:] * rng.standard_normal(nh))
 
 
-@pytest.mark.parametrize("pot, tol", [
+SITE0_TOLERANCES = [
     (Potential.cubic(1.0), 1e-13),
     (Potential.cubic(-1.0), 1e-13),
     (Potential.saturable(1.0), 1e-12),
     (Potential.polynomial([0.0, 0.5, -0.3, 0.1, 0.05]), 1e-12),
-])
+]
+
+
+@pytest.mark.parametrize("pot, tol", SITE0_TOLERANCES)
 def test_site0_residual_matches_full_ring_oracle(pot, tol):
     # the site-0 residual against embed -> full-ring field -> group average
     rng = np.random.default_rng(5)
@@ -74,6 +77,28 @@ def test_site0_residual_matches_full_ring_oracle(pot, tol):
                     embed_reduced(p, cfg), nu, cfg, pot, sw, out_nh=nh), k, cfg)
                 got = ReducedSystem(cfg, pot, sw, k, nh).residual(p.as_vector(), nu)
                 assert np.abs(got - want.as_vector()).max() <= tol
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_site0_residual_matches_full_ring_oracle_on_random_rings(data):
+    # equivariance: the site-0 residual is the group average of the full-ring
+    # field at the embedded loop, on any ring, mode and amplitude
+    n = data.draw(st.integers(3, 12), label="n")
+    m = data.draw(st.integers(0, n // 2).filter(lambda m: 4 * m != n), label="m")
+    pot, tol = data.draw(st.sampled_from(SITE0_TOLERANCES), label="potential")
+    a = data.draw(st.floats(0.0, 1.0), label="a")
+    k = data.draw(st.integers(1, n - 1), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    nh = 6                # the cutoff the fixed rings above are held to
+    cfg = LatticeConfig(n, m)
+    sw = make_standing_wave(cfg, pot, a)
+    p = _decaying_profile(rng, k, nh, 0.3)
+    nu = float(rng.uniform(0.5, 2.5))
+    want = project_reduced(loop_vector_field(
+        embed_reduced(p, cfg), nu, cfg, pot, sw, out_nh=nh), k, cfg)
+    got = ReducedSystem(cfg, pot, sw, k, nh).residual(p.as_vector(), nu)
+    assert np.abs(got - want.as_vector()).max() <= tol
 
 
 def test_origin_linearization_matches_fd():

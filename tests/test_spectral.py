@@ -2,6 +2,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dnls_ring import (BlockData, LatticeConfig, Potential, alpha_beta,
                        block_data, classify_stability, full_spectrum,
@@ -144,8 +146,18 @@ def test_full_spectrum_matches_blocks():
     assert matching_distance(got, want) <= 1e-8
 
 
-def test_spectrum_closed_under_negation_and_conjugation():
-    eig = full_spectrum(LatticeConfig(7, 2), Potential.saturable(1.0), 0.6)
+RINGS = st.integers(3, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n // 2).filter(lambda m: 4 * m != n)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ring=RINGS, a=st.floats(0.0, 1.0),
+       pot=st.sampled_from([CUBIC, Potential.cubic(-1.0),
+                            Potential.saturable(1.0),
+                            Potential.polynomial([0.0, 0.5, -0.3, 0.1, 0.05])]))
+@example(ring=(7, 2), pot=Potential.saturable(1.0), a=0.6)
+def test_spectrum_closed_under_negation_and_conjugation(ring, pot, a):
+    eig = full_spectrum(LatticeConfig(*ring), pot, a)
     assert matching_distance(eig, -eig) <= 1e-7
     assert matching_distance(eig, eig.conj()) <= 1e-7
 

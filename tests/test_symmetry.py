@@ -3,6 +3,7 @@ import pytest
 
 from dnls_ring import (GroupElement, LatticeConfig, Potential, ReducedProfile,
                        act, embed_reduced, make_standing_wave, project_reduced)
+from dnls_ring.lattice import rot
 from dnls_ring.symmetry import LatticeLoop
 
 
@@ -98,19 +99,48 @@ def test_projection_is_group_average():
     # for a generic loop the projection equals the explicit orbit average
     # over the n shifts, symmetrized by the reflection, restricted to site 0
     rng = np.random.default_rng(8)
-    k = 2
-    x = random_loop(rng)
-    avg = LatticeLoop.zeros(CFG.n, x.nh)
-    for s in range(CFG.n):
-        g = GroupElement(shift=s, phase=-s * k * CFG.zeta)
-        avg.coeffs += act(g, x, CFG).coeffs / CFG.n
     kappa = GroupElement(reflect=True)
-    sym = LatticeLoop(0.5 * (avg.coeffs + act(kappa, avg, CFG).coeffs))
-    p = project_reduced(x, k, CFG)
-    q = project_reduced(sym, k, CFG)
-    assert np.abs(p.as_vector() - q.as_vector()).max() <= 1e-13
-    # and the symmetrized loop is exactly the embedding of the projection
-    assert np.abs(embed_reduced(p, CFG).coeffs - sym.coeffs).max() <= 1e-13
+    for n in (3, 5, 6, 12):
+        cfg = LatticeConfig(n, 1)
+        for k in sorted({1, 2, n - 1}):
+            x = random_loop(rng, n=n)
+            avg = LatticeLoop(np.zeros_like(x.coeffs))
+            for s in range(n):
+                g = GroupElement(shift=s, phase=-s * k * cfg.zeta)
+                avg.coeffs += act(g, x, cfg).coeffs / n
+            sym = LatticeLoop(0.5 * (avg.coeffs + act(kappa, avg, cfg).coeffs))
+            p = project_reduced(x, k, cfg)
+            q = project_reduced(sym, k, cfg)
+            assert np.abs(p.as_vector() - q.as_vector()).max() <= 1e-13
+            # and the symmetrized loop is exactly the embedding of the projection
+            assert np.abs(embed_reduced(p, cfg).coeffs - sym.coeffs).max() <= 1e-13
+
+
+def test_embedding_matches_defining_formula():
+    # u_j(t) = e^{j m zeta J} x_0(t + j k zeta), with x_0 summed directly
+    # from the cos/sin series of the profile. The coefficients decay as a
+    # branch profile's do (the site-0 residual oracle draws the same ones):
+    # both sides round phases l j k zeta of up to 380 rad, so unit
+    # coefficients at l = 6 would move the samples by ~1e-13.
+    rng = np.random.default_rng(9)
+    t = rng.uniform(0, 2 * np.pi, size=5)
+    for n in (3, 5, 6, 12):
+        for m in range(n // 2 + 1):
+            if 4 * m == n:
+                continue
+            cfg = LatticeConfig(n, m)
+            for k in range(1, n):
+                for nh in (1, 6):
+                    decay = 0.3 * 0.5 ** np.arange(nh + 1)
+                    p = ReducedProfile(k, decay * rng.standard_normal(nh + 1),
+                                       decay[1:] * rng.standard_normal(nh))
+                    got = embed_reduced(p, cfg).sample(t)      # (nt, n, 2)
+                    for j in range(n):
+                        lt = np.outer(t + j * k * cfg.zeta, np.arange(nh + 1))
+                        x0 = np.stack([np.cos(lt) @ p.cos_a,
+                                       np.sin(lt[:, 1:]) @ p.sin_b], axis=-1)
+                        want = x0 @ rot(j * m * cfg.zeta).T
+                        assert np.abs(got[:, j] - want).max() <= 1e-14
 
 
 def test_embedded_first_harmonic_site_relation():
@@ -130,7 +160,7 @@ def test_equilibrium_isotropy():
     # the constant loop at the standing wave is fixed by the whole group
     pot = Potential.cubic(1.0)
     sw = make_standing_wave(CFG, pot, 0.2)
-    x = LatticeLoop.zeros(CFG.n, 2)
+    x = LatticeLoop(np.zeros((CFG.n, 5, 2), dtype=complex))
     x.coeffs[:, 2, :] = sw.equilibrium.reshape(CFG.n, 2)
     for g in [GroupElement(shift=1), GroupElement(phase=1.3),
               GroupElement(reflect=True)]:
