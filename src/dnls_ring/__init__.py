@@ -15,8 +15,8 @@ from .lattice import (LatticeConfig, Potential, StandingWave, gradient,
                       make_standing_wave, onsite_blocks, rotating_rhs)
 from .spectral import (BlockData, StabilityVerdict, alpha_beta, block_data,
                        classify_stability, full_spectrum)
-from .symmetry import (GroupElement, LatticeLoop, ReducedProfile, act,
-                       embed_reduced, project_reduced)
+from .symmetry import (LatticeLoop, ReducedProfile, embed_reduced,
+                       project_reduced)
 from .verify import (Trajectory, closure_error, integrate, invariant_drift,
                      spatial_period_error, traveling_wave_error)
 

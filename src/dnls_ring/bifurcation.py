@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DegenerateAmplitudeError
 from .lattice import LatticeConfig, Potential
-from .spectral import alpha_beta, block_data
+from .spectral import BlockData, alpha_beta, block_data
 
 L_MAX_CAP = 64  # resonance scan bound; harmonics beyond the Fourier cutoff
                 # of the continuation cannot be resolved anyway
@@ -29,17 +29,13 @@ class DegeneracyReport:
     failures: list
 
 
-def check_nondegenerate(cfg: LatticeConfig, pot: Potential,
-                        a: float) -> DegeneracyReport:
+def check_nondegenerate(pot: Potential, a: float,
+                        bd: BlockData) -> DegeneracyReport:
     """Amplitude is non-degenerate when V''(a^2) != 0 and phi_k != gamma_k for
-    k = 1..n-1; equivalently the Hessian has no kernel in the fixed space
-    (nonzero block determinants beta_k^2 - alpha_k^2 (1 - phi_k) and a
-    nonzero, finite rank-one block 2a^2 V'')."""
-    return _degeneracy(pot, a, block_data(cfg, pot, a, np.arange(1, cfg.n)))
-
-
-def _degeneracy(pot: Potential, a: float, bd) -> DegeneracyReport:
-    """check_nondegenerate on the block table bd of k = 1..n-1."""
+    the modes k of the block table bd (k = 1..n-1 in production);
+    equivalently the Hessian has no kernel in the fixed space (nonzero block
+    determinants beta_k^2 - alpha_k^2 (1 - phi_k) and a nonzero, finite
+    rank-one block 2a^2 V'')."""
     v2 = pot(a * a, 2)
     failures = []
     if abs(v2) <= TOL_DEG:
@@ -80,19 +76,14 @@ class ResonanceReport:
     one_to_one: list  # modes k with nu_k^+ = nu_k^- (phi_k = 1, Hopf flag)
 
 
-def check_nonresonant(cfg: LatticeConfig, pot: Potential,
-                      a: float) -> ResonanceReport:
-    """Scan for nu_j^+/- = l nu_k^+/- (j != k, 1 <= l <= l_max) over every
-    positive candidate onset; flags the 1:1 case phi_k = 1 separately.
+def check_nonresonant(bd: BlockData) -> ResonanceReport:
+    """Scan the block table bd for nu_j^+/- = l nu_k^+/- (j != k,
+    1 <= l <= l_max) over every positive candidate onset; flags the 1:1 case
+    phi_k = 1 separately. Records and 1:1 modes are labelled by bd.k.
 
     For nu_k > TOL_RES the window |nu_j - l nu_k| < TOL_RES is narrower than
     2 nu_k, so only l = floor(nu_j / nu_k) and that plus one can fall in it;
     the scan tests those two per (k, j) pair."""
-    return _resonances(block_data(cfg, pot, a, np.arange(1, cfg.n)))
-
-
-def _resonances(bd) -> ResonanceReport:
-    """check_nonresonant on the block table bd of k = 1..n-1."""
     nus = np.stack([bd.nu_plus, bd.nu_minus], axis=-1).ravel()
     real = np.abs(nus.imag) <= TOL_RES
     onset = real & (nus.real > TOL_RES)
@@ -104,15 +95,15 @@ def _resonances(bd) -> ResonanceReport:
     nu_j = nus.real[None, :, None]
     l = np.floor(nu_j / nu_k) + np.array([0.0, 1.0])      # (2n-2, 2n-2, 2)
     delta = np.abs(nu_j - l * nu_k)
-    mode = np.arange(len(nus)) // 2
+    mode = np.repeat(np.ravel(bd.k), 2)
     pair = onset[:, None] & real[None, :] & (mode[:, None] != mode[None, :])
     hit = pair[..., None] & (l >= 1) & (l <= l_max) & (delta < TOL_RES)
     sign = (+1, -1)
-    records = [ResonanceRecord(int(i // 2 + 1), sign[i % 2], int(j // 2 + 1),
+    records = [ResonanceRecord(int(mode[i]), sign[i % 2], int(mode[j]),
                                sign[j % 2], int(l[i, j, c]), float(delta[i, j, c]))
                for i, j, c in zip(*np.nonzero(hit))]
-    one_to_one = [int(k) + 1 for k in
-                  np.flatnonzero(np.abs(nus[0::2] - nus[1::2]) < TOL_RES)]
+    one_to_one = [int(k) for k in
+                  mode[0::2][np.abs(nus[0::2] - nus[1::2]) < TOL_RES]]
     return ResonanceReport(records=records, one_to_one=one_to_one)
 
 
@@ -152,10 +143,10 @@ def enumerate_bifurcations(cfg: LatticeConfig, pot: Potential,
 def _enumerate(cfg, pot, a) -> tuple:
     """(onsets, resonance report) from one block table and one scan."""
     bd = block_data(cfg, pot, a, np.arange(1, cfg.n))
-    rep = _degeneracy(pot, a, bd)
+    rep = check_nondegenerate(pot, a, bd)
     if not rep.nondegenerate:
         raise DegenerateAmplitudeError("; ".join(rep.failures))
-    res = _resonances(bd)
+    res = check_nonresonant(bd)
     regimes = _regime(bd, cfg.n)
     near = np.minimum(np.abs(bd.phi - bd.gamma), np.abs(bd.phi - 1.0)) < NEAR_TOL
     points = []

@@ -22,10 +22,9 @@ import numpy as np
 from .bifurcation import (_enumerate, amplitude_thresholds,
                           enumerate_bifurcations)
 from .continuation import ContinuationOptions, continue_branch, extrapolate_onset
-from .errors import (ConfigError, ConvergenceError, DegenerateAmplitudeError,
-                     DomainError, ResonanceError)
+from .errors import ConfigError, DnlsRingError
 from .lattice import LatticeConfig, Potential, make_standing_wave
-from .spectral import block_data, classify_stability, full_spectrum
+from .spectral import alpha_beta, block_data, classify_stability, full_spectrum
 from .symmetry import embed_reduced
 from .verify import (closure_error, integrate, invariant_drift,
                      spatial_period_error, traveling_wave_error)
@@ -223,7 +222,7 @@ def cmd_spectrum(config: RunConfig) -> None:
 
     # k = 1..n-1 from one array call; k = n has no phi, gamma or onset
     rows = list(zip(*columns(block_data(cfg, pot, a, np.arange(1, cfg.n)))))
-    rows.append(columns(block_data(cfg, pot, a, cfg.n)))
+    rows.append([cfg.n, *alpha_beta(cfg, cfg.n), None, None, 0.0, 0.0, 0.0, 0.0])
     write_csv(config.out_dir / "spectrum.csv",
               ["k", "alpha", "beta", "phi", "gamma",
                "nu_plus_re", "nu_plus_im", "nu_minus_re", "nu_minus_im"], rows)
@@ -408,8 +407,7 @@ def main(argv=None) -> int:
             print(f"cannot write outputs to {config.out_dir}: {exc}",
                   file=sys.stderr)
         return 2
-    except (ConvergenceError, ResonanceError, DegenerateAmplitudeError,
-            DomainError, np.linalg.LinAlgError) as exc:
+    except (DnlsRingError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure in '{args.command}': {exc}", file=sys.stderr)
         return 3
     return 0

@@ -164,8 +164,6 @@ def onset_kernel(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
     """Normalized null direction of the reduced linearization at
     (0, nu_k^sign); refuses resonant onsets with a non-simple kernel."""
     bd = block_data(cfg, pot, sw.a, k)
-    if bd.phi is None:
-        raise ValueError(f"mode k={k} has no onset frequencies (k = n)")
     if abs(bd.phi - 1.0) < 1e-9:
         raise ResonanceError(
             f"double eigenvalue at 1:1 resonance: phi_{k}(a) = 1")

@@ -8,7 +8,6 @@ independent brute-force oracle (it never uses the block structure).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -26,53 +25,34 @@ def alpha_beta(cfg: LatticeConfig, k) -> tuple:
 
 @dataclass
 class BlockData:
-    """Per-mode quantities shaped like the mode index k; B and reduced carry
-    two more trailing axes. phi/gamma/reduced are None for k = n, where
-    alpha_n = 0 leaves them genuinely undefined."""
+    """Per-mode quantities of k = 1..n-1, shaped like the mode index k."""
 
     k: int | np.ndarray
     alpha: float | np.ndarray
     beta: float | np.ndarray
-    phi: Optional[float | np.ndarray]
-    gamma: Optional[float | np.ndarray]
-    B: np.ndarray
+    phi: float | np.ndarray
+    gamma: float | np.ndarray
     nu_plus: complex | np.ndarray
     nu_minus: complex | np.ndarray
-    reduced: Optional[np.ndarray]
 
 
 def block_data(cfg: LatticeConfig, pot: Potential, a: float, k) -> BlockData:
-    """Block B_k of D^2H(a_m) on the k-th Fourier subspace and the
-    eigenvalues nu_k^+/- of iJB_k restricted to R x iR.
+    """phi_k = 2a^2 V''(a^2) / alpha_k, gamma_k = 1 - (beta_k / alpha_k)^2 and
+    the eigenvalues nu_k^+/- = beta_k +/- sqrt(alpha_k^2 (1 - phi_k)) of iJB_k
+    on R x iR, B_k the block of D^2H(a_m) on the k-th Fourier subspace.
 
-    k is one mode in 1..n or an integer array of modes in 1..n-1; one mode
-    and the same mode inside an array give the same bits."""
+    k is one mode or an integer array of modes in 1..n-1 (alpha_n = 0 leaves
+    k = n without phi, gamma or onsets); one mode and the same mode inside an
+    array give the same bits."""
+    k = np.asarray(k)
+    if np.any((k < 1) | (k >= cfg.n)):
+        raise ValueError(f"modes must be in 1..n-1, got {k}")
     d = 2.0 * a * a * pot(a * a, 2)
-    if np.ndim(k) == 0:
-        if not 1 <= k <= cfg.n:
-            raise ValueError(f"mode k must be in 1..n, got {k}")
-        if k == cfg.n:
-            alpha, beta = alpha_beta(cfg, k)
-            B = np.diag([d, 0.0]).astype(complex)
-            return BlockData(k, alpha, beta, None, None, B, 0.0 + 0.0j,
-                             0.0 + 0.0j, None)
-    else:
-        k = np.asarray(k)
-        if np.any((k < 1) | (k >= cfg.n)):
-            raise ValueError(f"modes in an array must be in 1..n-1, got {k}")
     alpha, beta = alpha_beta(cfg, k)
     phi = d / alpha
     gamma = 1.0 - np.square(beta / alpha)
-    # 2x2 entries shaped like k, stacked as the trailing axes
-    B = np.moveaxis(np.array([[d - alpha, -1j * beta], [1j * beta, -alpha]]),
-                    (0, 1), (-2, -1))
-    # Real form of iJB_k on R x iR (conjugation by diag(1, i)).
-    reduced = np.moveaxis(np.array([[beta, -alpha],
-                                    [alpha * (phi - 1.0), beta]]),
-                          (0, 1), (-2, -1))
     root = np.sqrt((alpha * alpha * (1.0 - phi)).astype(complex))
-    return BlockData(k, alpha, beta, phi, gamma, B, beta + root, beta - root,
-                     reduced)
+    return BlockData(k[()], alpha, beta, phi, gamma, beta + root, beta - root)
 
 
 def full_spectrum(cfg: LatticeConfig, pot: Potential, a: float) -> np.ndarray:
@@ -98,13 +78,12 @@ class StabilityVerdict:
     `covered` is the analytic criterion (sigma < 0, or sigma > 0 and
     phi_1 < 1): True where it proves stability, False in the regime it does
     not decide, where `empirical_stable` (from the dense spectrum oracle) is
-    the only answer reported. `per_k` is the block data of k = 1..n-1.
+    the only answer reported.
     """
 
     sigma: int
     covered: bool
     phi_1: float
-    per_k: BlockData
     max_real_part: float
     empirical_stable: bool
 
@@ -116,8 +95,7 @@ def classify_stability(cfg: LatticeConfig, pot: Potential,
     # sign rule), flipped for m > n/4; m = n/4 is excluded by LatticeConfig.
     sign = int(np.sign(v2))
     sigma = sign if 4 * cfg.m < cfg.n else -sign
-    per_k = block_data(cfg, pot, a, np.arange(1, cfg.n))
-    phi_1 = per_k.phi[0]
+    phi_1 = block_data(cfg, pot, a, 1).phi
     covered = sigma < 0 or (sigma > 0 and phi_1 < 1.0)
     H = hessian_at_equilibrium(cfg, pot, a)
     max_re = float(np.abs(_jacobian_eigvals(H).real).max())
@@ -129,7 +107,6 @@ def classify_stability(cfg: LatticeConfig, pot: Potential,
         sigma=sigma,
         covered=bool(covered),
         phi_1=float(phi_1),
-        per_k=per_k,
         max_real_part=max_re,
         empirical_stable=bool(max_re <= split),
     )

@@ -1,4 +1,4 @@
-"""Group action on loops and the dihedral fixed-space parametrization.
+"""Loops on the lattice and the dihedral fixed-space parametrization.
 
 Loops of 2pi-periodic real 2-vector site functions x_j(t) are stored
 spectrally (truncated Fourier coefficients), so lattice shifts, time shifts
@@ -13,19 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeConfig, R2, rot
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """Lattice shift (multiples of zeta), time phase, optional reflection.
-
-    The action is rho(shift, phase) composed after rho(kappa)^reflect.
-    """
-
-    shift: int = 0
-    phase: float = 0.0
-    reflect: bool = False
+from .lattice import LatticeConfig, rot
 
 
 @dataclass
@@ -43,17 +31,6 @@ class LatticeLoop:
     @property
     def nh(self) -> int:
         return (self.coeffs.shape[1] - 1) // 2
-
-    @classmethod
-    def random(cls, n: int, nh: int, rng, scale: float = 1.0) -> "LatticeLoop":
-        """Random real-valued loop (conjugate-symmetric coefficients)."""
-        c = np.zeros((n, 2 * nh + 1, 2), dtype=complex)
-        c[:, nh, :] = scale * rng.standard_normal((n, 2))
-        for l in range(1, nh + 1):
-            z = scale * (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))
-            c[:, nh + l, :] = z
-            c[:, nh - l, :] = np.conj(z)
-        return cls(c)
 
     def harmonic_range(self) -> np.ndarray:
         return np.arange(-self.nh, self.nh + 1)
@@ -76,23 +53,6 @@ class LatticeLoop:
         for l in range(-nh, nh + 1):
             c[:, nh + l, :] = C[l % M]
         return cls(c)
-
-
-def act(g: GroupElement, x: LatticeLoop, cfg: LatticeConfig) -> LatticeLoop:
-    """Apply rho(g) to a loop, exactly on the truncated series."""
-    n, m, zeta = cfg.n, cfg.m, cfg.zeta
-    nh = x.nh
-    c = x.coeffs
-    if g.reflect:
-        # x_j(t) -> R x_{n-j}(-t): reindex sites, flip harmonics, apply R.
-        c = c[(n - np.arange(n)) % n]
-        c = c[:, ::-1, :] @ R2.T
-    s = g.shift % n
-    if s or g.phase:
-        c = np.roll(c, -s, axis=0) @ rot(-s * m * zeta).T
-        ls = np.arange(-nh, nh + 1)
-        c = c * np.exp(1j * ls * g.phase)[None, :, None]
-    return LatticeLoop(np.ascontiguousarray(c))
 
 
 @dataclass
@@ -136,7 +96,8 @@ def embed_reduced(p: ReducedProfile, cfg: LatticeConfig) -> LatticeLoop:
     pos = np.stack([0.5 * p.cos_a[1:], -0.5j * p.sin_b], axis=-1)
     c0 = np.concatenate([pos[::-1].conj(), [[p.cos_a[0], 0.0]], pos])
     j = np.arange(n)
-    shift = np.exp(1j * np.arange(-nh, nh + 1) * j[:, None] * p.k * zeta)
+    # l j k zeta reduced mod 2 pi exactly, as (l j k mod n) zeta
+    shift = np.exp(1j * ((np.arange(-nh, nh + 1) * j[:, None] * p.k) % n) * zeta)
     # rot of n angles is (2, 2, n), so .T stacks the n transposed rotations
     return LatticeLoop(c0 * shift[:, :, None] @ rot(j * m * zeta).T)
 
@@ -147,7 +108,7 @@ def project_reduced(x: LatticeLoop, k: int, cfg: LatticeConfig) -> ReducedProfil
     n, m, zeta, nh = cfg.n, cfg.m, cfg.zeta, x.nh
     s = np.arange(n)
     # site 0 of image s is rot(-s m zeta) x_s(t - s k zeta)
-    phase = np.exp(1j * x.harmonic_range() * (-s[:, None] * k * zeta))
+    phase = np.exp(1j * ((-x.harmonic_range() * s[:, None] * k) % n) * zeta)
     avg = np.mean(x.coeffs @ rot(-s * m * zeta).T * phase[:, :, None], axis=0)
     # the reflection pairs harmonic l with -l through R2 = diag(1, -1)
     cos_a = (avg[nh:, 0] + avg[nh::-1, 0]).real

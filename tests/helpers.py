@@ -6,7 +6,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from dnls_ring import (ConvergenceError, ResonanceRecord, ResonanceReport,
-                       block_data, hessian, rotating_rhs)
+                       alpha_beta, block_data, hessian, rotating_rhs)
 from dnls_ring.bifurcation import L_MAX_CAP
 from dnls_ring.lattice import rot
 from dnls_ring.verify import MIDPOINT_MAX_ITER, MIDPOINT_TOL
@@ -113,9 +113,25 @@ def block_basis(cfg, k, z):
     return out.ravel() / np.sqrt(n)
 
 
+def block_table(cfg, pot, a):
+    """block_data of k = 1..n-1, the table the guards read."""
+    return block_data(cfg, pot, a, np.arange(1, cfg.n))
+
+
+def block_matrices(cfg, pot, a, k):
+    """(B_k, reduced_k) for one mode k in 1..n: the block of D^2H(a_m) on the
+    k-th Fourier subspace, [[d - alpha, -i beta], [i beta, -alpha]], and the
+    real form [[beta, -alpha], [d - alpha, beta]] of iJB_k on R x iR
+    (conjugation by diag(1, i)), with d = 2a^2 V''(a^2)."""
+    alpha, beta = alpha_beta(cfg, k)
+    d = 2.0 * a * a * pot(a * a, 2)
+    B = np.array([[d - alpha, -1j * beta], [1j * beta, -alpha]])
+    return B, np.array([[beta, -alpha], [d - alpha, beta]])
+
+
 def expected_spectrum(cfg, pot, a):
     """Closed-form multiset {i nu_k^+/-: k=1..n-1} plus the gauge double zero."""
-    bd = block_data(cfg, pot, a, np.arange(1, cfg.n))
+    bd = block_table(cfg, pot, a)
     nus = np.stack([bd.nu_plus, bd.nu_minus], axis=-1).ravel()
     return np.concatenate([1j * nus, [0.0 + 0.0j, 0.0 + 0.0j]])
 

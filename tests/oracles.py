@@ -1,17 +1,60 @@
-"""Oracles for the site-0 reduced system: the vector field of the whole
-lattice on a loop, evaluated by time-domain collocation, which the site-0
-residual and the group equivariance are checked against; and the dense
-cos/sin-matrix forms of the reduced residual, its Jacobian and the SVD
-onset kernel, which the Fourier forms are checked against."""
+"""Oracles for the site-0 reduced system: the group action on whole-lattice
+loops, which the fixed-space embedding and projection are checked against;
+the vector field of the whole lattice on a loop, evaluated by time-domain
+collocation, which the site-0 residual and the group equivariance are
+checked against; and the dense cos/sin-matrix forms of the reduced residual,
+its Jacobian and the SVD onset kernel, which the Fourier forms are checked
+against."""
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from dnls_ring.continuation import KERNEL_RTOL, ReducedSystem
-from dnls_ring.lattice import (J_SIGNS, LatticeConfig, Potential, StandingWave,
-                               gradient, onsite_blocks)
+from dnls_ring.lattice import (J_SIGNS, R2, LatticeConfig, Potential,
+                               StandingWave, gradient, onsite_blocks, rot)
 from dnls_ring.symmetry import LatticeLoop
+
+
+@dataclass(frozen=True)
+class GroupElement:
+    """Lattice shift (multiples of zeta), time phase, optional reflection.
+
+    The action is rho(shift, phase) composed after rho(kappa)^reflect.
+    """
+
+    shift: int = 0
+    phase: float = 0.0
+    reflect: bool = False
+
+
+def act(g: GroupElement, x: LatticeLoop, cfg: LatticeConfig) -> LatticeLoop:
+    """Apply rho(g) to a loop, exactly on the truncated series."""
+    n, m, zeta = cfg.n, cfg.m, cfg.zeta
+    nh = x.nh
+    c = x.coeffs
+    if g.reflect:
+        # x_j(t) -> R x_{n-j}(-t): reindex sites, flip harmonics, apply R.
+        c = c[(n - np.arange(n)) % n]
+        c = c[:, ::-1, :] @ R2.T
+    s = g.shift % n
+    if s or g.phase:
+        c = np.roll(c, -s, axis=0) @ rot(-s * m * zeta).T
+        ls = np.arange(-nh, nh + 1)
+        c = c * np.exp(1j * ls * g.phase)[None, :, None]
+    return LatticeLoop(np.ascontiguousarray(c))
+
+
+def random_loop(n: int, nh: int, rng, scale: float = 1.0) -> LatticeLoop:
+    """Random real-valued loop (conjugate-symmetric coefficients)."""
+    c = np.zeros((n, 2 * nh + 1, 2), dtype=complex)
+    c[:, nh, :] = scale * rng.standard_normal((n, 2))
+    for l in range(1, nh + 1):
+        z = scale * (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))
+        c[:, nh + l, :] = z
+        c[:, nh - l, :] = np.conj(z)
+    return LatticeLoop(c)
 
 
 def differentiated(loop: LatticeLoop) -> LatticeLoop:

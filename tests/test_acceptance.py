@@ -7,8 +7,8 @@ import time
 import numpy as np
 import pytest
 
-from dnls_ring import (ContinuationOptions, GroupElement, LatticeConfig,
-                       Potential, ResonanceError, act, block_data,
+from dnls_ring import (ContinuationOptions, LatticeConfig, Potential,
+                       ResonanceError, block_data,
                        check_nonresonant, classify_stability,
                        continue_branch, embed_reduced, enumerate_bifurcations,
                        full_spectrum, gradient, hamiltonian,
@@ -17,12 +17,12 @@ from dnls_ring import (ContinuationOptions, GroupElement, LatticeConfig,
                        spatial_period_error, traveling_wave_error,
                        closure_error)
 from dnls_ring.continuation import extrapolate_onset
-from dnls_ring.symmetry import LatticeLoop
 from dnls_ring.cli import main as cli_main
 
-from helpers import (average_clusters, block_basis, expected_spectrum,
-                     fd_gradient, fd_jacobian, matching_distance)
-from oracles import loop_vector_field
+from helpers import (average_clusters, block_basis, block_matrices,
+                     block_table, expected_spectrum, fd_gradient, fd_jacobian,
+                     matching_distance)
+from oracles import GroupElement, act, loop_vector_field, random_loop
 
 
 def report(label, ok, detail=""):
@@ -73,11 +73,11 @@ def test_criterion_2_block_diagonalization():
     for cfg, pot, a in grid_configurations():
         H = hessian_at_equilibrium(cfg, pot, a)
         for k in range(1, cfg.n + 1):
-            bd = block_data(cfg, pot, a, k)
+            B, _ = block_matrices(cfg, pot, a, k)
             for _ in range(10):
                 z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
                 err = np.abs(H @ block_basis(cfg, k, z)
-                             - block_basis(cfg, k, bd.B @ z)).max()
+                             - block_basis(cfg, k, B @ z)).max()
                 worst = max(worst, err)
     report("criterion 2: block diagonalization", worst <= 1e-10,
            f"worst {worst:.2e}")
@@ -94,7 +94,7 @@ def test_criterion_3_equivariance():
     nu = 1.4
     worst = 0.0
     for _ in range(20):
-        x = LatticeLoop.random(cfg.n, 8, rng, 0.3)
+        x = random_loop(cfg.n, 8, rng, 0.3)
         fx = loop_vector_field(x, nu, cfg, pot, sw)
         for g in generators:
             lhs = loop_vector_field(act(g, x, cfg), nu, cfg, pot, sw)
@@ -203,10 +203,10 @@ def test_criterion_8_guards(tmp_path):
     cfg = LatticeConfig(6, 1)
     pot = Potential.cubic(1.0)
     # a = 0: exact integer resonances must be flagged
-    rep0 = check_nonresonant(cfg, pot, 0.0)
+    rep0 = check_nonresonant(block_table(cfg, pot, 0.0))
     resonances_flagged = bool(rep0.records)
     # phi_1 = 1 at a = 0.5: 1:1 flag plus kernel refusal
-    rep_hopf = check_nonresonant(cfg, pot, 0.5)
+    rep_hopf = check_nonresonant(block_table(cfg, pot, 0.5))
     one_to_one = 1 in rep_hopf.one_to_one
     sw = make_standing_wave(cfg, pot, 0.5)
     refused = False

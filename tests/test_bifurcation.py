@@ -1,12 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from dnls_ring import (DegenerateAmplitudeError, LatticeConfig, Potential,
+from dnls_ring import (BlockData, DegenerateAmplitudeError, LatticeConfig, Potential,
                        amplitude_thresholds, check_nondegenerate,
                        check_nonresonant, classify_mode, classify_stability,
                        enumerate_bifurcations)
 from dnls_ring.bifurcation import threshold_by_bisection
-from helpers import loop_resonances
+from helpers import block_table, loop_resonances
 
 
 CFG = LatticeConfig(6, 1)
@@ -14,7 +16,7 @@ CUBIC = Potential.cubic(1.0)
 
 
 def test_nondegenerate_fixture():
-    rep = check_nondegenerate(CFG, CUBIC, 0.2)
+    rep = check_nondegenerate(CUBIC, 0.2, block_table(CFG, CUBIC, 0.2))
     assert rep.nondegenerate
     assert rep.margins[1] == pytest.approx(8.16)
     assert rep.margins[2] == pytest.approx(0.16 / 3.0)
@@ -22,14 +24,14 @@ def test_nondegenerate_fixture():
 
 
 def test_zero_amplitude_is_degenerate():
-    rep = check_nondegenerate(CFG, CUBIC, 0.0)
+    rep = check_nondegenerate(CUBIC, 0.0, block_table(CFG, CUBIC, 0.0))
     assert not rep.nondegenerate
     assert any("2 a^2 V''" in f for f in rep.failures)
 
 
 def test_overflowing_rank_one_block_is_degenerate():
     # a^2 overflows: the onset frequencies would be infinite
-    rep = check_nondegenerate(CFG, CUBIC, 1e200)
+    rep = check_nondegenerate(CUBIC, 1e200, block_table(CFG, CUBIC, 1e200))
     assert not rep.nondegenerate
     assert any("overflows" in f for f in rep.failures)
 
@@ -37,20 +39,21 @@ def test_overflowing_rank_one_block_is_degenerate():
 def test_k2_margin_stays_positive_on_sweep():
     # phi_2 > 0 = gamma_2 for every a > 0, so the k=2 margin never closes
     for a in np.linspace(0.05, 2.0, 40):
-        rep = check_nondegenerate(CFG, CUBIC, float(a))
+        a = float(a)
+        rep = check_nondegenerate(CUBIC, a, block_table(CFG, CUBIC, a))
         assert rep.margins[2] > 1e-3
 
 
 def test_degenerate_amplitude_detected():
     # a = 1 closes the k=3 margin exactly: phi_3 = a^2 meets gamma_3 = 1
-    rep = check_nondegenerate(CFG, CUBIC, 1.0)
+    rep = check_nondegenerate(CUBIC, 1.0, block_table(CFG, CUBIC, 1.0))
     assert not rep.nondegenerate
     assert any("phi_3" in f for f in rep.failures)
 
 
 def test_zero_amplitude_resonances_flagged():
     # at a=0 the frequencies are beta_k +- alpha_k, integer-related for n=6
-    rep = check_nonresonant(CFG, CUBIC, 0.0)
+    rep = check_nonresonant(block_table(CFG, CUBIC, 0.0))
     assert rep.records
     hits = {(r.j, r.l) for r in rep.records}
     # nu_2^+ = 3 is exactly 3 * nu_1^- = 3 * 1
@@ -60,14 +63,14 @@ def test_zero_amplitude_resonances_flagged():
 
 
 def test_generic_amplitude_is_nonresonant():
-    rep = check_nonresonant(CFG, CUBIC, 0.2)
+    rep = check_nonresonant(block_table(CFG, CUBIC, 0.2))
     assert not [r for r in rep.records if r.k == 3 and r.ksign == +1]
     assert not rep.one_to_one
 
 
 def test_one_to_one_flag_at_hopf_amplitude():
     # phi_1(a) = 1 at a = sqrt(alpha_1 / 2c) = 0.5 for the focusing cubic
-    rep = check_nonresonant(CFG, CUBIC, 0.5)
+    rep = check_nonresonant(block_table(CFG, CUBIC, 0.5))
     assert 1 in rep.one_to_one
 
 
@@ -83,7 +86,7 @@ def test_resonance_scan_matches_loop_oracle():
         cfg = LatticeConfig(n, m)
         for pot in pots:
             for a in (0.0, 0.123, 0.3, 0.5, 1.0 / np.sqrt(2.0), 1.0):
-                got = check_nonresonant(cfg, pot, a)
+                got = check_nonresonant(block_table(cfg, pot, a))
                 want = loop_resonances(cfg, pot, a)
                 assert got.one_to_one == want.one_to_one
                 assert [vars(r) for r in got.records] == \
@@ -91,6 +94,26 @@ def test_resonance_scan_matches_loop_oracle():
                 assert all(type(r.delta) is float for r in got.records)
                 count += len(want.records)
     assert count > 1000
+
+
+def test_resonance_labels_follow_table_modes():
+    # a permuted table gives the same records and 1:1 modes, labelled by
+    # bd.k rather than by position; a = 0 has integer resonances, a = 0.5
+    # the 1:1 collision phi_1 = 1 on n = 6
+    rng = np.random.default_rng(11)
+    records = one_to_one = 0
+    for n, a in ((6, 0.0), (6, 0.5), (12, 0.0)):
+        bd = block_table(LatticeConfig(n, 1), CUBIC, a)
+        perm = rng.permutation(n - 1)
+        shuffled = BlockData(*(getattr(bd, f.name)[perm] for f in fields(bd)))
+        want = check_nonresonant(bd)
+        got = check_nonresonant(shuffled)
+        assert (sorted(tuple(vars(r).values()) for r in got.records)
+                == sorted(tuple(vars(r).values()) for r in want.records))
+        assert sorted(got.one_to_one) == want.one_to_one
+        records += len(want.records)
+        one_to_one += len(want.one_to_one)
+    assert records > 10 and one_to_one > 0
 
 
 def test_zero_coefficient_has_no_thresholds():

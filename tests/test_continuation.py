@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from dnls_ring import (ContinuationOptions, ConvergenceError, GroupElement,
-                       LatticeConfig, Potential, ReducedProfile,
-                       ResonanceError, act, check_nonresonant, continuation,
+from dnls_ring import (ContinuationOptions, ConvergenceError, LatticeConfig,
+                       Potential, ReducedProfile, ResonanceError,
+                       check_nonresonant, continuation,
                        continue_branch, embed_reduced, enumerate_bifurcations,
                        make_standing_wave, onset_kernel, project_reduced,
                        refine_point)
@@ -15,10 +15,10 @@ from dnls_ring.continuation import (FIRST_STEP_EPS, KERNEL_RTOL, NEWTON_TOL,
                                     ReducedSystem, extrapolate_onset,
                                     grid_size)
 from dnls_ring.spectral import block_data
-from dnls_ring.symmetry import LatticeLoop
 
-from helpers import fd_jacobian
-from oracles import dense_jacobian, dense_residual, loop_vector_field, svd_kernel
+from helpers import block_matrices, block_table, fd_jacobian
+from oracles import (GroupElement, act, dense_jacobian, dense_residual,
+                     loop_vector_field, random_loop, svd_kernel)
 
 
 CFG = LatticeConfig(6, 1)
@@ -138,7 +138,7 @@ def test_onset_kernel_matches_block_eigenvector():
     mask[1] = mask[17] = False
     assert np.abs(v[mask]).max() <= 1e-8
     # (a_1, b_1) is proportional to (r, -s) for the 2x2 eigenvector (r, s)
-    w, vecs = np.linalg.eig(bd.reduced)
+    w, vecs = np.linalg.eig(block_matrices(CFG, CUBIC, SW.a, 3)[1])
     i = int(np.argmin(np.abs(w - nu)))
     r, s = vecs[:, i].real
     pair = np.array([v[1], v[17]])
@@ -228,7 +228,7 @@ def test_vector_field_equivariance():
                   GroupElement(shift=0, phase=1.234),
                   GroupElement(reflect=True)]
     for _ in range(20):
-        x = LatticeLoop.random(CFG.n, 8, rng, 0.3)
+        x = random_loop(CFG.n, 8, rng, 0.3)
         fx = loop_vector_field(x, nu, CFG, CUBIC, SW)
         for g in generators:
             lhs = loop_vector_field(act(g, x, CFG), nu, CFG, CUBIC, SW)
@@ -339,7 +339,8 @@ def test_singular_higher_block_only_at_a_resonance_record():
                 for a in (0.2, 0.3, 0.45, a_res):
                     sw = make_standing_wave(cfg, pot, a)
                     records = {(r.k, r.ksign, r.l)
-                               for r in check_nonresonant(cfg, pot, a).records}
+                               for r in check_nonresonant(
+                                   block_table(cfg, pot, a)).records}
                     for k in range(1, n):
                         bd = block_data(cfg, pot, a, k)
                         for sign, nu in ((+1, bd.nu_plus), (-1, bd.nu_minus)):

@@ -1,3 +1,4 @@
+import json
 from dataclasses import fields
 
 import numpy as np
@@ -9,8 +10,10 @@ from dnls_ring import (BlockData, LatticeConfig, Potential, alpha_beta,
                        block_data, classify_stability, full_spectrum,
                        hessian_at_equilibrium)
 
-from helpers import (average_clusters, block_basis, expected_spectrum,
-                     matching_distance)
+from dnls_ring.cli import main as cli_main, read_csv
+
+from helpers import (average_clusters, block_basis, block_matrices,
+                     block_table, expected_spectrum, matching_distance)
 
 
 CFG = LatticeConfig(6, 1)
@@ -52,11 +55,11 @@ def test_block_diagonalization_against_hessian():
         cfg = LatticeConfig(n, m)
         H = hessian_at_equilibrium(cfg, pot, a)
         for k in range(1, n + 1):
-            bd = block_data(cfg, pot, a, k)
+            B, _ = block_matrices(cfg, pot, a, k)
             for _ in range(10):
                 z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
                 lhs = H @ block_basis(cfg, k, z)
-                rhs = block_basis(cfg, k, bd.B @ z)
+                rhs = block_basis(cfg, k, B @ z)
                 assert np.abs(lhs - rhs).max() <= 1e-10
 
 
@@ -80,10 +83,21 @@ def test_block_fixture_k3():
     assert bd.nu_minus.real == pytest.approx(-2.0 * np.sqrt(0.96), abs=1e-12)
 
 
-def test_block_k_equals_n():
-    bd = block_data(CFG, CUBIC, 0.2, 6)
-    assert bd.phi is None and bd.gamma is None
-    assert np.abs(bd.B - np.diag([2 * 0.04 * 1.0, 0.0])).max() <= 1e-14
+def test_block_k_equals_n(tmp_path):
+    # alpha_n = 0 leaves no phi, gamma or onset: spectrum.csv's k = n row
+    # carries alpha_n, beta_n, empty phi/gamma and zero onsets
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"lattice": {"n": 6, "m": 1},
+                                  "potential": {"kind": "cubic", "c": 1.0},
+                                  "amplitude": 0.2}))
+    assert cli_main(["spectrum", "--config", str(config),
+                     "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "spectrum.csv")
+    k, alpha, beta, phi, gamma, *onsets = rows[-1]
+    assert int(k) == 6 and len(rows) == 6
+    assert (float(alpha), float(beta)) == alpha_beta(CFG, 6)
+    assert phi == gamma == ""
+    assert [float(v) for v in onsets] == [0.0] * 4
 
 
 def test_block_data_array_matches_scalar_calls():
@@ -109,13 +123,12 @@ def test_block_data_array_shapes_and_range():
     ks = np.array([[1, 2, 3], [5, 4, 1]])
     bd = block_data(CFG, CUBIC, 0.2, ks)
     assert bd.phi.shape == bd.nu_minus.shape == (2, 3)
-    assert bd.B.shape == bd.reduced.shape == (2, 3, 2, 2)
-    assert np.array_equal(bd.B[1, 0], block_data(CFG, CUBIC, 0.2, 5).B)
-    # k = n has no phi or onsets, so an array may not hold it
+    assert bd.nu_plus[1, 0] == block_data(CFG, CUBIC, 0.2, 5).nu_plus
+    # k = n has no phi or onsets, so neither a mode nor an array may hold it
     for bad in (np.arange(1, 7), np.array([0, 1]), np.array([[2], [7]])):
         with pytest.raises(ValueError):
             block_data(CFG, CUBIC, 0.2, bad)
-    for bad in (0, 7):
+    for bad in (0, 6, 7):
         with pytest.raises(ValueError):
             block_data(CFG, CUBIC, 0.2, bad)
 
@@ -213,8 +226,8 @@ def test_empirical_stability_matches_closed_form():
     # Every m for n <= 48, each potential at two amplitudes that alternate
     # over (n, m) to keep the run short. The dense solver splits the
     # defective gauge zero by ~sqrt(eps) ||J D^2H||, which a fixed 1e-8
-    # threshold read as growth from n = 3 up. per_k holds the closed-form
-    # nu_k^+/-; at phi_k = 1 they are themselves roundoff.
+    # threshold read as growth from n = 3 up. The block table holds the
+    # closed-form nu_k^+/-; at phi_k = 1 they are themselves roundoff.
     amplitudes = [(CUBIC, (0.3, 1.0)), (Potential.cubic(-1.0), (0.5, 1.0)),
                   (Potential.saturable(1.0), (0.5, 1.0))]
     stable = unstable = 0
@@ -226,10 +239,11 @@ def test_empirical_stability_matches_closed_form():
             for pot, amps in amplitudes:
                 a = amps[(n + m) % 2]
                 v = classify_stability(cfg, pot, a)
-                if np.abs(v.per_k.phi - 1.0).min() < 1e-6:
+                bd = block_table(cfg, pot, a)
+                if np.abs(bd.phi - 1.0).min() < 1e-6:
                     continue
-                growth = max(np.abs(v.per_k.nu_plus.imag).max(),
-                             np.abs(v.per_k.nu_minus.imag).max())
+                growth = max(np.abs(bd.nu_plus.imag).max(),
+                             np.abs(bd.nu_minus.imag).max())
                 case = (n, m, pot, a, v.max_real_part)
                 if growth == 0.0:
                     assert v.empirical_stable, case
@@ -249,6 +263,6 @@ def test_stability_large_wavenumber_and_defocusing():
 
 
 def test_stability_per_k_real_flags():
+    # phi_1 is the one-mode block, bit for bit
     v = classify_stability(CFG, CUBIC, 0.2)
-    assert len(v.per_k.k) == 5
-    assert (v.per_k.phi <= 1.0).all()
+    assert v.phi_1 == block_data(CFG, CUBIC, 0.2, 1).phi

@@ -1,29 +1,27 @@
 import numpy as np
 import pytest
 
-from dnls_ring import (GroupElement, LatticeConfig, Potential, ReducedProfile,
-                       act, embed_reduced, make_standing_wave, project_reduced)
+from dnls_ring import (LatticeConfig, Potential, ReducedProfile,
+                       embed_reduced, make_standing_wave, project_reduced)
 from dnls_ring.lattice import rot
 from dnls_ring.symmetry import LatticeLoop
+
+from oracles import GroupElement, act, random_loop
 
 
 CFG = LatticeConfig(6, 1)
 
 
-def random_loop(rng, n=6, nh=5):
-    return LatticeLoop.random(n, nh, rng, 0.8)
-
-
 def test_identity_action():
     rng = np.random.default_rng(0)
-    x = random_loop(rng)
+    x = random_loop(6, 5, rng, 0.8)
     y = act(GroupElement(), x, CFG)
     assert np.abs(y.coeffs - x.coeffs).max() <= 1e-14
 
 
 def test_reflection_is_involution():
     rng = np.random.default_rng(1)
-    x = random_loop(rng)
+    x = random_loop(6, 5, rng, 0.8)
     kappa = GroupElement(reflect=True)
     y = act(kappa, act(kappa, x, CFG), CFG)
     assert np.abs(y.coeffs - x.coeffs).max() <= 1e-14
@@ -32,7 +30,7 @@ def test_reflection_is_involution():
 def test_shift_n_times_is_identity():
     # n applications accumulate the rotation e^{-n m zeta J} = identity
     rng = np.random.default_rng(2)
-    x = random_loop(rng)
+    x = random_loop(6, 5, rng, 0.8)
     y = x
     for _ in range(CFG.n):
         y = act(GroupElement(shift=1), y, CFG)
@@ -41,7 +39,7 @@ def test_shift_n_times_is_identity():
 
 def test_phase_shift_is_exact_on_coefficients():
     rng = np.random.default_rng(3)
-    x = random_loop(rng)
+    x = random_loop(6, 5, rng, 0.8)
     phi = 0.7713
     y = act(GroupElement(phase=phi), x, CFG)
     t = np.linspace(0, 2 * np.pi, 11, endpoint=False)
@@ -50,7 +48,7 @@ def test_phase_shift_is_exact_on_coefficients():
 
 def test_loop_sampling_round_trip():
     rng = np.random.default_rng(4)
-    x = random_loop(rng, nh=4)
+    x = random_loop(6, 4, rng, 0.8)
     M = 4 * 4 + 1
     t = 2 * np.pi * np.arange(M) / M
     y = LatticeLoop.from_samples(x.sample(t), 4)
@@ -60,7 +58,7 @@ def test_loop_sampling_round_trip():
 def test_loops_are_real_valued():
     # conjugate-symmetric coefficients give real samples at arbitrary times
     rng = np.random.default_rng(5)
-    x = random_loop(rng)
+    x = random_loop(6, 5, rng, 0.8)
     t = rng.uniform(0, 2 * np.pi, size=7)
     ls = np.arange(-x.nh, x.nh + 1)
     phases = np.exp(1j * np.outer(t, ls))
@@ -103,7 +101,7 @@ def test_projection_is_group_average():
     for n in (3, 5, 6, 12):
         cfg = LatticeConfig(n, 1)
         for k in sorted({1, 2, n - 1}):
-            x = random_loop(rng, n=n)
+            x = random_loop(n, 5, rng, 0.8)
             avg = LatticeLoop(np.zeros_like(x.coeffs))
             for s in range(n):
                 g = GroupElement(shift=s, phase=-s * k * cfg.zeta)
@@ -120,8 +118,8 @@ def test_embedding_matches_defining_formula():
     # u_j(t) = e^{j m zeta J} x_0(t + j k zeta), with x_0 summed directly
     # from the cos/sin series of the profile. The coefficients decay as a
     # branch profile's do (the site-0 residual oracle draws the same ones):
-    # both sides round phases l j k zeta of up to 380 rad, so unit
-    # coefficients at l = 6 would move the samples by ~1e-13.
+    # the oracle rounds phases l j k zeta of up to 380 rad, so unit
+    # coefficients at l = 6 would move its samples by ~1e-13.
     rng = np.random.default_rng(9)
     t = rng.uniform(0, 2 * np.pi, size=5)
     for n in (3, 5, 6, 12):
@@ -141,6 +139,30 @@ def test_embedding_matches_defining_formula():
                                        np.sin(lt[:, 1:]) @ p.sin_b], axis=-1)
                         want = x0 @ rot(j * m * cfg.zeta).T
                         assert np.abs(got[:, j] - want).max() <= 1e-14
+
+
+def test_embedding_reduces_time_shift_phases():
+    # Unit-normal coefficients against the defining formula with x_0 summed
+    # at t + ((j k) mod n) zeta. Unreduced phases l j k zeta reach ~1700 rad
+    # at n = 48, nh = 6 and would cost ~1e-12; reduced ones stay below 12 pi.
+    rng = np.random.default_rng(10)
+    t = rng.uniform(0, 2 * np.pi, size=5)
+    nh = 6
+    ls = np.arange(nh + 1)
+    for n in (12, 48):
+        j = np.arange(n)
+        for m in (0, 1, 5, n // 2):
+            cfg = LatticeConfig(n, m)
+            for k in range(1, n):
+                p = ReducedProfile(k, rng.standard_normal(nh + 1),
+                                   rng.standard_normal(nh))
+                got = embed_reduced(p, cfg).sample(t)      # (nt, n, 2)
+                lt = (t[:, None, None]
+                      + ((j * k) % n)[None, :, None] * cfg.zeta) * ls
+                x0 = np.stack([np.cos(lt) @ p.cos_a,
+                               np.sin(lt[..., 1:]) @ p.sin_b], axis=-1)
+                want = np.einsum("cdj,tjd->tjc", rot(j * m * cfg.zeta), x0)
+                assert np.abs(got - want).max() <= 1e-13, (n, m, k)
 
 
 def test_embedded_first_harmonic_site_relation():
