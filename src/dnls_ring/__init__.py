@@ -1,10 +1,9 @@
 """Standing waves, stability thresholds and traveling-wave bifurcation
 branches of the n-site periodic discrete nonlinear Schrodinger lattice."""
 
-from .bifurcation import (BifurcationPoint, DegeneracyReport, ResonanceRecord,
-                          ResonanceReport, Thresholds, amplitude_thresholds,
-                          check_nondegenerate, check_nonresonant,
-                          classify_mode, enumerate_bifurcations)
+from .bifurcation import (BifurcationPoint, ResonanceRecord, ResonanceReport,
+                          Thresholds, amplitude_thresholds, check_nondegenerate,
+                          check_nonresonant, enumerate_bifurcations)
 from .continuation import (Branch, BranchPoint, ContinuationOptions,
                            ReducedSystem, continue_branch, extrapolate_onset,
                            onset_kernel, refine_point)

@@ -22,20 +22,13 @@ A_MAX = 10.0         # thresholds without a closed form are sought on (0, A_MAX]
 SCAN_SAMPLES = 4096  # by a sign scan over this many equal steps, then brentq
 
 
-@dataclass
-class DegeneracyReport:
-    nondegenerate: bool
-    margins: dict          # k -> |phi_k - gamma_k|
-    failures: list
-
-
-def check_nondegenerate(pot: Potential, a: float,
-                        bd: BlockData) -> DegeneracyReport:
+def check_nondegenerate(pot: Potential, a: float, bd: BlockData) -> None:
     """Amplitude is non-degenerate when V''(a^2) != 0 and phi_k != gamma_k for
     the modes k of the block table bd (k = 1..n-1 in production);
     equivalently the Hessian has no kernel in the fixed space (nonzero block
     determinants beta_k^2 - alpha_k^2 (1 - phi_k) and a nonzero, finite
-    rank-one block 2a^2 V'')."""
+    rank-one block 2a^2 V''). Raises DegenerateAmplitudeError naming every
+    failing condition otherwise."""
     v2 = pot(a * a, 2)
     failures = []
     if abs(v2) <= TOL_DEG:
@@ -51,11 +44,8 @@ def check_nondegenerate(pot: Potential, a: float,
                             f"(margin {margin:.3e})")
         if abs(det) <= TOL_DEG:
             failures.append(f"block determinant {k} vanishes ({det:.3e})")
-    return DegeneracyReport(
-        nondegenerate=not failures,
-        margins=dict(zip(bd.k.tolist(), margins.tolist())),
-        failures=failures,
-    )
+    if failures:
+        raise DegenerateAmplitudeError("; ".join(failures))
 
 
 @dataclass
@@ -120,13 +110,9 @@ class BifurcationPoint:
     suppressed: bool = False  # a bigger resonant onset owns the bifurcation
 
 
-def classify_mode(cfg: LatticeConfig, pot: Potential, a: float, k: int) -> str:
-    """Case label for mode k: 'a', 'b', 'hopf' (phi_k >= 1) or 'none'."""
-    return str(_regime(block_data(cfg, pot, a, k), cfg.n))
-
-
 def _regime(bd, n: int) -> np.ndarray:
-    """Case label of every mode in bd, shaped like bd.k."""
+    """Case label of every mode in bd, shaped like bd.k: 'a', 'b', 'hopf'
+    (phi_k >= 1) or 'none'."""
     return np.select([bd.phi < bd.gamma,
                       (bd.gamma < bd.phi) & (bd.phi < 1.0) & (2 * bd.k <= n),
                       bd.phi >= 1.0], ["a", "b", "hopf"], "none")
@@ -143,9 +129,7 @@ def enumerate_bifurcations(cfg: LatticeConfig, pot: Potential,
 def _enumerate(cfg, pot, a) -> tuple:
     """(onsets, resonance report) from one block table and one scan."""
     bd = block_data(cfg, pot, a, np.arange(1, cfg.n))
-    rep = check_nondegenerate(pot, a, bd)
-    if not rep.nondegenerate:
-        raise DegenerateAmplitudeError("; ".join(rep.failures))
+    check_nondegenerate(pot, a, bd)
     res = check_nonresonant(bd)
     regimes = _regime(bd, cfg.n)
     near = np.minimum(np.abs(bd.phi - bd.gamma), np.abs(bd.phi - 1.0)) < NEAR_TOL
@@ -155,9 +139,6 @@ def _enumerate(cfg, pot, a) -> tuple:
         points.append(_make_point(k, +1, bd.nu_plus[i].real, regime, res, near[i]))
         if regime == "b":
             points.append(_make_point(k, -1, bd.nu_minus[i].real, "b", res, near[i]))
-    for p in points:
-        if p.nu_onset <= 0:
-            raise AssertionError(f"onset frequency not positive for k={p.k}")
     return points, res
 
 
@@ -175,15 +156,6 @@ def _make_point(k, sign, nu, regime, res: ResonanceReport, near) -> BifurcationP
 class Thresholds:
     a_hopf: Optional[float]    # smallest a > 0 with phi_k(a) = 1
     a_gamma: Optional[float]   # smallest a > 0 with phi_k(a) = gamma_k
-
-
-def _phi_fn(cfg, pot, k):
-    alpha, _ = alpha_beta(cfg, k)
-
-    def phi(a):
-        return 2.0 * a * a * pot(a * a, 2) / alpha
-
-    return phi
 
 
 def _scan_root(g) -> Optional[float]:
@@ -205,8 +177,7 @@ def threshold_by_bisection(cfg: LatticeConfig, pot: Potential, k: int,
                            target: float) -> Optional[float]:
     """Smallest root of phi_k(a) = target on (0, A_MAX], by scan + bisection.
     Works for any potential; used as cross-check for the closed forms."""
-    phi = _phi_fn(cfg, pot, k)
-    return _scan_root(lambda a: phi(a) - target)
+    return _scan_root(lambda a: block_data(cfg, pot, a, k).phi - target)
 
 
 def amplitude_thresholds(cfg: LatticeConfig, pot: Potential,

@@ -60,8 +60,10 @@ def _section(doc: dict, key: str) -> dict:
 
 # Size caps. At n = 512 the dense Newton matrix and spectrum are (2n)^2
 # doubles, 8 MiB (each resonance-scan array twice that); at nh = 256 the
-# reduced system's bordered Newton matrix is (2nh + 2)^2 doubles, 2 MiB.
+# reduced system's bordered Newton matrix is (2nh + 2)^2 doubles, 2 MiB. At
+# 10^6 steps a trajectory's (steps + 1) x 2n doubles are 96 MB at n = 6.
 MAX_SITES = 512
+MAX_TRAJECTORY_STEPS = 1_000_000
 MAX_SWEEP_STEPS = 10_000
 CONTINUATION_CAPS = {"n_harmonics": 256, "max_steps": 10_000}
 
@@ -140,6 +142,9 @@ def parse_config(doc: dict) -> RunConfig:
     t_final = integ.get("t_final")
     if t_final is not None:
         t_final = _number(t_final, "integration.t_final", low=dt)
+        if t_final / dt > MAX_TRAJECTORY_STEPS:
+            raise ConfigError("integration.t_final / integration.dt is over "
+                              f"{MAX_TRAJECTORY_STEPS} steps")
     pert = _section(doc, "perturbation")
     out_dir = doc.get("output_dir", ".")
     if not isinstance(out_dir, str):
@@ -324,7 +329,11 @@ def cmd_verify(config: RunConfig) -> None:
         u0 = sw.equilibrium + loop.sample(0.0)[0].ravel()
         # whole steps per period, so the wave checks can resample one period
         P = 2.0 * np.pi / pt.nu
-        dt = P / max(1, round(P / config.dt))
+        per_period = max(1, round(min(P / config.dt, MAX_TRAJECTORY_STEPS + 1)))
+        if config.periods * per_period > MAX_TRAJECTORY_STEPS:
+            raise ConfigError(f"integration.dt and integration.periods ask for over "
+                              f"{MAX_TRAJECTORY_STEPS} steps at branch point {i}")
+        dt = P / per_period
         traj = integrate(cfg, pot, sw.omega, u0, dt, config.periods * P)
         dH, dP = invariant_drift(traj, cfg, pot, sw.omega)
         tw = traveling_wave_error(traj, sw, k, pt.nu)

@@ -108,9 +108,6 @@ class ReducedSystem:
         self._hankel = np.add.outer(rows, 5 * Q * kind + lh)
         self._hankel[0] = 8 * Q
 
-    def profile(self, pvec: np.ndarray) -> ReducedProfile:
-        return ReducedProfile.from_vector(self.k, pvec)
-
     def _site0(self, pvec: np.ndarray) -> tuple:
         """u_0 = a e_1 + x_0 on the grid, shape (2, M), s = |u_0|^2 and V'(s),
         kept for the last profile, where a Jacobian follows its residual."""
@@ -260,8 +257,9 @@ def continue_branch(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
         tau = ynew - y
         tau /= np.linalg.norm(tau)
         y = ynew
-        branch.points.append(BranchPoint(sys_.profile(y[:-1]), float(y[-1]),
-                                         float(np.linalg.norm(y[:-1])), rnorm))
+        branch.points.append(BranchPoint(
+            ReducedProfile.from_vector(onset.k, y[:-1]), float(y[-1]),
+            float(np.linalg.norm(y[:-1])), rnorm))
         ds = DS0 if len(branch.points) == 1 else min(ds * 1.3, DS_MAX)
         if y[-1] <= NU_MIN:
             branch.termination = "nu_bound"
@@ -284,7 +282,7 @@ def refine_point(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
     e_nu[-1] = 1.0
     y0 = np.concatenate([point.profile.padded(n_harmonics).as_vector(), [point.nu]])
     y, rnorm = _newton(sys_, y0, e_nu)
-    return sys_.profile(y[:-1]), rnorm
+    return ReducedProfile.from_vector(sys_.k, y[:-1]), rnorm
 
 
 def extrapolate_onset(branch: Branch) -> float:

@@ -25,10 +25,6 @@ class LatticeLoop:
     coeffs: np.ndarray
 
     @property
-    def n(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
     def nh(self) -> int:
         return (self.coeffs.shape[1] - 1) // 2
 
@@ -96,10 +92,11 @@ def embed_reduced(p: ReducedProfile, cfg: LatticeConfig) -> LatticeLoop:
     pos = np.stack([0.5 * p.cos_a[1:], -0.5j * p.sin_b], axis=-1)
     c0 = np.concatenate([pos[::-1].conj(), [[p.cos_a[0], 0.0]], pos])
     j = np.arange(n)
-    # l j k zeta reduced mod 2 pi exactly, as (l j k mod n) zeta
+    # l j k zeta and j m zeta reduced mod 2 pi exactly, as ((l j k) mod n) zeta
+    # and ((j m) mod n) zeta
     shift = np.exp(1j * ((np.arange(-nh, nh + 1) * j[:, None] * p.k) % n) * zeta)
     # rot of n angles is (2, 2, n), so .T stacks the n transposed rotations
-    return LatticeLoop(c0 * shift[:, :, None] @ rot(j * m * zeta).T)
+    return LatticeLoop(c0 * shift[:, :, None] @ rot(((j * m) % n) * zeta).T)
 
 
 def project_reduced(x: LatticeLoop, k: int, cfg: LatticeConfig) -> ReducedProfile:
@@ -109,7 +106,8 @@ def project_reduced(x: LatticeLoop, k: int, cfg: LatticeConfig) -> ReducedProfil
     s = np.arange(n)
     # site 0 of image s is rot(-s m zeta) x_s(t - s k zeta)
     phase = np.exp(1j * ((-x.harmonic_range() * s[:, None] * k) % n) * zeta)
-    avg = np.mean(x.coeffs @ rot(-s * m * zeta).T * phase[:, :, None], axis=0)
+    avg = np.mean(x.coeffs @ rot(((-s * m) % n) * zeta).T * phase[:, :, None],
+                  axis=0)
     # the reflection pairs harmonic l with -l through R2 = diag(1, -1)
     cos_a = (avg[nh:, 0] + avg[nh::-1, 0]).real
     cos_a[0] *= 0.5

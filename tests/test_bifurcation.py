@@ -1,13 +1,16 @@
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from dnls_ring import (BlockData, DegenerateAmplitudeError, LatticeConfig, Potential,
-                       amplitude_thresholds, check_nondegenerate,
-                       check_nonresonant, classify_mode, classify_stability,
+                       amplitude_thresholds, block_data, check_nondegenerate,
+                       check_nonresonant, classify_stability,
                        enumerate_bifurcations)
-from dnls_ring.bifurcation import threshold_by_bisection
+from dnls_ring.bifurcation import _regime, threshold_by_bisection
 from helpers import block_table, loop_resonances
 
 
@@ -16,39 +19,42 @@ CUBIC = Potential.cubic(1.0)
 
 
 def test_nondegenerate_fixture():
-    rep = check_nondegenerate(CUBIC, 0.2, block_table(CFG, CUBIC, 0.2))
-    assert rep.nondegenerate
-    assert rep.margins[1] == pytest.approx(8.16)
-    assert rep.margins[2] == pytest.approx(0.16 / 3.0)
-    assert rep.margins[3] == pytest.approx(0.96)
+    bd = block_table(CFG, CUBIC, 0.2)
+    check_nondegenerate(CUBIC, 0.2, bd)            # passes without raising
+    assert np.abs(bd.phi - bd.gamma) == pytest.approx([8.16, 0.16 / 3.0, 0.96,
+                                                       0.16 / 3.0, 8.16])
 
 
 def test_zero_amplitude_is_degenerate():
-    rep = check_nondegenerate(CUBIC, 0.0, block_table(CFG, CUBIC, 0.0))
-    assert not rep.nondegenerate
-    assert any("2 a^2 V''" in f for f in rep.failures)
+    with pytest.raises(DegenerateAmplitudeError, match=re.escape("2 a^2 V''")):
+        check_nondegenerate(CUBIC, 0.0, block_table(CFG, CUBIC, 0.0))
 
 
 def test_overflowing_rank_one_block_is_degenerate():
     # a^2 overflows: the onset frequencies would be infinite
-    rep = check_nondegenerate(CUBIC, 1e200, block_table(CFG, CUBIC, 1e200))
-    assert not rep.nondegenerate
-    assert any("overflows" in f for f in rep.failures)
+    with pytest.raises(DegenerateAmplitudeError, match="overflows"):
+        check_nondegenerate(CUBIC, 1e200, block_table(CFG, CUBIC, 1e200))
 
 
 def test_k2_margin_stays_positive_on_sweep():
-    # phi_2 > 0 = gamma_2 for every a > 0, so the k=2 margin never closes
+    # phi_2 > 0 = gamma_2 for every a > 0, so the k=2 margin never closes;
+    # read from the table, since a = 1 on the sweep is degenerate at k = 3
     for a in np.linspace(0.05, 2.0, 40):
-        a = float(a)
-        rep = check_nondegenerate(CUBIC, a, block_table(CFG, CUBIC, a))
-        assert rep.margins[2] > 1e-3
+        bd = block_table(CFG, CUBIC, float(a))
+        assert abs(bd.phi[1] - bd.gamma[1]) > 1e-3
 
 
 def test_degenerate_amplitude_detected():
-    # a = 1 closes the k=3 margin exactly: phi_3 = a^2 meets gamma_3 = 1
-    rep = check_nondegenerate(CUBIC, 1.0, block_table(CFG, CUBIC, 1.0))
-    assert not rep.nondegenerate
-    assert any("phi_3" in f for f in rep.failures)
+    # a = 1 closes the k=3 margin exactly: phi_3 = a^2 meets gamma_3 = 1; the
+    # message names every failing mode, and the enumeration raises the same
+    bd = block_table(CFG, CUBIC, 1.0)
+    with pytest.raises(DegenerateAmplitudeError) as exc:
+        check_nondegenerate(CUBIC, 1.0, bd)
+    assert "phi_3" in str(exc.value)
+    assert "phi_1" not in str(exc.value)
+    with pytest.raises(DegenerateAmplitudeError) as again:
+        enumerate_bifurcations(CFG, CUBIC, 1.0)
+    assert str(again.value) == str(exc.value)
 
 
 def test_zero_amplitude_resonances_flagged():
@@ -144,8 +150,30 @@ def test_enumeration_rejects_degenerate():
         enumerate_bifurcations(CFG, CUBIC, 0.0)
 
 
+RINGS = (st.integers(3, 12)
+         .flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n // 2)))
+         .filter(lambda nm: 4 * nm[1] != nm[0]))
+POTENTIALS = [CUBIC, Potential.cubic(-1.0), Potential.saturable(1.0),
+              Potential.polynomial([0.0, 0.0, 0.5, 0.1])]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ring=RINGS, pot=st.sampled_from(POTENTIALS),
+       a=st.one_of(st.floats(0.0, 2.0),
+                   st.sampled_from([0.0, 0.5, 1.0 / np.sqrt(2.0), 1.0])))
+def test_onsets_are_positive_or_amplitude_degenerate(ring, pot, a):
+    # nu^+ nu^- = beta^2 - alpha^2 (1 - phi) is the block determinant the
+    # guard keeps away from zero, so every onset it lets through is positive
+    try:
+        points = enumerate_bifurcations(LatticeConfig(*ring), pot, a)
+    except DegenerateAmplitudeError:
+        event("degenerate")
+        return
+    event("onsets" if points else "no onsets")
+    assert all(p.nu_onset > 0 and p.regime in ("a", "b") for p in points)
+
+
 def test_case_labels_match_frequency_signs():
-    from dnls_ring import block_data
     rng = np.random.default_rng(9)
     for _ in range(30):
         n = int(rng.integers(3, 9))
@@ -156,8 +184,8 @@ def test_case_labels_match_frequency_signs():
         pot = Potential.cubic(float(rng.choice([-1.0, 1.0])))
         a = float(rng.uniform(0.05, 0.8))
         for k in range(1, n):
-            label = classify_mode(cfg, pot, a, k)
             bd = block_data(cfg, pot, a, k)
+            label = _regime(bd, n)
             if label == "a":
                 assert bd.nu_minus.real <= 0
             elif label == "b":
@@ -176,7 +204,7 @@ def test_hopf_modes_contribute_nothing():
     # a = 0.6 puts phi_1 = 1.44 past the collision; k=1 must be absent
     points = enumerate_bifurcations(CFG, CUBIC, 0.6)
     assert not [p for p in points if p.k == 1]
-    assert classify_mode(CFG, CUBIC, 0.6, 1) == "hopf"
+    assert _regime(block_data(CFG, CUBIC, 0.6, 1), CFG.n) == "hopf"
 
 
 def test_cubic_thresholds_closed_form():
@@ -210,7 +238,6 @@ def test_saturable_root_matches_bisection():
     root = threshold_by_bisection(cfg, pot, 1, 1.0)
     assert th.a_hopf == pytest.approx(root, abs=1e-10)
     # verify phi_1(a_hopf) = 1 directly
-    from dnls_ring import block_data
     assert block_data(cfg, pot, th.a_hopf, 1).phi == pytest.approx(1.0, abs=1e-10)
 
 
@@ -218,7 +245,6 @@ def test_polynomial_threshold_by_bisection():
     pot = Potential.polynomial([0.0, 0.5, 0.25])   # V = x^2/2 + x^3/4 roughly
     th = amplitude_thresholds(CFG, pot, 1)
     if th.a_hopf is not None:
-        from dnls_ring import block_data
         assert block_data(CFG, pot, th.a_hopf, 1).phi == pytest.approx(1.0, abs=1e-8)
 
 

@@ -146,6 +146,8 @@ CAPS = [  # the documented caps (README)
      lambda v: dict(BASE, continuation={"n_harmonics": v}), 256),
     ("continuation.max_steps",
      lambda v: dict(BASE, continuation={"max_steps": v}), 10_000),
+    ("integration.t_final",
+     lambda v: dict(BASE, integration={"dt": 1.0, "t_final": v}), 1_000_000),
 ]
 
 
@@ -341,6 +343,32 @@ ODD_VALUES = st.one_of(
                      1e-300, -1.0, 0.0, "saturable", "polynomial", "-"]),
     st.text(max_size=3), st.lists(st.integers(-3, 20), max_size=3),
     st.dictionaries(st.text(max_size=2), st.integers(-3, 20), max_size=2))
+
+
+STEP_CAP = [
+    ("verify", "subnormal_dt", {"dt": 5e-324}, "integration.dt"),
+    ("verify", "tiny_dt", {"dt": 1e-12}, "integration.dt"),
+    ("verify", "many_periods", {"dt": 1e-3, "periods": 10**9},
+     "integration.periods"),
+    ("simulate", "subnormal_dt", {"dt": 5e-324, "t_final": 1.0},
+     "integration.dt"),
+    ("simulate", "tiny_dt", {"dt": 1e-12, "t_final": 1.0}, "integration.dt"),
+    ("simulate", "huge_t_final", {"dt": 1e-3, "t_final": 1e300},
+     "integration.t_final"),
+]
+
+
+@pytest.mark.parametrize("command, integration, key",
+                         [(c, i, k) for c, _, i, k in STEP_CAP],
+                         ids=[f"{c}-{name}" for c, name, _, _ in STEP_CAP])
+def test_trajectory_step_cap_exits_2(tmp_path, capsys, command, integration,
+                                     key):
+    # a step count past the cap is refused before any states are allocated
+    doc = dict(README_CONFIG, integration=integration,
+               continuation={"n_harmonics": 8, "max_steps": 1})
+    assert main([command, "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
 
 
 def mutate(mutations):

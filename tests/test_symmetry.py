@@ -161,8 +161,23 @@ def test_embedding_reduces_time_shift_phases():
                       + ((j * k) % n)[None, :, None] * cfg.zeta) * ls
                 x0 = np.stack([np.cos(lt) @ p.cos_a,
                                np.sin(lt[..., 1:]) @ p.sin_b], axis=-1)
-                want = np.einsum("cdj,tjd->tjc", rot(j * m * cfg.zeta), x0)
+                want = np.einsum("cdj,tjd->tjc",
+                                 rot(((j * m) % n) * cfg.zeta), x0)
                 assert np.abs(got - want).max() <= 1e-13, (n, m, k)
+    # The rotation angle j m zeta is reduced the same way: the constant
+    # profile a_0 = 1 lands on (cos, sin) of ((j m) mod n) zeta exactly,
+    # where the unreduced angle, up to ~pi n rad, costs ~6e-14 at n = 96.
+    for n in (12, 48, 96):
+        j = np.arange(n)
+        for m in range(n // 2 + 1):
+            if 4 * m == n:
+                continue
+            cfg = LatticeConfig(n, m)
+            p = ReducedProfile(1, np.eye(nh + 1)[0], np.zeros(nh))
+            got = embed_reduced(p, cfg).sample(0.0)[0]
+            angle = ((j * cfg.m) % n) * cfg.zeta
+            want = np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+            assert np.abs(got - want).max() <= 1e-15, (n, m)
 
 
 def test_embedded_first_harmonic_site_relation():
