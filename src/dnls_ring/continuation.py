@@ -81,16 +81,17 @@ class ReducedSystem:
         self.M = grid_size(nh)
         ls = np.arange(nh + 1)
         # (omega - 2) x_0 + x_1 + x_{-1} with x_{+-1}(t) = e^{+-m zeta J}
-        # x_0(t +- k zeta), and J xdot, on each pair (a_l, b_l)
-        mz, lkz = cfg.m * cfg.zeta, ls * k * cfg.zeta
-        d = sw.omega - 2.0 + 2.0 * np.cos(mz) * np.cos(lkz)
+        # x_0(t +- k zeta) is -V'(a^2) - [[alpha, beta], [beta, alpha]] of
+        # mode lk on each pair (a_l, b_l), and J xdot is -l off the diagonal
+        vp_eq = float(pot(sw.a ** 2, 1))
+        alpha, beta = alpha_beta(cfg, ls * k)
+        d = -vp_eq - alpha
         ia, ib = ls[1:], nh + ls[1:]
         self.coupling = np.diag(np.concatenate([d, d[1:]]))
-        self.coupling[ia, ib] = self.coupling[ib, ia] = \
-            -2.0 * np.sin(mz) * np.sin(lkz[1:])
+        self.coupling[ia, ib] = self.coupling[ib, ia] = -beta[1:]
         self.j_dt = np.zeros((self.dim, self.dim))
         self.j_dt[ia, ib] = self.j_dt[ib, ia] = -ls[1:]
-        self._g_eq = float(pot(sw.a ** 2, 1)) * sw.a
+        self._g_eq = vp_eq * sw.a
         self._grid = (None,)
         # a_l, b_l sit at harmonic l of the half-spectra (scaled by 1/M) of
         # x_0 = (sum a_l cos(lt), sum b_l sin(lt))
@@ -136,11 +137,9 @@ class ReducedSystem:
         return self.j_dt @ pvec - self._gradient(pvec) / nu
 
     def jacobian(self, pvec: np.ndarray, nu: float,
-                 r: Optional[np.ndarray] = None) -> np.ndarray:
+                 r: np.ndarray) -> np.ndarray:
         """Exact Jacobian in (p, nu), (dim, dim+1); its nu column is
-        (j_dt p - r) / nu, from the residual r at (p, nu) if given."""
-        if r is None:
-            r = self.residual(pvec, nu)
+        (j_dt p - r) / nu, from the residual r at (p, nu)."""
         u, s, vp = self._site0(pvec)
         # pointwise Hessian V'(s) I + 2 V''(s) u_0 u_0^T, the on-site block
         # of D^2H with omega - 2 = 0, as rows h00, h01, h10, h11

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-R2 = np.array([[1.0, 0.0], [0.0, -1.0]])
 I2 = np.eye(2)
 # J (p, q) = (-q, p) = J_SIGNS * (q, p) on each site pair: applied as this
 # swap and sign, never as a dense product, J leaves every value exact.
@@ -54,6 +53,11 @@ class LatticeConfig:
     @property
     def zeta(self) -> float:
         return 2.0 * np.pi / self.n
+
+    def angle(self, q):
+        """The lattice angle q zeta for an integer q (or integer array), as
+        (q mod n) zeta: reduced mod 2 pi exactly, so only q mod n matters."""
+        return (q % self.n) * self.zeta
 
 
 @dataclass(frozen=True)
@@ -128,9 +132,8 @@ def make_standing_wave(cfg: LatticeConfig, pot: Potential, a: float) -> Standing
     """Standing wave of amplitude a >= 0 with omega = 4 sin^2(m zeta/2) - V'(a^2)."""
     if a < 0:
         raise ConfigError(f"amplitude must be nonnegative, got {a}")
-    omega = 4.0 * np.sin(cfg.m * cfg.zeta / 2.0) ** 2 - pot(a * a, 1)
-    j = np.arange(cfg.n)
-    ang = j * cfg.m * cfg.zeta
+    omega = 4.0 * np.sin(cfg.angle(cfg.m) / 2.0) ** 2 - pot(a * a, 1)
+    ang = cfg.angle(np.arange(cfg.n) * cfg.m)
     eq = np.empty((cfg.n, 2))
     eq[:, 0] = a * np.cos(ang)
     eq[:, 1] = a * np.sin(ang)

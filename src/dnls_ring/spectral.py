@@ -16,10 +16,11 @@ from .lattice import J_SIGNS, LatticeConfig, Potential, hessian_at_equilibrium
 
 def alpha_beta(cfg: LatticeConfig, k) -> tuple:
     """alpha_k = 4 cos(m zeta) sin^2(k zeta/2) and
-    beta_k = 2 sin(m zeta) sin(k zeta), shaped like k (one mode or an array)."""
-    z = cfg.zeta
-    alpha = 4.0 * np.cos(cfg.m * z) * np.square(np.sin(k * z / 2.0))
-    beta = 2.0 * np.sin(cfg.m * z) * np.sin(k * z)
+    beta_k = 2 sin(m zeta) sin(k zeta), shaped like k (one mode or an array);
+    only k mod n matters, so k = n gives alpha_n = beta_n = 0 exactly."""
+    mz, kz = cfg.angle(cfg.m), cfg.angle(k)
+    alpha = 4.0 * np.cos(mz) * np.square(np.sin(kz / 2.0))
+    beta = 2.0 * np.sin(mz) * np.sin(kz)
     return alpha, beta
 
 

@@ -87,28 +87,24 @@ class ReducedProfile:
 
 def embed_reduced(p: ReducedProfile, cfg: LatticeConfig) -> LatticeLoop:
     """Full loop x_j(t) = e^{j m zeta J} x_0(t + j k zeta) from the profile."""
-    n, m, zeta, nh = cfg.n, cfg.m, cfg.zeta, p.nh
     # site 0: harmonic l > 0 is (a_l / 2, -i b_l / 2), harmonic -l its conjugate
     pos = np.stack([0.5 * p.cos_a[1:], -0.5j * p.sin_b], axis=-1)
     c0 = np.concatenate([pos[::-1].conj(), [[p.cos_a[0], 0.0]], pos])
-    j = np.arange(n)
-    # l j k zeta and j m zeta reduced mod 2 pi exactly, as ((l j k) mod n) zeta
-    # and ((j m) mod n) zeta
-    shift = np.exp(1j * ((np.arange(-nh, nh + 1) * j[:, None] * p.k) % n) * zeta)
+    j, ls = np.arange(cfg.n), np.arange(-p.nh, p.nh + 1)
+    shift = np.exp(1j * cfg.angle(ls * j[:, None] * p.k))
     # rot of n angles is (2, 2, n), so .T stacks the n transposed rotations
-    return LatticeLoop(c0 * shift[:, :, None] @ rot(((j * m) % n) * zeta).T)
+    return LatticeLoop(c0 * shift[:, :, None] @ rot(cfg.angle(j * cfg.m)).T)
 
 
 def project_reduced(x: LatticeLoop, k: int, cfg: LatticeConfig) -> ReducedProfile:
     """Group-average over the dihedral subgroup generated by (zeta, -k zeta)
     and kappa, restricted to site 0. Left inverse of embed_reduced."""
-    n, m, zeta, nh = cfg.n, cfg.m, cfg.zeta, x.nh
-    s = np.arange(n)
+    nh, s = x.nh, np.arange(cfg.n)
     # site 0 of image s is rot(-s m zeta) x_s(t - s k zeta)
-    phase = np.exp(1j * ((-x.harmonic_range() * s[:, None] * k) % n) * zeta)
-    avg = np.mean(x.coeffs @ rot(((-s * m) % n) * zeta).T * phase[:, :, None],
+    phase = np.exp(1j * cfg.angle(-x.harmonic_range() * s[:, None] * k))
+    avg = np.mean(x.coeffs @ rot(cfg.angle(-s * cfg.m)).T * phase[:, :, None],
                   axis=0)
-    # the reflection pairs harmonic l with -l through R2 = diag(1, -1)
+    # the reflection pairs harmonic l with -l through diag(1, -1)
     cos_a = (avg[nh:, 0] + avg[nh::-1, 0]).real
     cos_a[0] *= 0.5
     sin_b = (avg[nh - 1::-1, 1] - avg[nh + 1:, 1]).imag

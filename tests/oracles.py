@@ -12,9 +12,11 @@ from typing import Optional
 import numpy as np
 
 from dnls_ring.continuation import KERNEL_RTOL, ReducedSystem
-from dnls_ring.lattice import (J_SIGNS, R2, LatticeConfig, Potential,
+from dnls_ring.lattice import (J_SIGNS, LatticeConfig, Potential,
                                StandingWave, gradient, onsite_blocks, rot)
 from dnls_ring.symmetry import LatticeLoop
+
+R2 = np.array([[1.0, 0.0], [0.0, -1.0]])   # the reflection kappa on a site
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,8 @@ def test_origin_linearization_matches_fd():
         for p in points:
             J_fd = fd_jacobian(lambda y: sys_.residual(y[:-1], y[-1]),
                                np.concatenate([p, [nu]]))
-            assert np.abs(sys_.jacobian(p, nu) - J_fd).max() <= 1e-9
+            J = sys_.jacobian(p, nu, sys_.residual(p, nu))
+            assert np.abs(J - J_fd).max() <= 1e-9
 
 
 def test_origin_jacobian_singular_exactly_at_onsets():
@@ -123,9 +124,36 @@ def test_origin_jacobian_singular_exactly_at_onsets():
     bd = block_data(CFG, CUBIC, SW.a, 3)
     nu_star = bd.nu_plus.real
     def det(nu):
-        return np.linalg.det(sys_.jacobian(np.zeros(sys_.dim), nu)[:, :-1])
+        p = np.zeros(sys_.dim)
+        J = sys_.jacobian(p, nu, sys_.residual(p, nu))
+        return np.linalg.det(J[:, :-1])
     assert det(nu_star - 1e-4) * det(nu_star + 1e-4) < 0
     assert det(nu_star + 1e-3) * det(nu_star + 1e-1) > 0
+
+
+def test_origin_jacobian_matches_closed_form_blocks():
+    # At p = 0 the Jacobian is block-diagonal: [[alpha - d, beta - l nu],
+    # [beta - l nu, alpha]] / nu of mode l k on (a_l, b_l), d = 2 a^2 V''(a^2),
+    # and -d / nu on a_0. alpha and beta are built here at ((l k) mod n) zeta;
+    # the unreduced l k zeta reaches ~1600 rad at n = 96, nh = 256.
+    a, nu = 0.3, 1.0
+    d = 2.0 * a * a * CUBIC(a * a, 2)
+    for n, m, k, nh in ((48, 1, 47, 256), (96, 7, 95, 256)):
+        cfg = LatticeConfig(n, m)
+        sw = make_standing_wave(cfg, CUBIC, a)
+        sys_ = ReducedSystem(cfg, CUBIC, sw, k, nh)
+        p = np.zeros(sys_.dim)
+        got = sys_.jacobian(p, nu, sys_.residual(p, nu))[:, :-1]
+        ls = np.arange(1, nh + 1)
+        lkz = ((ls * k) % n) * cfg.zeta
+        alpha = 4.0 * np.cos(m * cfg.zeta) * np.sin(lkz / 2.0) ** 2
+        beta = 2.0 * np.sin(m * cfg.zeta) * np.sin(lkz)
+        want = np.zeros_like(got)
+        want[0, 0] = -d / nu
+        want[ls, ls] = (alpha - d) / nu
+        want[nh + ls, nh + ls] = alpha / nu
+        want[ls, nh + ls] = want[nh + ls, ls] = (beta - ls * nu) / nu
+        assert np.abs(got - want).max() <= 1e-13, (n, m, k)
 
 
 def test_onset_kernel_matches_block_eigenvector():
@@ -249,7 +277,7 @@ def _fourier_error(cfg, pot, a, k, nh, seed):
     p = _decaying_profile(rng, k, nh, 0.3).as_vector()
     nu = float(rng.uniform(0.5, 2.5))
     r, r_dense = sys_.residual(p, nu), dense_residual(sys_, p, nu)
-    J, J_dense = sys_.jacobian(p, nu), dense_jacobian(sys_, p, nu)
+    J, J_dense = sys_.jacobian(p, nu, r), dense_jacobian(sys_, p, nu)
     return max(np.abs(r - r_dense).max() / np.abs(r_dense).max(),
                np.abs(J - J_dense).max() / np.abs(J_dense).max())
 
@@ -314,7 +342,8 @@ def test_closed_form_kernel_matches_svd_oracle():
 def _singular_blocks(cfg, pot, sw, k, nu, nh):
     """Harmonics l >= 2 whose 2x2 block of the Fourier Jacobian at p = 0 has
     an eigenvalue below KERNEL_RTOL times the Jacobian's norm."""
-    A = ReducedSystem(cfg, pot, sw, k, nh).jacobian(np.zeros(2 * nh + 1), nu)[:, :-1]
+    sys_, p = ReducedSystem(cfg, pot, sw, k, nh), np.zeros(2 * nh + 1)
+    A = sys_.jacobian(p, nu, sys_.residual(p, nu))[:, :-1]
     scale = KERNEL_RTOL * np.linalg.norm(A, 2)
     return {l for l in range(2, nh + 1)
             if np.abs(np.linalg.eigvalsh(A[np.ix_([l, nh + l], [l, nh + l])])

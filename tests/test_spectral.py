@@ -85,7 +85,7 @@ def test_block_fixture_k3():
 
 def test_block_k_equals_n(tmp_path):
     # alpha_n = 0 leaves no phi, gamma or onset: spectrum.csv's k = n row
-    # carries alpha_n, beta_n, empty phi/gamma and zero onsets
+    # carries alpha_n = beta_n = 0 exactly, empty phi/gamma and zero onsets
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"lattice": {"n": 6, "m": 1},
                                   "potential": {"kind": "cubic", "c": 1.0},
@@ -95,9 +95,19 @@ def test_block_k_equals_n(tmp_path):
     _, rows = read_csv(tmp_path / "spectrum.csv")
     k, alpha, beta, phi, gamma, *onsets = rows[-1]
     assert int(k) == 6 and len(rows) == 6
-    assert (float(alpha), float(beta)) == alpha_beta(CFG, 6)
+    assert alpha == beta == "0"
     assert phi == gamma == ""
     assert [float(v) for v in onsets] == [0.0] * 4
+    # alpha_beta reads only k mod n, bit for bit, up to the largest mode l k
+    # the reduced system asks for (l <= 256)
+    for n in (6, 48, 96):
+        for m in range(n // 2 + 1):
+            if 4 * m == n:
+                continue
+            cfg = LatticeConfig(n, m)
+            q = np.arange(256 * (n - 1) + 1)
+            for got, want in zip(alpha_beta(cfg, q), alpha_beta(cfg, q % n)):
+                assert np.array_equal(got, want), (n, m)
 
 
 def test_block_data_array_matches_scalar_calls():

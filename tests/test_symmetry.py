@@ -165,8 +165,9 @@ def test_embedding_reduces_time_shift_phases():
                                  rot(((j * m) % n) * cfg.zeta), x0)
                 assert np.abs(got - want).max() <= 1e-13, (n, m, k)
     # The rotation angle j m zeta is reduced the same way: the constant
-    # profile a_0 = 1 lands on (cos, sin) of ((j m) mod n) zeta exactly,
-    # where the unreduced angle, up to ~pi n rad, costs ~6e-14 at n = 96.
+    # profile a_0 = 1 and the unit standing wave both land on (cos, sin) of
+    # ((j m) mod n) zeta exactly, where the unreduced angle, up to ~pi n
+    # rad, costs ~6e-14 at n = 96.
     for n in (12, 48, 96):
         j = np.arange(n)
         for m in range(n // 2 + 1):
@@ -178,6 +179,8 @@ def test_embedding_reduces_time_shift_phases():
             angle = ((j * cfg.m) % n) * cfg.zeta
             want = np.stack([np.cos(angle), np.sin(angle)], axis=-1)
             assert np.abs(got - want).max() <= 1e-15, (n, m)
+            eq = make_standing_wave(cfg, Potential.cubic(1.0), 1.0).equilibrium
+            assert np.abs(eq.reshape(n, 2) - want).max() <= 1e-15, (n, m)
 
 
 def test_embedded_first_harmonic_site_relation():
