@@ -8,9 +8,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateAmplitudeError
+from .errors import DegenerateAmplitudeError, DnlsRingError
 from .lattice import LatticeConfig, Potential
-from .spectral import BlockData, alpha_beta, block_data
+from .spectral import BlockData, block_data
 
 L_MAX_CAP = 64  # resonance scan bound; harmonics beyond the Fourier cutoff
                 # of the continuation cannot be resolved anyway
@@ -18,8 +18,8 @@ TOL_DEG = 1e-9       # V'', phi_k - gamma_k or a block determinant this small
                      # counts as zero: the amplitude is degenerate
 TOL_RES = 1e-9       # frequencies this close are equal (resonant)
 NEAR_TOL = 1e-6      # onsets this close to phi_k = gamma_k or 1 are flagged
-A_MAX = 10.0         # thresholds without a closed form are sought on (0, A_MAX]
-SCAN_SAMPLES = 4096  # by a sign scan over this many equal steps, then brentq
+A_MAX = 10.0         # polynomial thresholds are sought on (0, A_MAX]
+ROOT_IMAG_TOL = 1e-6  # a root s = a^2 with |Im s| <= this |s| is real
 
 
 def check_nondegenerate(pot: Potential, a: float, bd: BlockData) -> None:
@@ -158,51 +158,45 @@ class Thresholds:
     a_gamma: Optional[float]   # smallest a > 0 with phi_k(a) = gamma_k
 
 
-def _scan_root(g) -> Optional[float]:
-    """First root of g on (0, A_MAX]: g is evaluated on the whole grid at once
-    and the first zero or sign change is refined by brentq."""
-    grid = np.linspace(0.0, A_MAX, SCAN_SAMPLES + 1)[1:]
-    sign = np.sign(g(grid))
-    hits = np.flatnonzero((sign[:-1] == 0) | (sign[:-1] * sign[1:] < 0))
-    if not hits.size:
-        return None
-    i = hits[0]
-    if sign[i] == 0:
-        return float(grid[i])
-    from scipy.optimize import brentq  # here, so the package imports numpy alone
-    return float(brentq(g, grid[i], grid[i + 1], xtol=1e-14, rtol=1e-15))
-
-
-def threshold_by_bisection(cfg: LatticeConfig, pot: Potential, k: int,
-                           target: float) -> Optional[float]:
-    """Smallest root of phi_k(a) = target on (0, A_MAX], by scan + bisection.
-    Works for any potential; used as cross-check for the closed forms."""
-    return _scan_root(lambda a: block_data(cfg, pot, a, k).phi - target)
-
-
 def amplitude_thresholds(cfg: LatticeConfig, pot: Potential,
                          k: int) -> Thresholds:
     """Amplitudes where phi_k crosses 1 (Hopf collision) and gamma_k
-    (standing-wave degeneracy). Closed forms for cubic and saturable,
-    bisection otherwise; None when no positive root exists."""
-    if not 1 <= k <= cfg.n - 1:
-        raise ValueError(f"mode k must be in 1..n-1, got {k}")
-    alpha, beta = alpha_beta(cfg, k)
-    gamma = 1.0 - np.square(beta / alpha)     # as in block_data
-    if pot.kind in ("cubic", "saturable") and pot.params[0] == 0.0:
+    (standing-wave degeneracy), in closed form; None when no root exists
+    (a polynomial's roots are sought on (0, A_MAX])."""
+    bd = block_data(cfg, pot, 0.0, k)    # alpha_k and gamma_k do not depend on a
+    if pot.kind == "polynomial":
+        return Thresholds(*(_polynomial_root(pot.params, bd.alpha, t)
+                            for t in (1.0, bd.gamma)))
+    if pot.params[0] == 0.0:
         return Thresholds(a_hopf=None, a_gamma=None)   # phi_k = 0 for every a
-    if pot.kind == "cubic":
-        c = pot.params[0]
-        a_hopf = _cubic_root(alpha, c, 1.0)
-        a_gamma = _cubic_root(alpha, c, gamma)
-    elif pot.kind == "saturable":
-        c = pot.params[0]
-        a_hopf = _saturable_root(alpha, c, 1.0)
-        a_gamma = _saturable_root(alpha, c, gamma)
-    else:
-        a_hopf = threshold_by_bisection(cfg, pot, k, 1.0)
-        a_gamma = threshold_by_bisection(cfg, pot, k, gamma)
-    return Thresholds(a_hopf=a_hopf, a_gamma=a_gamma)
+    root = _cubic_root if pot.kind == "cubic" else _saturable_root
+    return Thresholds(*(root(bd.alpha, pot.params[0], t) for t in (1.0, bd.gamma)))
+
+
+def _polynomial_root(coeffs: tuple, alpha: float,
+                     target: float) -> Optional[float]:
+    # phi(a) = target  <=>  s V''(s) - target alpha / 2 = 0 in s = a^2; on
+    # target = 0 that is V''(s) = 0, so the root s = 0 is never computed.
+    poly = np.polynomial.polynomial
+    p = poly.polyder(coeffs, 2)
+    if target * alpha != 0.0:
+        p = poly.polymulx(p)
+        p[0] = -0.5 * target * alpha
+    # In t = s / A_MAX^2 the window is (0, 1]; top terms below roundoff there
+    # only add far roots that spoil the small ones, so they are trimmed. Each
+    # root takes Newton steps kept only where they lower |q| (they can jump
+    # off a double root, which splits by ~sqrt(eps) into |Im t| <~ 1e-8 t).
+    with np.errstate(all="ignore"):
+        q = p * (A_MAX * A_MAX) ** np.arange(len(p))
+        if not np.isfinite(q).all():
+            raise DnlsRingError(f"thresholds: s V''(s) overflows on (0, {A_MAX:g}^2]")
+        t = poly.polyroots(poly.polytrim(q, np.finfo(float).eps * np.abs(q).max()))
+        for _ in range(3):
+            new = t - poly.polyval(t, q) / poly.polyval(t, poly.polyder(q))
+            t = np.where(abs(poly.polyval(new, q)) < abs(poly.polyval(t, q)), new, t)
+    t = t.real[(np.abs(t.imag) <= ROOT_IMAG_TOL * np.abs(t))
+               & (t.real > 0.0) & (t.real <= 1.0)]
+    return float(A_MAX * np.sqrt(t.min())) if t.size else None
 
 
 def _cubic_root(alpha: float, c: float, target: float) -> Optional[float]:

@@ -24,7 +24,7 @@ from .bifurcation import (_enumerate, amplitude_thresholds,
 from .continuation import ContinuationOptions, continue_branch, extrapolate_onset
 from .errors import ConfigError, DnlsRingError
 from .lattice import LatticeConfig, Potential, make_standing_wave
-from .spectral import alpha_beta, block_data, classify_stability, full_spectrum
+from .spectral import block_data, classify_stability, full_spectrum
 from .symmetry import embed_reduced
 from .verify import (closure_error, integrate, invariant_drift,
                      spatial_period_error, traveling_wave_error)
@@ -225,9 +225,9 @@ def cmd_spectrum(config: RunConfig) -> None:
                 bd.nu_plus.real, bd.nu_plus.imag,
                 bd.nu_minus.real, bd.nu_minus.imag]
 
-    # k = 1..n-1 from one array call; k = n has no phi, gamma or onset
+    # k = 1..n-1 from one array call; k = n: alpha = beta = +0, no phi or onset
     rows = list(zip(*columns(block_data(cfg, pot, a, np.arange(1, cfg.n)))))
-    rows.append([cfg.n, *alpha_beta(cfg, cfg.n), None, None, 0.0, 0.0, 0.0, 0.0])
+    rows.append([cfg.n, 0.0, 0.0, None, None, 0.0, 0.0, 0.0, 0.0])
     write_csv(config.out_dir / "spectrum.csv",
               ["k", "alpha", "beta", "phi", "gamma",
                "nu_plus_re", "nu_plus_im", "nu_minus_re", "nu_minus_im"], rows)

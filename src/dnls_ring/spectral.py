@@ -1,8 +1,8 @@
 """Fourier-block diagonalization of the equilibrium Hessian and stability.
 
 The 2x2 blocks carry alpha_k, beta_k, phi_k, gamma_k and the onset
-frequencies nu_k^+/-; the dense eigensolver on J D^2H(a_m) is kept as an
-independent brute-force oracle (it never uses the block structure).
+frequencies nu_k^+/-, which stability is read from; the dense eigensolver on
+J D^2H(a_m) is an independent brute-force oracle (no block structure).
 """
 
 from __future__ import annotations
@@ -11,7 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DnlsRingError
 from .lattice import J_SIGNS, LatticeConfig, Potential, hessian_at_equilibrium
+
+# Growth |Im nu_k^+/-| up to this times max(1, max_k |alpha_k|) is none: at
+# the 1:1 collision phi_k = 1, 1 - phi_k is roundoff and the growth reads
+# ~|alpha_k| sqrt(eps), so the collision is stable, as in the dense spectrum.
+GROWTH_TOL = 10.0 * np.sqrt(np.finfo(float).eps)
 
 
 def alpha_beta(cfg: LatticeConfig, k) -> tuple:
@@ -44,14 +50,16 @@ def block_data(cfg: LatticeConfig, pot: Potential, a: float, k) -> BlockData:
 
     k is one mode or an integer array of modes in 1..n-1 (alpha_n = 0 leaves
     k = n without phi, gamma or onsets); one mode and the same mode inside an
-    array give the same bits."""
+    array give the same bits. gamma_k = 0 exactly for k = +/-2m mod n, where
+    alpha^2 - beta^2 = 16 sin^2(k zeta/2) sin((k+2m) zeta/2) sin((k-2m) zeta/2)."""
     k = np.asarray(k)
     if np.any((k < 1) | (k >= cfg.n)):
         raise ValueError(f"modes must be in 1..n-1, got {k}")
     d = 2.0 * a * a * pot(a * a, 2)
     alpha, beta = alpha_beta(cfg, k)
     phi = d / alpha
-    gamma = 1.0 - np.square(beta / alpha)
+    zero = ((k - 2 * cfg.m) % cfg.n == 0) | ((k + 2 * cfg.m) % cfg.n == 0)
+    gamma = np.where(zero, 0.0, 1.0 - np.square(beta / alpha))[()]
     root = np.sqrt((alpha * alpha * (1.0 - phi)).astype(complex))
     return BlockData(k[()], alpha, beta, phi, gamma, beta + root, beta - root)
 
@@ -63,11 +71,7 @@ def full_spectrum(cfg: LatticeConfig, pot: Potential, a: float) -> np.ndarray:
     symmetry makes the double zero eigenvalue defective for a > 0, so the QR
     iteration splits it by ~sqrt(machine eps) times the matrix scale.
     """
-    return _jacobian_eigvals(hessian_at_equilibrium(cfg, pot, a))
-
-
-def _jacobian_eigvals(H: np.ndarray) -> np.ndarray:
-    """Eigenvalues of J H, J applied to the row pairs of H."""
+    H = hessian_at_equilibrium(cfg, pot, a)
     JH = H.reshape(-1, 2, len(H))[:, ::-1] * J_SIGNS[:, None]
     return np.linalg.eigvals(JH.reshape(H.shape))
 
@@ -78,8 +82,9 @@ class StabilityVerdict:
 
     `covered` is the analytic criterion (sigma < 0, or sigma > 0 and
     phi_1 < 1): True where it proves stability, False in the regime it does
-    not decide, where `empirical_stable` (from the dense spectrum oracle) is
-    the only answer reported.
+    not decide. `max_real_part` is the largest growth |Im nu_k^+/-| of the
+    block table over k = 1..n-1 (k = n is the gauge zero), `empirical_stable`
+    reads it against GROWTH_TOL; the dense spectrum is only their oracle.
     """
 
     sigma: int
@@ -92,22 +97,22 @@ class StabilityVerdict:
 def classify_stability(cfg: LatticeConfig, pot: Potential,
                        a: float) -> StabilityVerdict:
     v2 = pot(a * a, 2)
+    bd = block_data(cfg, pot, a, np.arange(1, cfg.n))
+    if not np.isfinite(bd.nu_plus).all():
+        raise DnlsRingError(f"block table at a = {a:g} is not finite: a^2 = "
+                            f"{a * a:.3e}, V''(a^2) = {v2:.3e}")
     # sgn(V'') for m < n/4 (the m = 0 case extends the same cos(m zeta) > 0
     # sign rule), flipped for m > n/4; m = n/4 is excluded by LatticeConfig.
     sign = int(np.sign(v2))
     sigma = sign if 4 * cfg.m < cfg.n else -sign
-    phi_1 = block_data(cfg, pot, a, 1).phi
+    phi_1 = bd.phi[0]
     covered = sigma < 0 or (sigma > 0 and phi_1 < 1.0)
-    H = hessian_at_equilibrium(cfg, pot, a)
-    max_re = float(np.abs(_jacobian_eigvals(H).real).max())
-    # The solver splits the defective gauge zero by ~sqrt(eps) ||J D^2H||. J
-    # only permutes and negates rows, so ||J D^2H||_inf = ||D^2H||_inf, and
-    # that bounds the 2-norm too (J orthogonal, D^2H symmetric).
-    split = 10.0 * np.sqrt(np.finfo(float).eps) * np.linalg.norm(H, np.inf)
+    growth = float(np.abs(bd.nu_plus.imag).max())     # Im nu^- = -Im nu^+
+    tol = GROWTH_TOL * max(1.0, float(np.abs(bd.alpha).max()))
     return StabilityVerdict(
         sigma=sigma,
         covered=bool(covered),
         phi_1=float(phi_1),
-        max_real_part=max_re,
-        empirical_stable=bool(max_re <= split),
+        max_real_part=growth,
+        empirical_stable=bool(growth <= tol),
     )

@@ -6,7 +6,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from dnls_ring import (ConvergenceError, ResonanceRecord, ResonanceReport,
-                       alpha_beta, block_data, hessian, rotating_rhs)
+                       alpha_beta, block_data, full_spectrum, hessian,
+                       hessian_at_equilibrium, rotating_rhs)
 from dnls_ring.bifurcation import L_MAX_CAP
 from dnls_ring.lattice import rot
 from dnls_ring.verify import MIDPOINT_MAX_ITER, MIDPOINT_TOL
@@ -116,6 +117,17 @@ def block_basis(cfg, k, z):
 def block_table(cfg, pot, a):
     """block_data of k = 1..n-1, the table the guards read."""
     return block_data(cfg, pot, a, np.arange(1, cfg.n))
+
+
+def dense_verdict(cfg, pot, a) -> tuple:
+    """(max |Re lambda|, stable) of the dense spectrum of J D^2H(a_m), the
+    oracle of classify_stability. The solver splits the defective gauge zero
+    by ~sqrt(eps) ||J D^2H||, and J only permutes and negates rows, so
+    10 sqrt(eps) ||D^2H||_inf bounds the split."""
+    max_re = float(np.abs(full_spectrum(cfg, pot, a).real).max())
+    H = hessian_at_equilibrium(cfg, pot, a)
+    split = 10.0 * np.sqrt(np.finfo(float).eps) * np.linalg.norm(H, np.inf)
+    return max_re, max_re <= split
 
 
 def block_matrices(cfg, pot, a, k):

@@ -4,16 +4,20 @@ the vector field of the whole lattice on a loop, evaluated by time-domain
 collocation, which the site-0 residual and the group equivariance are
 checked against; and the dense cos/sin-matrix forms of the reduced residual,
 its Jacobian and the SVD onset kernel, which the Fourier forms are checked
-against."""
+against; and the scan-plus-brentq threshold search, which the closed-form
+and companion-matrix thresholds are checked against."""
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
+from dnls_ring.bifurcation import A_MAX
 from dnls_ring.continuation import KERNEL_RTOL, ReducedSystem
 from dnls_ring.lattice import (J_SIGNS, LatticeConfig, Potential,
                                StandingWave, gradient, onsite_blocks, rot)
+from dnls_ring.spectral import block_data
 from dnls_ring.symmetry import LatticeLoop
 
 R2 = np.array([[1.0, 0.0], [0.0, -1.0]])   # the reflection kappa on a site
@@ -140,3 +144,26 @@ def svd_kernel(cfg: LatticeConfig, pot: Potential, sw: StandingWave, k: int,
     if tangent[np.argmax(np.abs(tangent))] < 0:
         tangent = -tangent
     return int((svals < KERNEL_RTOL * svals[0]).sum()), tangent
+
+
+SCAN_SAMPLES = 4096
+
+
+def threshold_by_bisection(cfg: LatticeConfig, pot: Potential, k: int,
+                           target: float) -> Optional[float]:
+    """Smallest root of phi_k(a) = target on (0, A_MAX], for any potential:
+    phi_k is evaluated on SCAN_SAMPLES equal steps at once, and the first
+    zero or sign change is refined by brentq. Two roots inside one step
+    cancel and are missed."""
+    def g(a):
+        return block_data(cfg, pot, a, k).phi - target
+
+    grid = np.linspace(0.0, A_MAX, SCAN_SAMPLES + 1)[1:]
+    sign = np.sign(g(grid))
+    hits = np.flatnonzero((sign[:-1] == 0) | (sign[:-1] * sign[1:] < 0))
+    if not hits.size:
+        return None
+    i = hits[0]
+    if sign[i] == 0:
+        return float(grid[i])
+    return float(brentq(g, grid[i], grid[i + 1], xtol=1e-14, rtol=1e-15))

@@ -10,8 +10,10 @@ from dnls_ring import (BlockData, DegenerateAmplitudeError, LatticeConfig, Poten
                        amplitude_thresholds, block_data, check_nondegenerate,
                        check_nonresonant, classify_stability,
                        enumerate_bifurcations)
-from dnls_ring.bifurcation import _regime, threshold_by_bisection
-from helpers import block_table, loop_resonances
+from dnls_ring.bifurcation import A_MAX, ROOT_IMAG_TOL, _regime
+from dnls_ring.spectral import alpha_beta
+from helpers import block_table, dense_verdict, loop_resonances
+from oracles import SCAN_SAMPLES, threshold_by_bisection
 
 
 CFG = LatticeConfig(6, 1)
@@ -123,10 +125,13 @@ def test_resonance_labels_follow_table_modes():
 
 
 def test_zero_coefficient_has_no_thresholds():
-    # c = 0 makes phi_k vanish for every a
-    for pot in (Potential.cubic(0.0), Potential.saturable(0.0)):
-        th = amplitude_thresholds(CFG, pot, 1)
-        assert th.a_hopf is None and th.a_gamma is None
+    # c = 0 or V'' = 0 makes phi_k vanish for every a, so phi_k = gamma_k = 0
+    # on k = 2, 4 holds everywhere and has no smallest root
+    for pot in (Potential.cubic(0.0), Potential.saturable(0.0),
+                Potential.polynomial([0.0, 1.0])):
+        for k in range(1, 6):
+            th = amplitude_thresholds(CFG, pot, k)
+            assert th.a_hopf is None and th.a_gamma is None
 
 
 def test_enumeration_fixture():
@@ -246,6 +251,75 @@ def test_polynomial_threshold_by_bisection():
     th = amplitude_thresholds(CFG, pot, 1)
     if th.a_hopf is not None:
         assert block_data(CFG, pot, th.a_hopf, 1).phi == pytest.approx(1.0, abs=1e-8)
+
+
+def collision_quadratic(total, prod):
+    """V(s) = v2 s^2 + v3 s^3 on n = 6, m = 1 with 2 s V''(s) - alpha_1 =
+    12 v3 (s^2 - total s + prod): phi_1(a) = 1 where s = a^2 solves
+    s^2 - total s + prod = 0."""
+    alpha, _ = alpha_beta(CFG, 1)
+    v3 = -alpha / (12.0 * prod)
+    return Potential.polynomial([0.0, 0.0, -3.0 * v3 * total, v3])
+
+
+def test_close_root_pair_is_found():
+    # a = 0.5 and 0.5002 lie inside one step of the scan, whose sign test
+    # sees no change; the companion roots are s = 0.25 and 0.5002^2
+    s1, s2 = 0.25, 0.5002 ** 2
+    pot = collision_quadratic(s1 + s2, s1 * s2)
+    assert amplitude_thresholds(CFG, pot, 1).a_hopf == pytest.approx(0.5, rel=1e-14)
+    assert threshold_by_bisection(CFG, pot, 1, 1.0) is None
+
+
+def test_tangent_root_is_decided_by_imaginary_tolerance():
+    # phi_1 touches 1 at a = 0.5: a double root splits by ~sqrt(eps) and is
+    # kept; a complex pair s = 1/4 +/- i delta is kept below ROOT_IMAG_TOL
+    # and dropped above it
+    s0 = 0.25
+    for delta, found in ((0.0, True), (0.1 * ROOT_IMAG_TOL * s0, True),
+                         (100.0 * ROOT_IMAG_TOL * s0, False)):
+        pot = collision_quadratic(2.0 * s0, s0 * s0 + delta * delta)
+        a_hopf = amplitude_thresholds(CFG, pot, 1).a_hopf
+        if found:
+            assert a_hopf == pytest.approx(0.5, rel=1e-7), delta
+        else:
+            assert a_hopf is None and block_data(CFG, pot, 0.5, 1).phi < 1.0
+
+
+# Subnormal coefficients are left out: the scan oracle's phi_k underflows to
+# 0 on them, and it reports its first grid point as a root.
+ORACLE_POTENTIALS = st.one_of(
+    st.sampled_from([CUBIC, Potential.cubic(-1.0), Potential.saturable(1.0),
+                     Potential.saturable(-1.0)]),
+    st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=3, max_size=5)
+    .filter(lambda c: any(c[2:])).map(Potential.polynomial))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(ring=RINGS, pot=ORACLE_POTENTIALS, a=st.floats(0.0, 1.5))
+def test_block_forms_match_brute_force_oracles(ring, pot, a):
+    # the block verdict against the dense spectrum away from the collision;
+    # every threshold solves phi_k = target to 1e-12 of the size of the terms
+    # phi_k sums (phi_k of the potential with |coefficients|), and equals the
+    # scan-plus-brentq root wherever the scan finds one above its first grid
+    # point (a root below it is invisible to the scan)
+    cfg = LatticeConfig(*ring)
+    bd = block_table(cfg, pot, a)
+    if np.abs(bd.phi - 1.0).min() >= 1e-6:
+        assert (classify_stability(cfg, pot, a).empirical_stable
+                == dense_verdict(cfg, pot, a)[1])
+    absolute = Potential(pot.kind, tuple(np.abs(pot.params)))
+    for k, gamma in zip(bd.k.tolist(), bd.gamma):
+        th = amplitude_thresholds(cfg, pot, k)
+        for root, target in ((th.a_hopf, 1.0), (th.a_gamma, gamma)):
+            scan = threshold_by_bisection(cfg, pot, k, target)
+            if root is not None:
+                event("root")
+                size = max(1.0, abs(block_data(cfg, absolute, root, k).phi))
+                assert abs(block_data(cfg, pot, root, k).phi - target) <= 1e-12 * size
+            below_grid = root is not None and root < A_MAX / SCAN_SAMPLES
+            if scan is not None and not below_grid:
+                assert root == pytest.approx(scan, rel=1e-12)
 
 
 def test_stability_flip_at_threshold():

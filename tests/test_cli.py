@@ -203,6 +203,11 @@ def test_thresholds_table(tmp_path):
     table = {int(r[0]): r for r in rows}
     assert float(table[1][1]) == pytest.approx(0.5, abs=1e-10)
     assert table[1][2] == ""          # gamma_1 < 0, no root for c > 0
+    # k = 2 and k = 4 = n - 2 mirror each other: gamma_k = 0 exactly on both
+    # (k = +/-2m mod n), so neither has a root, and the collision amplitudes
+    # agree up to the roundoff of alpha_k
+    assert table[2][2] == table[4][2] == ""
+    assert float(table[2][1]) == pytest.approx(float(table[4][1]), rel=1e-15)
 
 
 def test_bifurcations_table(tmp_path):
@@ -228,6 +233,19 @@ def test_overflowing_amplitude_exits_3(tmp_path, command):
     doc = dict(BASE, lattice={"n": 6, "m": 3}, amplitude=1e300)
     assert main([command, "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("coefficients", [[0.0, 1.0], [1e308]])
+def test_polynomial_stability_overflow_exits_3(tmp_path, capsys, coefficients):
+    # a^2 overflows and V''(a^2) reads NaN: the block table is not finite
+    doc = dict(BASE, potential={"kind": "polynomial",
+                                "coefficients": coefficients}, amplitude=1e160)
+    assert main(["stability", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure in 'stability': block table" in err
+    assert "Traceback" not in err
 
 
 def test_continue_and_verify_round_trip(tmp_path):
@@ -427,8 +445,8 @@ def test_readme_library_sketch_runs():
 
 
 # One fresh interpreter: the scipy modules loaded after the import and after
-# each command, and the numpy.fft modules loaded by the import, printed as the
-# last line of JSON.
+# each command (polynomial thresholds before verify, which loads LAPACK), and
+# the numpy.fft modules loaded by the import, printed as the last line of JSON.
 COLD_START = """
 import json, sys
 import dnls_ring, dnls_ring.cli
@@ -439,25 +457,26 @@ def scipy_modules():
 config, polynomial, out = sys.argv[1:]
 seen = {"import": [0, scipy_modules()],
         "numpy.fft": sorted(m for m in sys.modules if m.startswith("numpy.fft"))}
-for command in ["spectrum", "stability", "thresholds", "bifurcations",
-                "continue", "verify"]:
-    code = dnls_ring.cli.main([command, "--config", config, "--out", out])
-    seen[command] = [code, scipy_modules()]
-code = dnls_ring.cli.main(["thresholds", "--config", polynomial,
-                           "--out", out + "/polynomial"])
-seen["polynomial"] = [code, scipy_modules()]
+runs = [(command, command, config, out) for command in
+        ["spectrum", "stability", "thresholds", "bifurcations", "continue"]]
+runs += [("polynomial", "thresholds", polynomial, out + "/polynomial"),
+         ("verify", "verify", config, out)]
+for stage, command, path, where in runs:
+    code = dnls_ring.cli.main([command, "--config", path, "--out", where])
+    seen[stage] = [code, scipy_modules()]
 print(json.dumps(seen))
 """
 
 # thresholds.csv of the README config on V(s) = s + s^2/2 - s^3/20: every
-# entry comes from brentq, and these bits predate its deferred import.
+# entry is a companion-matrix root of 2 s V''(s) = target alpha_k, and on
+# k = 2, 4 (gamma_k = 0) a root of V''(s) = 0.
 POLYNOMIAL_THRESHOLDS = """\
 k,a_hopf,a_gamma\r
 1,0.52175980020491619,2.1771192324792326\r
 2,1.0675300417187037,1.8257418583505536\r
 3,,\r
-4,1.0675300417187039,1.8257418583505531\r
-5,0.52175980020491664,2.1771192324792321\r
+4,1.0675300417187041,1.8257418583505536\r
+5,0.52175980020491664,2.1771192324792326\r
 """
 
 
@@ -477,12 +496,10 @@ def test_cold_start_loads_scipy_only_where_needed(tmp_path):
     seen = json.loads(run.stdout.splitlines()[-1])
     assert seen["numpy.fft"] == []
     for stage in ["import", "spectrum", "stability", "thresholds",
-                  "bifurcations", "continue"]:
+                  "bifurcations", "continue", "polynomial"]:
         assert seen[stage] == [0, []], stage
     code, loaded = seen["verify"]
     assert code == 0
     assert "scipy.linalg.lapack" in loaded and "scipy.optimize" not in loaded
-    code, loaded = seen["polynomial"]
-    assert code == 0 and "scipy.optimize" in loaded
     assert ((tmp_path / "polynomial" / "thresholds.csv").read_bytes()
             == POLYNOMIAL_THRESHOLDS.encode())

@@ -13,7 +13,8 @@ from dnls_ring import (BlockData, LatticeConfig, Potential, alpha_beta,
 from dnls_ring.cli import main as cli_main, read_csv
 
 from helpers import (average_clusters, block_basis, block_matrices,
-                     block_table, expected_spectrum, matching_distance)
+                     block_table, dense_verdict, expected_spectrum,
+                     matching_distance)
 
 
 CFG = LatticeConfig(6, 1)
@@ -85,19 +86,21 @@ def test_block_fixture_k3():
 
 def test_block_k_equals_n(tmp_path):
     # alpha_n = 0 leaves no phi, gamma or onset: spectrum.csv's k = n row
-    # carries alpha_n = beta_n = 0 exactly, empty phi/gamma and zero onsets
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({"lattice": {"n": 6, "m": 1},
-                                  "potential": {"kind": "cubic", "c": 1.0},
-                                  "amplitude": 0.2}))
-    assert cli_main(["spectrum", "--config", str(config),
-                     "--out", str(tmp_path)]) == 0
-    _, rows = read_csv(tmp_path / "spectrum.csv")
-    k, alpha, beta, phi, gamma, *onsets = rows[-1]
-    assert int(k) == 6 and len(rows) == 6
-    assert alpha == beta == "0"
-    assert phi == gamma == ""
-    assert [float(v) for v in onsets] == [0.0] * 4
+    # carries alpha_n = beta_n = 0 exactly, empty phi/gamma and zero onsets;
+    # m = 2 has cos(m zeta) < 0, where alpha_n is written as 0, not -0
+    for m in (1, 2):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"lattice": {"n": 6, "m": m},
+                                      "potential": {"kind": "cubic", "c": 1.0},
+                                      "amplitude": 0.2}))
+        assert cli_main(["spectrum", "--config", str(config),
+                         "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "spectrum.csv")
+        k, alpha, beta, phi, gamma, *onsets = rows[-1]
+        assert int(k) == 6 and len(rows) == 6
+        assert alpha == beta == "0", m
+        assert phi == gamma == ""
+        assert onsets == ["0"] * 4
     # alpha_beta reads only k mod n, bit for bit, up to the largest mode l k
     # the reduced system asks for (l <= 256)
     for n in (6, 48, 96):
@@ -232,12 +235,10 @@ def test_stability_fixture_values():
     assert v2.max_real_part > 1e-4
 
 
-def test_empirical_stability_matches_closed_form():
+def test_block_stability_matches_dense_spectrum():
     # Every m for n <= 48, each potential at two amplitudes that alternate
-    # over (n, m) to keep the run short. The dense solver splits the
-    # defective gauge zero by ~sqrt(eps) ||J D^2H||, which a fixed 1e-8
-    # threshold read as growth from n = 3 up. The block table holds the
-    # closed-form nu_k^+/-; at phi_k = 1 they are themselves roundoff.
+    # over (n, m) to keep the run short; the 1:1 collisions phi_k = 1 are
+    # left to test_stability_at_one_to_one_collision.
     amplitudes = [(CUBIC, (0.3, 1.0)), (Potential.cubic(-1.0), (0.5, 1.0)),
                   (Potential.saturable(1.0), (0.5, 1.0))]
     stable = unstable = 0
@@ -248,21 +249,33 @@ def test_empirical_stability_matches_closed_form():
             cfg = LatticeConfig(n, m)
             for pot, amps in amplitudes:
                 a = amps[(n + m) % 2]
-                v = classify_stability(cfg, pot, a)
-                bd = block_table(cfg, pot, a)
-                if np.abs(bd.phi - 1.0).min() < 1e-6:
+                if np.abs(block_table(cfg, pot, a).phi - 1.0).min() < 1e-6:
                     continue
-                growth = max(np.abs(bd.nu_plus.imag).max(),
-                             np.abs(bd.nu_minus.imag).max())
-                case = (n, m, pot, a, v.max_real_part)
-                if growth == 0.0:
-                    assert v.empirical_stable, case
+                v = classify_stability(cfg, pot, a)
+                max_re, dense_stable = dense_verdict(cfg, pot, a)
+                case = (n, m, pot, a, v.max_real_part, max_re)
+                assert v.empirical_stable == dense_stable, case
+                if dense_stable:
+                    assert v.max_real_part == 0.0, case
                     stable += 1
-                elif growth > 1e-4:
-                    assert not v.empirical_stable, case
+                else:
+                    assert v.max_real_part == pytest.approx(max_re, rel=1e-9), case
                     unstable += 1
     assert stable > 500 and unstable > 500
     assert classify_stability(LatticeConfig(48, 13), CUBIC, 0.3).empirical_stable
+
+
+@pytest.mark.parametrize("pot, a", [(Potential.cubic(-1.0), 0.5),
+                                    (Potential.saturable(1.0), 1.0)])
+def test_stability_at_one_to_one_collision(pot, a):
+    # n = 6, m = 2: alpha_1 = -1/2 and 2 a^2 V''(a^2) = -1/2, so phi_1 = 1 up
+    # to roundoff and |Im nu_1| reads ~ sqrt(eps); the collision is stable,
+    # as in the dense spectrum
+    cfg = LatticeConfig(6, 2)
+    v = classify_stability(cfg, pot, a)
+    assert v.phi_1 == pytest.approx(1.0, abs=1e-15)
+    assert 0.0 < v.max_real_part < 1e-7
+    assert v.empirical_stable and dense_verdict(cfg, pot, a)[1]
 
 
 def test_stability_large_wavenumber_and_defocusing():
