@@ -58,10 +58,11 @@ def _section(doc: dict, key: str) -> dict:
     return sec
 
 
-# Size caps. At n = 512 the dense Newton matrix and spectrum are (2n)^2
-# doubles, 8 MiB (each resonance-scan array twice that); at nh = 256 the
-# reduced system's bordered Newton matrix is (2nh + 2)^2 doubles, 2 MiB. At
-# 10^6 steps a trajectory's (steps + 1) x 2n doubles are 96 MB at n = 6.
+# Size caps. At n = 512 the dense spectrum is (2n)^2 doubles, 8 MiB (each
+# resonance-scan array twice that); the midpoint Newton matrix is banded,
+# only 16 x 2n doubles. At nh = 256 the reduced system's bordered Newton
+# matrix is (2nh + 2)^2 doubles, 2 MiB. At 10^6 steps a trajectory's
+# (steps + 1) x 2n doubles are 96 MB at n = 6.
 MAX_SITES = 512
 MAX_TRAJECTORY_STEPS = 1_000_000
 MAX_SWEEP_STEPS = 10_000

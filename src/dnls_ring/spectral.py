@@ -23,10 +23,14 @@ GROWTH_TOL = 10.0 * np.sqrt(np.finfo(float).eps)
 def alpha_beta(cfg: LatticeConfig, k) -> tuple:
     """alpha_k = 4 cos(m zeta) sin^2(k zeta/2) and
     beta_k = 2 sin(m zeta) sin(k zeta), shaped like k (one mode or an array);
-    only k mod n matters, so k = n gives alpha_n = beta_n = 0 exactly."""
-    mz, kz = cfg.angle(cfg.m), cfg.angle(k)
+    only k mod n matters, so k = n gives alpha_n = beta_n = 0 exactly. A mode
+    q = k mod n past n/2 is evaluated at its mirror n - q, with the sign on
+    beta alone, so alpha_{n-k} = alpha_k and beta_{n-k} = -beta_k exactly."""
+    q = k % cfg.n
+    sign = 1 - 2 * (2 * q > cfg.n)    # -1 past n/2: angle(-q) = angle(n - q)
+    mz, kz = cfg.angle(cfg.m), cfg.angle(sign * q)
     alpha = 4.0 * np.cos(mz) * np.square(np.sin(kz / 2.0))
-    beta = 2.0 * np.sin(mz) * np.sin(kz)
+    beta = 2.0 * np.sin(mz) * np.sin(kz) * sign
     return alpha, beta
 
 

@@ -33,21 +33,28 @@ def integrate(cfg: LatticeConfig, pot: Potential, omega: float,
     dt is adjusted to the nearest value dividing T evenly so the grid tiles
     the interval (required downstream for trigonometric interpolation).
     Each step is predicted by extrapolating the last three states (Euler on
-    the first step, linear on the second) and corrected by dense Newton with
+    the first step, linear on the second) and corrected by Newton with
     I + (dt/2) J D^2H at each correction's midpoint, of which only the on-site
-    blocks change.
+    blocks change. Sites are taken in the folded ring order 0, n-1, 1, n-2,
+    ..., where neighbours sit at most two sites apart, so the matrix is
+    banded with 5 sub- and superdiagonals and is solved by banded LU, O(n).
     """
     if not 0 < dt <= T < np.inf:
         raise ValueError("need finite dt > 0 and T >= dt")
-    from scipy.linalg.lapack import dgesv  # here, so the package imports numpy alone
+    from scipy.linalg.lapack import dgbsv  # here, so the package imports numpy alone
     n, nsteps = cfg.n, max(1, int(round(T / dt)))
     dt_used = T / nsteps
     h, j = 0.5 * dt_used, np.arange(n)
-    newton = np.zeros((n, 2, n, 2))
-    newton[j, :, (j + 1) % n, :] = newton[j, :, (j - 1) % n, :] = h * J2
-    newton = newton.reshape(2 * n, 2 * n)
-    rs, cs = newton.strides               # the n diagonal 2x2 blocks, writable
-    onsite = as_strided(newton, (n, 2, 2), (2 * (rs + cs), rs, cs))
+    order = np.where(j % 2, n - 1 - j // 2, j // 2)   # site at each position
+    rows = 2 * np.argsort(order)[:, None] + np.arange(2)   # rows of each site
+    unfold = rows.ravel()                 # folded index of each natural one
+    fold = np.argsort(unfold)             # natural index of each folded one
+    band = np.zeros((16, 2 * n), order="F")   # LAPACK band storage, kl = ku = 5
+    for nb in (j + 1) % n, (j - 1) % n:   # A[r, c] is band[10 + r - c, c]
+        c = rows[nb][:, None, :]
+        band[10 + rows[:, :, None] - c, c] = h * J2
+    rs, cs = band.strides                 # the n diagonal 2x2 blocks, writable
+    onsite = as_strided(band[10:], (n, 2, 2), (2 * cs, rs, cs - rs))
     h_j = h * J_SIGNS[:, None]
     states = np.empty((nsteps + 1, 2 * n))
     states[0] = np.asarray(u0, dtype=float)
@@ -69,13 +76,13 @@ def integrate(cfg: LatticeConfig, pot: Potential, omega: float,
             if np.sqrt(g.dot(g)) <= MIDPOINT_TOL:   # np.linalg.norm(g)
                 break
             # I + h J B_j, J applied to the row pair of each block
-            np.multiply(onsite_blocks(pot, omega, x, s, vp)[:, ::-1], h_j,
-                        out=onsite)
+            blocks = onsite_blocks(pot, omega, x, s, vp).take(order, 0)
+            np.multiply(blocks[:, ::-1], h_j, out=onsite)
             onsite += I2
-            _, _, dv, info = dgesv(newton, g)
+            _, _, dv, info = dgbsv(5, 5, band, g[fold])
             if info:
                 raise np.linalg.LinAlgError("Singular matrix")
-            v = v - dv
+            v = v - dv[unfold]
         else:
             raise ConvergenceError("implicit midpoint solve did not converge")
         states[i + 1] = v

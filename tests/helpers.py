@@ -193,12 +193,42 @@ def reference_midpoint(n, pot, omega, u0, dt, T, tol=1e-13, max_iter=50):
     return np.array(states)
 
 
+def folded_perm(n):
+    """Natural indices of the 2n unknowns with the sites in the folded ring
+    order 0, n-1, 1, n-2, ..., listed by a literal loop."""
+    sites, lo, hi = [], 0, n - 1
+    while lo < hi:
+        sites += [lo, hi]
+        lo, hi = lo + 1, hi - 1
+    if lo == hi:
+        sites.append(lo)
+    return np.array([2 * s + c for s in sites for c in range(2)])
+
+
+def fold_to_band(A, kl=5):
+    """(band, perm): A with rows and columns in the folded order perm, in
+    LAPACK band storage with kl sub- and superdiagonals, A[i, j] at
+    band[2 kl + i - j, j] and the first kl rows zero. A nonzero entry of the
+    folded matrix outside the band raises ValueError."""
+    perm = folded_perm(len(A) // 2)
+    F = A[np.ix_(perm, perm)]
+    i, j = np.indices(F.shape)
+    inside = np.abs(i - j) <= kl
+    if F[~inside].any():
+        raise ValueError("folded matrix is not banded")
+    band = np.zeros((3 * kl + 1, len(F)), order="F")
+    band[2 * kl + i[inside] - j[inside], j[inside]] = F[inside]
+    return band, perm
+
+
 def dense_midpoint(cfg, pot, omega, u0, dt, T):
     """(states, corrections) of the implicit-midpoint stepper that builds the
     whole Newton matrix I + (dt/2) Jbig D^2H from `hessian` and a dense
-    product with diag(J, ..., J) at every correction and solves it with
-    np.linalg.solve. Same predictor, tolerance and cap as `integrate`, so the
-    two agree bit for bit."""
+    product with diag(J, ..., J) at every correction, folds it into band
+    storage and solves it with the banded LU `dgbsv`. Same predictor,
+    tolerance, cap and solver as `integrate`, so the two agree bit for bit."""
+    from scipy.linalg.lapack import dgbsv
+
     def step(u, v, dt, I, Jbig):
         for it in range(MIDPOINT_MAX_ITER):
             mid = 0.5 * (u + v)
@@ -206,7 +236,13 @@ def dense_midpoint(cfg, pot, omega, u0, dt, T):
             if np.linalg.norm(g) <= MIDPOINT_TOL:
                 return v, it
             Jg = I + 0.5 * dt * (Jbig @ hessian(cfg, pot, omega, mid))
-            v = v - np.linalg.solve(Jg, g)
+            band, perm = fold_to_band(Jg)
+            _, _, dv_folded, info = dgbsv(5, 5, band, g[perm])
+            if info:
+                raise np.linalg.LinAlgError("Singular matrix")
+            dv = np.empty_like(dv_folded)
+            dv[perm] = dv_folded
+            v = v - dv
         raise ConvergenceError("implicit midpoint solve did not converge")
 
     nsteps = max(1, int(round(T / dt)))

@@ -204,10 +204,10 @@ def test_thresholds_table(tmp_path):
     assert float(table[1][1]) == pytest.approx(0.5, abs=1e-10)
     assert table[1][2] == ""          # gamma_1 < 0, no root for c > 0
     # k = 2 and k = 4 = n - 2 mirror each other: gamma_k = 0 exactly on both
-    # (k = +/-2m mod n), so neither has a root, and the collision amplitudes
-    # agree up to the roundoff of alpha_k
+    # (k = +/-2m mod n), so neither has a root, and alpha_4 = alpha_2 bit for
+    # bit, so the collision amplitudes are the same bytes
     assert table[2][2] == table[4][2] == ""
-    assert float(table[2][1]) == pytest.approx(float(table[4][1]), rel=1e-15)
+    assert table[2][1] == table[4][1]
 
 
 def test_bifurcations_table(tmp_path):
@@ -469,14 +469,15 @@ print(json.dumps(seen))
 
 # thresholds.csv of the README config on V(s) = s + s^2/2 - s^3/20: every
 # entry is a companion-matrix root of 2 s V''(s) = target alpha_k, and on
-# k = 2, 4 (gamma_k = 0) a root of V''(s) = 0.
+# k = 2, 4 (gamma_k = 0) a root of V''(s) = 0. Mirrored rows k and n - k
+# are the same bytes, as alpha_{n-k} = alpha_k exactly.
 POLYNOMIAL_THRESHOLDS = """\
 k,a_hopf,a_gamma\r
 1,0.52175980020491619,2.1771192324792326\r
 2,1.0675300417187037,1.8257418583505536\r
 3,,\r
-4,1.0675300417187041,1.8257418583505536\r
-5,0.52175980020491664,2.1771192324792326\r
+4,1.0675300417187037,1.8257418583505536\r
+5,0.52175980020491619,2.1771192324792326\r
 """
 
 

@@ -29,6 +29,23 @@ def test_alpha_beta_closed_forms():
         assert beta == pytest.approx(np.sqrt(3.0) * np.sin(k * np.pi / 3), abs=1e-14)
 
 
+@pytest.mark.parametrize("n", [3, 6, 7, 12, 48, 96])
+def test_alpha_beta_mirror_symmetric(n):
+    # modes k and n - k carry the same alpha and opposite beta, bit for bit,
+    # for every m and for k shifted by multiples of n (k = n/2 is its own
+    # mirror, where beta is sin(pi) roundoff, not 0)
+    for m in range(n // 2 + 1):
+        if 4 * m == n:
+            continue
+        k = np.arange(1, n)
+        cfg, k = LatticeConfig(n, m), k[2 * k != n]
+        alpha, beta = alpha_beta(cfg, k)
+        for shift in (0, n, -3 * n):
+            mirror_alpha, mirror_beta = alpha_beta(cfg, n - k + shift)
+            assert np.array_equal(mirror_alpha, alpha)
+            assert np.array_equal(mirror_beta, -beta)
+
+
 def test_block_basis_orthonormality():
     rng = np.random.default_rng(0)
     for n, m in [(5, 1), (6, 1), (7, 3)]:

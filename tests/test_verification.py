@@ -3,11 +3,13 @@ import pytest
 
 from dnls_ring import (ContinuationOptions, LatticeConfig, Potential,
                        Trajectory, closure_error, continue_branch,
-                       embed_reduced, enumerate_bifurcations, integrate,
-                       invariant_drift, make_standing_wave,
-                       spatial_period_error, traveling_wave_error)
+                       embed_reduced, enumerate_bifurcations, hessian,
+                       integrate, invariant_drift, make_standing_wave,
+                       rotating_rhs, spatial_period_error,
+                       traveling_wave_error)
 
-from helpers import dense_midpoint, reference_midpoint
+from helpers import (dense_midpoint, fold_to_band, reference_midpoint,
+                     symplectic_matrix)
 
 
 CFG = LatticeConfig(6, 1)
@@ -195,10 +197,11 @@ POTENTIALS = {"cubic": Potential.cubic(1.0),
 @pytest.mark.parametrize("n", [3, 5, 6, 12, 48, 96])
 @pytest.mark.parametrize("kind", sorted(POTENTIALS))
 def test_integrate_equals_dense_stepper(n, kind):
-    # Refreshing only the on-site blocks, applying J as a row swap and
-    # solving with dgesv reorders no floating-point operation of the dense
-    # stepper, so the states agree exactly, not to a tolerance. 40 steps
-    # cover the Euler, linear and quadratic predictors.
+    # The dense stepper folds the whole matrix it assembles into the same
+    # band and solves it with the same dgbsv, so refreshing only the on-site
+    # blocks and applying J as a row swap must give its states exactly, not
+    # to a tolerance. 40 steps cover the Euler, linear and quadratic
+    # predictors.
     cfg, pot = LatticeConfig(n, 1), POTENTIALS[kind]
     sw = make_standing_wave(cfg, pot, 0.3)
     u0 = sw.equilibrium + 0.1 * np.random.default_rng(n).standard_normal(2 * n)
@@ -216,6 +219,62 @@ def test_branch_orbit_equals_dense_stepper(short_branch):
     states, corrections = dense_midpoint(CFG, CUBIC, SW.omega, u0, 1e-3, T)
     assert np.array_equal(traj.states, states)
     assert traj.newton_iterations == corrections
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 48, 96])
+@pytest.mark.parametrize("kind", sorted(POTENTIALS))
+def test_newton_band_equals_folded_dense_matrix(n, kind, monkeypatch):
+    # Every correction of one step hands dgbsv a band that, unpacked, is the
+    # dense I + (dt/2) Jbig D^2H at that correction's midpoint with rows and
+    # columns in the folded order, entry for entry, and the folded residual.
+    import scipy.linalg.lapack as lapack
+    solve, seen = lapack.dgbsv, []
+
+    def spy(kl, ku, ab, b):
+        seen.append((kl, ku, ab.copy(), b.copy()))
+        return solve(kl, ku, ab, b)
+
+    monkeypatch.setattr(lapack, "dgbsv", spy)
+    cfg, pot, dt = LatticeConfig(n, 0 if n == 4 else 1), POTENTIALS[kind], 0.05
+    sw = make_standing_wave(cfg, pot, 0.3)
+    u = sw.equilibrium + 0.1 * np.random.default_rng(n).standard_normal(2 * n)
+    integrate(cfg, pot, sw.omega, u, dt, dt)
+    v = u + dt * rotating_rhs(cfg, pot, sw.omega, u)
+    I, Jbig = np.eye(2 * n), symplectic_matrix(n)
+    i, j = np.indices((2 * n, 2 * n))
+    inside = np.abs(i - j) <= 5
+    assert len(seen) >= 2
+    for kl, ku, ab, b in seen:
+        mid = 0.5 * (u + v)
+        dense = I + 0.5 * dt * (Jbig @ hessian(cfg, pot, sw.omega, mid))
+        band, perm = fold_to_band(dense)
+        unpacked = np.zeros((2 * n, 2 * n))
+        unpacked[inside] = ab[10 + i[inside] - j[inside], j[inside]]
+        assert (kl, ku, ab.shape) == (5, 5, (16, 2 * n))
+        assert np.array_equal(unpacked, dense[np.ix_(perm, perm)])
+        g = v - u - dt * rotating_rhs(cfg, pot, sw.omega, mid)
+        assert np.array_equal(b, g[perm])
+        dv = np.empty(2 * n)
+        dv[perm] = solve(5, 5, band, b)[2]
+        v = v - dv
+
+
+def test_integrate_memory_is_linear_in_n():
+    # The Newton matrix lives in band storage: two steps at the n = 512 cap
+    # peak below 1 MiB, where one dense (2n)^2 matrix alone is 8 MiB.
+    import tracemalloc
+    cfg = LatticeConfig(512, 1)
+    sw = make_standing_wave(cfg, CUBIC, 0.3)
+    u0 = sw.equilibrium + 0.1 * np.random.default_rng(0).standard_normal(1024)
+    integrate(cfg, CUBIC, sw.omega, u0, 1e-3, 2e-3)   # imports scipy untraced
+    tracemalloc.start()
+    try:
+        traj = integrate(cfg, CUBIC, sw.omega, u0, 1e-3, 2e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == 3 and traj.newton_iterations >= 2
+    assert peak < 2 ** 20
 
 
 def test_singular_newton_matrix_raises():
