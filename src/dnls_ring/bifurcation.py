@@ -68,26 +68,24 @@ class ResonanceReport:
 
 def check_nonresonant(bd: BlockData) -> ResonanceReport:
     """Scan the block table bd for nu_j^+/- = l nu_k^+/- (j != k,
-    1 <= l <= l_max) over every positive candidate onset; flags the 1:1 case
-    phi_k = 1 separately. Records and 1:1 modes are labelled by bd.k.
+    1 <= l <= L_MAX_CAP) over every positive candidate onset; flags the 1:1
+    case phi_k = 1 separately. Records and 1:1 modes are labelled by bd.k.
 
     For nu_k > TOL_RES the window |nu_j - l nu_k| < TOL_RES is narrower than
     2 nu_k, so only l = floor(nu_j / nu_k) and that plus one can fall in it;
-    the scan tests those two per (k, j) pair."""
+    the scan tests those two per (k, j) pair. No l above ceil(nu_j / nu_k)
+    can hit: floor + 1 exceeds it only when nu_j / nu_k is an integer, and
+    then its delta is nu_k > TOL_RES. So L_MAX_CAP is the only bound."""
     nus = np.stack([bd.nu_plus, bd.nu_minus], axis=-1).ravel()
     real = np.abs(nus.imag) <= TOL_RES
     onset = real & (nus.real > TOL_RES)
-    l_max = 1
-    if onset.any():
-        l_max = int(min(L_MAX_CAP,
-                        np.ceil(np.abs(nus).max() / nus.real[onset].min())))
     nu_k = np.where(onset, nus.real, 1.0)[:, None, None]
     nu_j = nus.real[None, :, None]
     l = np.floor(nu_j / nu_k) + np.array([0.0, 1.0])      # (2n-2, 2n-2, 2)
     delta = np.abs(nu_j - l * nu_k)
     mode = np.repeat(np.ravel(bd.k), 2)
     pair = onset[:, None] & real[None, :] & (mode[:, None] != mode[None, :])
-    hit = pair[..., None] & (l >= 1) & (l <= l_max) & (delta < TOL_RES)
+    hit = pair[..., None] & (l >= 1) & (l <= L_MAX_CAP) & (delta < TOL_RES)
     sign = (+1, -1)
     records = [ResonanceRecord(int(mode[i]), sign[i % 2], int(mode[j]),
                                sign[j % 2], int(l[i, j, c]), float(delta[i, j, c]))
@@ -136,20 +134,13 @@ def _enumerate(cfg, pot, a) -> tuple:
     points = []
     for i in np.flatnonzero((regimes == "a") | (regimes == "b")):
         k, regime = int(bd.k[i]), str(regimes[i])
-        points.append(_make_point(k, +1, bd.nu_plus[i].real, regime, res, near[i]))
-        if regime == "b":
-            points.append(_make_point(k, -1, bd.nu_minus[i].real, "b", res, near[i]))
+        for sign, nu in [(+1, bd.nu_plus[i]), (-1, bd.nu_minus[i])][: 1 + (regime == "b")]:
+            # A record nu_j = l nu_k means a bigger (or equal) frequency is resonant
+            # with this onset; the bifurcation is only guaranteed at the biggest one.
+            recs = [r for r in res.records if r.k == k and r.ksign == sign]
+            points.append(BifurcationPoint(k, sign, float(nu.real), regime, recs,
+                                           bool(near[i]), suppressed=bool(recs)))
     return points, res
-
-
-def _make_point(k, sign, nu, regime, res: ResonanceReport, near) -> BifurcationPoint:
-    recs = [r for r in res.records if r.k == k and r.ksign == sign]
-    # A record nu_j = l nu_k means a bigger (or equal) frequency is resonant
-    # with this onset; the bifurcation is only guaranteed at the biggest one.
-    suppressed = bool(recs)
-    return BifurcationPoint(k=k, sign=sign, nu_onset=float(nu), regime=regime,
-                            resonances=recs, near_degenerate=bool(near),
-                            suppressed=suppressed)
 
 
 @dataclass
@@ -158,19 +149,19 @@ class Thresholds:
     a_gamma: Optional[float]   # smallest a > 0 with phi_k(a) = gamma_k
 
 
-def amplitude_thresholds(cfg: LatticeConfig, pot: Potential,
-                         k: int) -> Thresholds:
-    """Amplitudes where phi_k crosses 1 (Hopf collision) and gamma_k
-    (standing-wave degeneracy), in closed form; None when no root exists
-    (a polynomial's roots are sought on (0, A_MAX])."""
-    bd = block_data(cfg, pot, 0.0, k)    # alpha_k and gamma_k do not depend on a
-    if pot.kind == "polynomial":
-        return Thresholds(*(_polynomial_root(pot.params, bd.alpha, t)
-                            for t in (1.0, bd.gamma)))
-    if pot.params[0] == 0.0:
-        return Thresholds(a_hopf=None, a_gamma=None)   # phi_k = 0 for every a
-    root = _cubic_root if pot.kind == "cubic" else _saturable_root
-    return Thresholds(*(root(bd.alpha, pot.params[0], t) for t in (1.0, bd.gamma)))
+def amplitude_thresholds(cfg: LatticeConfig, pot: Potential) -> list:
+    """Thresholds of the modes k = 1..n-1, in order, from one block table at
+    a = 0 (alpha_k and gamma_k do not depend on a): the amplitudes where
+    phi_k crosses 1 (Hopf collision) and gamma_k (standing-wave degeneracy),
+    in closed form; None when no root exists (c = 0 makes phi_k = 0 for every
+    a; a polynomial's roots are sought on (0, A_MAX])."""
+    bd = block_data(cfg, pot, 0.0, np.arange(1, cfg.n))
+    if pot.kind != "polynomial" and pot.params[0] == 0.0:
+        return [Thresholds(a_hopf=None, a_gamma=None) for _ in bd.k]
+    root = {"cubic": _cubic_root, "saturable": _saturable_root,
+            "polynomial": _polynomial_root}[pot.kind]
+    return [Thresholds(*(root(pot.params, alpha, t) for t in (1.0, gamma)))
+            for alpha, gamma in zip(bd.alpha, bd.gamma)]
 
 
 def _polynomial_root(coeffs: tuple, alpha: float,
@@ -199,17 +190,17 @@ def _polynomial_root(coeffs: tuple, alpha: float,
     return float(A_MAX * np.sqrt(t.min())) if t.size else None
 
 
-def _cubic_root(alpha: float, c: float, target: float) -> Optional[float]:
+def _cubic_root(params: tuple, alpha: float, target: float) -> Optional[float]:
     # phi(a) = 2 c a^2 / alpha = target  =>  a = sqrt(target alpha / 2c)
-    val = target * alpha / (2.0 * c)
+    val = target * alpha / (2.0 * params[0])
     if val <= 0.0:
         return None
     return float(np.sqrt(val))
 
 
-def _saturable_root(alpha: float, c: float, target: float) -> Optional[float]:
+def _saturable_root(params: tuple, alpha: float, target: float) -> Optional[float]:
     # phi(a) = -(2c/alpha) (a / (1 + a^2))^2 = target; r = a/(1+a^2) in (0, 1/2]
-    val = -target * alpha / (2.0 * c)
+    val = -target * alpha / (2.0 * params[0])
     if val <= 0.0:
         return None
     r = np.sqrt(val)

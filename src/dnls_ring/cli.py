@@ -24,7 +24,7 @@ from .bifurcation import (_enumerate, amplitude_thresholds,
 from .continuation import ContinuationOptions, continue_branch, extrapolate_onset
 from .errors import ConfigError, DnlsRingError
 from .lattice import LatticeConfig, Potential, make_standing_wave
-from .spectral import block_data, classify_stability, full_spectrum
+from .spectral import _block_table, classify_stability, full_spectrum
 from .symmetry import embed_reduced
 from .verify import (closure_error, integrate, invariant_drift,
                      spatial_period_error, traveling_wave_error)
@@ -220,19 +220,14 @@ def _amplitudes(config: RunConfig) -> np.ndarray:
 def cmd_spectrum(config: RunConfig) -> None:
     cfg, pot = config.lattice, config.potential
     a = _require_amplitude(config)
-
-    def columns(bd):
-        return [bd.k, bd.alpha, bd.beta, bd.phi, bd.gamma,
-                bd.nu_plus.real, bd.nu_plus.imag,
-                bd.nu_minus.real, bd.nu_minus.imag]
-
-    # k = 1..n-1 from one array call; k = n: alpha = beta = +0, no phi or onset
-    rows = list(zip(*columns(block_data(cfg, pot, a, np.arange(1, cfg.n)))))
+    # both checked before any write; k = n: alpha = beta = +0, no phi or onset
+    bd, eig = _block_table(cfg, pot, a), full_spectrum(cfg, pot, a)
+    rows = list(zip(bd.k, bd.alpha, bd.beta, bd.phi, bd.gamma, bd.nu_plus.real,
+                    bd.nu_plus.imag, bd.nu_minus.real, bd.nu_minus.imag))
     rows.append([cfg.n, 0.0, 0.0, None, None, 0.0, 0.0, 0.0, 0.0])
     write_csv(config.out_dir / "spectrum.csv",
               ["k", "alpha", "beta", "phi", "gamma",
                "nu_plus_re", "nu_plus_im", "nu_minus_re", "nu_minus_im"], rows)
-    eig = full_spectrum(cfg, pot, a)
     order = np.lexsort((eig.imag, eig.real))
     write_csv(config.out_dir / "eigenvalues.csv", ["re", "im"],
               [[v.real, v.imag] for v in eig[order]])
@@ -251,12 +246,9 @@ def cmd_stability(config: RunConfig) -> None:
 
 
 def cmd_thresholds(config: RunConfig) -> None:
-    cfg, pot = config.lattice, config.potential
-    rows = []
-    for k in range(1, cfg.n):
-        th = amplitude_thresholds(cfg, pot, k)
-        rows.append([k, th.a_hopf, th.a_gamma])
-    write_csv(config.out_dir / "thresholds.csv", ["k", "a_hopf", "a_gamma"], rows)
+    ths = amplitude_thresholds(config.lattice, config.potential)
+    write_csv(config.out_dir / "thresholds.csv", ["k", "a_hopf", "a_gamma"],
+              [[k, th.a_hopf, th.a_gamma] for k, th in enumerate(ths, start=1)])
 
 
 def _sign_char(sign: int) -> str:

@@ -25,12 +25,14 @@ def alpha_beta(cfg: LatticeConfig, k) -> tuple:
     beta_k = 2 sin(m zeta) sin(k zeta), shaped like k (one mode or an array);
     only k mod n matters, so k = n gives alpha_n = beta_n = 0 exactly. A mode
     q = k mod n past n/2 is evaluated at its mirror n - q, with the sign on
-    beta alone, so alpha_{n-k} = alpha_k and beta_{n-k} = -beta_k exactly."""
+    beta alone, so alpha_{n-k} = alpha_k and beta_{n-k} = -beta_k exactly.
+    beta_k = +0 exactly where 2k or 2m = 0 mod n (sin(pi) is roundoff)."""
     q = k % cfg.n
     sign = 1 - 2 * (2 * q > cfg.n)    # -1 past n/2: angle(-q) = angle(n - q)
     mz, kz = cfg.angle(cfg.m), cfg.angle(sign * q)
     alpha = 4.0 * np.cos(mz) * np.square(np.sin(kz / 2.0))
-    beta = 2.0 * np.sin(mz) * np.sin(kz) * sign
+    zero = (2 * q % cfg.n == 0) | (2 * cfg.m % cfg.n == 0)
+    beta = np.where(zero, 0.0, 2.0 * np.sin(mz) * np.sin(kz) * sign)[()]
     return alpha, beta
 
 
@@ -80,6 +82,16 @@ def full_spectrum(cfg: LatticeConfig, pot: Potential, a: float) -> np.ndarray:
     return np.linalg.eigvals(JH.reshape(H.shape))
 
 
+def _block_table(cfg: LatticeConfig, pot: Potential, a: float) -> BlockData:
+    """block_data of k = 1..n-1 at amplitude a; DnlsRingError naming the block
+    table when it is not finite (a^2, V''(a^2) or 2a^2 V'' overflows)."""
+    bd = block_data(cfg, pot, a, np.arange(1, cfg.n))
+    if not np.isfinite(bd.nu_plus).all():
+        raise DnlsRingError(f"block table at a = {a:g} is not finite: a^2 = "
+                            f"{a * a:.3e}, V''(a^2) = {pot(a * a, 2):.3e}")
+    return bd
+
+
 @dataclass
 class StabilityVerdict:
     """Linear stability of the standing wave.
@@ -101,10 +113,7 @@ class StabilityVerdict:
 def classify_stability(cfg: LatticeConfig, pot: Potential,
                        a: float) -> StabilityVerdict:
     v2 = pot(a * a, 2)
-    bd = block_data(cfg, pot, a, np.arange(1, cfg.n))
-    if not np.isfinite(bd.nu_plus).all():
-        raise DnlsRingError(f"block table at a = {a:g} is not finite: a^2 = "
-                            f"{a * a:.3e}, V''(a^2) = {v2:.3e}")
+    bd = _block_table(cfg, pot, a)
     # sgn(V'') for m < n/4 (the m = 0 case extends the same cos(m zeta) > 0
     # sign rule), flipped for m > n/4; m = n/4 is excluded by LatticeConfig.
     sign = int(np.sign(v2))

@@ -129,8 +129,9 @@ def test_zero_coefficient_has_no_thresholds():
     # on k = 2, 4 holds everywhere and has no smallest root
     for pot in (Potential.cubic(0.0), Potential.saturable(0.0),
                 Potential.polynomial([0.0, 1.0])):
-        for k in range(1, 6):
-            th = amplitude_thresholds(CFG, pot, k)
+        ths = amplitude_thresholds(CFG, pot)
+        assert len(ths) == 5
+        for th in ths:
             assert th.a_hopf is None and th.a_gamma is None
 
 
@@ -213,7 +214,7 @@ def test_hopf_modes_contribute_nothing():
 
 
 def test_cubic_thresholds_closed_form():
-    th = amplitude_thresholds(CFG, CUBIC, 1)
+    th = amplitude_thresholds(CFG, CUBIC)[0]
     assert th.a_hopf == pytest.approx(0.5, abs=1e-12)
     # bisection agrees with the closed form
     root = threshold_by_bisection(CFG, CUBIC, 1, 1.0)
@@ -223,14 +224,14 @@ def test_cubic_thresholds_closed_form():
 
 
 def test_defocusing_cubic_has_no_hopf():
-    th = amplitude_thresholds(CFG, Potential.cubic(-1.0), 1)
+    th = amplitude_thresholds(CFG, Potential.cubic(-1.0))[0]
     assert th.a_hopf is None
 
 
 def test_saturable_no_root_case():
     # m=3: alpha_1 = -1, so the collision needs (a + 1/a)^2 = 2, impossible
     cfg = LatticeConfig(6, 3)
-    th = amplitude_thresholds(cfg, Potential.saturable(1.0), 1)
+    th = amplitude_thresholds(cfg, Potential.saturable(1.0))[0]
     assert th.a_hopf is None
 
 
@@ -238,7 +239,7 @@ def test_saturable_root_matches_bisection():
     # pick a geometry where the saturable collision exists
     cfg = LatticeConfig(6, 3)
     pot = Potential.saturable(4.0)     # (a + 1/a)^2 = 8 has real roots
-    th = amplitude_thresholds(cfg, pot, 1)
+    th = amplitude_thresholds(cfg, pot)[0]
     assert th.a_hopf is not None
     root = threshold_by_bisection(cfg, pot, 1, 1.0)
     assert th.a_hopf == pytest.approx(root, abs=1e-10)
@@ -248,7 +249,7 @@ def test_saturable_root_matches_bisection():
 
 def test_polynomial_threshold_by_bisection():
     pot = Potential.polynomial([0.0, 0.5, 0.25])   # V = x^2/2 + x^3/4 roughly
-    th = amplitude_thresholds(CFG, pot, 1)
+    th = amplitude_thresholds(CFG, pot)[0]
     if th.a_hopf is not None:
         assert block_data(CFG, pot, th.a_hopf, 1).phi == pytest.approx(1.0, abs=1e-8)
 
@@ -267,7 +268,7 @@ def test_close_root_pair_is_found():
     # sees no change; the companion roots are s = 0.25 and 0.5002^2
     s1, s2 = 0.25, 0.5002 ** 2
     pot = collision_quadratic(s1 + s2, s1 * s2)
-    assert amplitude_thresholds(CFG, pot, 1).a_hopf == pytest.approx(0.5, rel=1e-14)
+    assert amplitude_thresholds(CFG, pot)[0].a_hopf == pytest.approx(0.5, rel=1e-14)
     assert threshold_by_bisection(CFG, pot, 1, 1.0) is None
 
 
@@ -279,7 +280,7 @@ def test_tangent_root_is_decided_by_imaginary_tolerance():
     for delta, found in ((0.0, True), (0.1 * ROOT_IMAG_TOL * s0, True),
                          (100.0 * ROOT_IMAG_TOL * s0, False)):
         pot = collision_quadratic(2.0 * s0, s0 * s0 + delta * delta)
-        a_hopf = amplitude_thresholds(CFG, pot, 1).a_hopf
+        a_hopf = amplitude_thresholds(CFG, pot)[0].a_hopf
         if found:
             assert a_hopf == pytest.approx(0.5, rel=1e-7), delta
         else:
@@ -309,8 +310,7 @@ def test_block_forms_match_brute_force_oracles(ring, pot, a):
         assert (classify_stability(cfg, pot, a).empirical_stable
                 == dense_verdict(cfg, pot, a)[1])
     absolute = Potential(pot.kind, tuple(np.abs(pot.params)))
-    for k, gamma in zip(bd.k.tolist(), bd.gamma):
-        th = amplitude_thresholds(cfg, pot, k)
+    for k, gamma, th in zip(bd.k.tolist(), bd.gamma, amplitude_thresholds(cfg, pot)):
         for root, target in ((th.a_hopf, 1.0), (th.a_gamma, gamma)):
             scan = threshold_by_bisection(cfg, pot, k, target)
             if root is not None:

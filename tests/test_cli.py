@@ -1,10 +1,14 @@
 import copy
+import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
-from dnls_ring import ConfigError
+from dnls_ring import ConfigError, block_data
 from dnls_ring.cli import main, parse_config, read_csv
 
 
@@ -227,12 +231,34 @@ def test_degenerate_amplitude_exits_3(tmp_path):
                  "--out", str(tmp_path)]) == 3
 
 
+def nonfinite_cells(root):
+    """(file, row, cell) of every nan or inf cell of the CSVs under root."""
+    bad = []
+    for path in sorted(Path(root).rglob("*.csv")):
+        _, rows = read_csv(path)
+        for i, row in enumerate(rows):
+            for cell in row:
+                try:
+                    if not math.isfinite(float(cell)):
+                        bad.append((path.name, i, cell))
+                except ValueError:          # flags, signs, regimes, blanks
+                    pass
+    return bad
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", ["spectrum", "stability", "bifurcations"])
-def test_overflowing_amplitude_exits_3(tmp_path, command):
+def test_overflowing_amplitude_exits_3(tmp_path, capsys, command):
+    # a^2 overflows: the command exits 3 naming the block table (the
+    # degeneracy guard names its rank-one block) before it writes anything,
+    # so no CSV holds inf or nan
+    stage = "rank-one block" if command == "bifurcations" else "block table"
     doc = dict(BASE, lattice={"n": 6, "m": 3}, amplitude=1e300)
+    out = tmp_path / "out"
     assert main([command, "--config", write_config(tmp_path, doc),
-                 "--out", str(tmp_path)]) == 3
+                 "--out", str(out)]) == 3
+    assert f"numerical failure in '{command}': {stage}" in capsys.readouterr().err
+    assert nonfinite_cells(out) == []
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -436,6 +462,116 @@ def test_mutated_readme_config_exits_0_2_or_3(tmp_path, command, mutations):
         code = main([command, "--config", str(path), "--out", str(tmp_path)])
     event(f"exit {code}")
     assert code in (0, 2, 3)
+
+
+# Extreme finite inputs: magnitudes drawn log-uniformly over [1e-300, 1e300],
+# with either sign where the config allows one.
+MAGNITUDES = st.tuples(st.integers(-300, 299), st.floats(0.0, 1.0)).map(
+    lambda t: 10.0 ** (t[0] + t[1]))
+SIGNED = st.tuples(st.sampled_from([1.0, -1.0]), MAGNITUDES).map(
+    lambda t: t[0] * t[1])
+
+
+@st.composite
+def extreme_configs(draw):
+    n = draw(st.integers(3, 8))
+    m = draw(st.sampled_from([m for m in range(n // 2 + 1) if 4 * m != n]))
+    kind = draw(st.sampled_from(["cubic", "saturable", "polynomial"]))
+    if kind == "polynomial":
+        potential = {"kind": kind,
+                     "coefficients": draw(st.lists(SIGNED, min_size=1, max_size=4))}
+    else:
+        potential = {"kind": kind, "c": draw(SIGNED)}
+    a = draw(MAGNITUDES) if draw(st.integers(0, 7)) else 0.0
+    dt = draw(MAGNITUDES)
+    return {"lattice": {"n": n, "m": m}, "potential": potential,
+            "amplitude": a,
+            "sweep": {"a_min": a, "a_max": 10.0 * a + 1.0,
+                      "steps": draw(st.integers(2, 3))},
+            "mode": draw(st.integers(1, n)), "sign": draw(st.sampled_from("+-")),
+            "continuation": {"n_harmonics": draw(st.integers(1, 3)),
+                             "max_steps": draw(st.integers(1, 3))},
+            "integration": {"dt": dt, "t_final": dt * draw(st.integers(1, 3))},
+            "perturbation": {"scale": draw(st.sampled_from([0.0, 1e-3])),
+                             "seed": 0},
+            "verify_points": 1}
+
+
+def run_in_process(command, doc):
+    """(exit code, stderr, non-finite CSV cells) of one command run in a
+    fresh output directory."""
+    with tempfile.TemporaryDirectory() as work:
+        path = Path(work) / "config.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            code = main([command, "--config", str(path),
+                         "--out", str(Path(work) / "out")])
+        return code, err.getvalue(), nonfinite_cells(Path(work) / "out")
+
+
+def check_extreme_run(command, doc):
+    # non-finite intermediates exit 3 and name the stage: never a traceback,
+    # never an inf or nan cell in a CSV left behind
+    code, err, bad = run_in_process(command, doc)
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    assert bad == [], (code, err)
+    if code == 3:
+        assert f"numerical failure in '{command}': " in err
+    return code
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["spectrum", "stability", "thresholds",
+                                     "bifurcations", "continue", "simulate"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(doc=extreme_configs())
+def test_extreme_inputs_exit_0_2_or_3_with_finite_csv(command, doc):
+    event(f"exit {check_extreme_run(command, doc)}")
+
+
+VERIFY_EXTREMES = [
+    ("huge_amplitude", {"amplitude": 1e300}),
+    ("tiny_amplitude", {"amplitude": 1e-300}),
+    ("huge_c", {"potential": {"kind": "cubic", "c": 1e300}}),
+    ("tiny_negative_c", {"potential": {"kind": "saturable", "c": -1e-300}}),
+    ("huge_polynomial", {"potential": {"kind": "polynomial",
+                                       "coefficients": [0.0, 1.0, -1e300]}}),
+    ("huge_dt", {"integration": {"dt": 1e300}}),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("change", [c for _, c in VERIFY_EXTREMES],
+                         ids=[name for name, _ in VERIFY_EXTREMES])
+def test_verify_extreme_inputs_exit_0_2_or_3_with_finite_csv(change):
+    doc = dict(README_CONFIG, continuation={"n_harmonics": 4, "max_steps": 2},
+               verify_points=1, **change)
+    check_extreme_run("verify", doc)
+
+
+@pytest.mark.parametrize("n", [6, 48])
+@pytest.mark.parametrize("command, tables", [("spectrum", 1), ("thresholds", 1),
+                                             ("bifurcations", 1), ("stability", 4)])
+def test_one_block_table_per_amplitude(tmp_path, monkeypatch, n, command, tables):
+    # every module that binds block_data calls it through a counting wrapper
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return block_data(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "dnls_ring" and getattr(module, "block_data",
+                                                         None) is block_data:
+            monkeypatch.setattr(module, "block_data", counted)
+    doc = dict(BASE, lattice={"n": n, "m": 1}, amplitude=0.3,
+               sweep={"a_min": 0.1, "a_max": 0.4, "steps": 4})
+    assert main([command, "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == tables
+    assert all(np.array_equal(k, np.arange(1, n)) for k in calls)
 
 
 def test_readme_library_sketch_runs():

@@ -32,18 +32,20 @@ def test_alpha_beta_closed_forms():
 @pytest.mark.parametrize("n", [3, 6, 7, 12, 48, 96])
 def test_alpha_beta_mirror_symmetric(n):
     # modes k and n - k carry the same alpha and opposite beta, bit for bit,
-    # for every m and for k shifted by multiples of n (k = n/2 is its own
-    # mirror, where beta is sin(pi) roundoff, not 0)
+    # for every m and for k shifted by multiples of n; k = n/2, its own
+    # mirror, and every k on m = 0 and m = n/2 rings have beta = +0 exactly
     for m in range(n // 2 + 1):
         if 4 * m == n:
             continue
-        k = np.arange(1, n)
-        cfg, k = LatticeConfig(n, m), k[2 * k != n]
+        cfg, k = LatticeConfig(n, m), np.arange(1, n)
         alpha, beta = alpha_beta(cfg, k)
         for shift in (0, n, -3 * n):
             mirror_alpha, mirror_beta = alpha_beta(cfg, n - k + shift)
             assert np.array_equal(mirror_alpha, alpha)
             assert np.array_equal(mirror_beta, -beta)
+        zero = (2 * k == n) | (2 * m % n == 0)
+        assert np.all(beta[~zero] != 0.0)
+        assert np.all(beta[zero] == 0.0) and not np.signbit(beta[zero]).any()
 
 
 def test_block_basis_orthonormality():
@@ -92,13 +94,15 @@ def test_block_fixture_k1():
 
 
 def test_block_fixture_k3():
+    # k = n/2 is its own mirror: beta_3 = 0 exactly, so nu_3^+/- are exact
+    # negatives of each other
     bd = block_data(CFG, CUBIC, 0.2, 3)
     assert bd.alpha == pytest.approx(2.0)
-    assert bd.beta == pytest.approx(0.0, abs=1e-15)
+    assert bd.beta == 0.0
     assert bd.phi == pytest.approx(0.04)
     assert bd.gamma == pytest.approx(1.0)
     assert bd.nu_plus.real == pytest.approx(2.0 * np.sqrt(0.96), abs=1e-12)
-    assert bd.nu_minus.real == pytest.approx(-2.0 * np.sqrt(0.96), abs=1e-12)
+    assert bd.nu_plus == -bd.nu_minus
 
 
 def test_block_k_equals_n(tmp_path):
