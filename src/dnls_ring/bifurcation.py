@@ -206,5 +206,5 @@ def _saturable_root(params: tuple, alpha: float, target: float) -> Optional[floa
     r = np.sqrt(val)
     if r > 0.5:
         return None
-    # a^2 r - a + r = 0, smaller positive root
-    return float((1.0 - np.sqrt(1.0 - 4.0 * r * r)) / (2.0 * r))
+    # a^2 r - a + r = 0, smaller positive root, in a form free of cancellation
+    return float(2.0 * r / (1.0 + np.sqrt(1.0 - 4.0 * r * r)))

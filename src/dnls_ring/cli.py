@@ -48,27 +48,6 @@ class RunConfig:
     snapshot_stride: int
 
 
-def _section(doc: dict, key: str) -> dict:
-    """doc[key] as a JSON object; {} when the key is absent or null."""
-    sec = doc.get(key)
-    if sec is None:
-        return {}
-    if not isinstance(sec, dict):
-        raise ConfigError(f"{key} must be a JSON object, got {type(sec).__name__}")
-    return sec
-
-
-# Size caps. At n = 512 the dense spectrum is (2n)^2 doubles, 8 MiB (each
-# resonance-scan array twice that); the midpoint Newton matrix is banded,
-# only 16 x 2n doubles. At nh = 256 the reduced system's bordered Newton
-# matrix is (2nh + 2)^2 doubles, 2 MiB. At 10^6 steps a trajectory's
-# (steps + 1) x 2n doubles are 96 MB at n = 6.
-MAX_SITES = 512
-MAX_TRAJECTORY_STEPS = 1_000_000
-MAX_SWEEP_STEPS = 10_000
-CONTINUATION_CAPS = {"n_harmonics": 256, "max_steps": 10_000}
-
-
 def _number(v, name: str, *, integer: bool = False, low: float = -np.inf,
             strict: bool = False, high: float = np.inf):
     """v as a finite JSON number (an integer if asked) that is at least low,
@@ -90,89 +69,109 @@ def _number(v, name: str, *, integer: bool = False, low: float = -np.inf,
     return int(v) if integer else float(v)
 
 
-def parse_config(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(doc).__name__}")
-    lat = _section(doc, "lattice")
-    cfg = LatticeConfig(n=_number(lat.get("n"), "lattice.n", integer=True,
-                                  high=MAX_SITES),
-                        m=_number(lat.get("m"), "lattice.m", integer=True))
+def _keys(name: str, **rules) -> tuple:
+    """Section name ('' for the top level) as (name, its key names, defaults,
+    checks), from rules key=(default, _number keywords, or None where
+    parse_config checks the value). A number without a default is required."""
+    return name, rules.keys(), {k: d for k, (d, kw) in rules.items()
+                                if d is not None or kw is None}, [
+        (k, kw, f"{name}.{k}" if name else k)
+        for k, (_, kw) in rules.items() if kw is not None]
 
-    pot_doc = _section(doc, "potential")
-    kind = pot_doc.get("kind")
+
+# Size caps: at n = 512 the dense spectrum is (2n)^2 doubles, 8 MiB, and the
+# banded midpoint Newton matrix 16 x 2n; at nh = 256 the bordered Newton
+# matrix is (2nh + 2)^2 doubles, 2 MiB; 10^6 trajectory steps, 96 MB at n = 6.
+MAX_TRAJECTORY_STEPS = 1_000_000
+_RAW, _COUNT = (None, None), {"integer": True, "low": 1}
+_TOP = _keys("", lattice=_RAW, potential=_RAW, amplitude=_RAW, sweep=_RAW,
+             mode=(1, _COUNT), sign=("+", None), continuation=_RAW,
+             integration=_RAW, perturbation=_RAW, output_dir=(".", None),
+             verify_points=(5, _COUNT), snapshot_stride=(10, _COUNT))
+_LATTICE = _keys("lattice", n=(None, {"integer": True, "high": 512}),
+                 m=(None, {"integer": True}))
+_ONE_PARAMETER = _keys("potential", kind=_RAW, c=(None, {}))  # cubic, saturable
+_POLYNOMIAL = _keys("potential", kind=_RAW, coefficients=_RAW)
+_SWEEP = _keys("sweep", a_min=(None, {"low": 0.0}), a_max=_RAW,
+               steps=(None, {"integer": True, "low": 2, "high": 10_000}))
+_CONTINUATION = _keys("continuation", n_harmonics=(
+    ContinuationOptions.n_harmonics, dict(_COUNT, high=256)), max_steps=(
+    ContinuationOptions.max_steps, dict(_COUNT, high=10_000)))
+_INTEGRATION = _keys("integration", dt=(1e-3, {"low": 0.0, "strict": True}),
+                     t_final=_RAW, periods=(1, _COUNT))
+_PERTURBATION = _keys("perturbation", scale=(0.0, {}),
+                      seed=(0, {"integer": True, "low": 0}))
+
+
+def _section(sec, keys: tuple) -> dict:
+    """sec, a JSON object (null reads as {} below the top level), checked
+    against keys, defaults filled in; an empty one is the shared defaults."""
+    name, names, values, checks = keys
+    if sec is None and name and len(values) == len(names):  # none required
+        return values
+    if not isinstance(sec, dict) and (sec is not None or not name):
+        raise ConfigError(f"{name or 'config'} must be a JSON object, "
+                          f"got {type(sec).__name__}")
+    if sec:
+        if not sec.keys() <= names:
+            key = next(key for key in sec if key not in names)
+            raise ConfigError(f"{name}{name and '.'}{key} is not a setting; "
+                              f"{name or 'config'} takes {', '.join(names)}")
+        values = {**values, **sec}
+    for key, kw, full_name in checks:
+        if sec and key in sec or key not in values:     # given, or required
+            values[key] = _number(values.get(key), full_name, **kw)
+    return values
+
+
+def parse_config(doc: dict) -> RunConfig:
+    top = _section(doc, _TOP)
+    cfg = LatticeConfig(**_section(top["lattice"], _LATTICE))
+    pot = top["potential"]
+    kind = pot.get("kind") if isinstance(pot, dict) else None
     if kind in ("cubic", "saturable"):
-        pot = Potential(kind, (_number(pot_doc.get("c"), "potential.c"),))
+        pot = Potential(kind, (_section(pot, _ONE_PARAMETER)["c"],))
     elif kind == "polynomial":
-        coeffs = pot_doc.get("coefficients")
+        coeffs = _section(pot, _POLYNOMIAL)["coefficients"]
         if not isinstance(coeffs, list) or not coeffs:
             raise ConfigError("polynomial potential requires a non-empty list "
                               f"'coefficients', got {coeffs!r}")
         pot = Potential.polynomial([_number(c, "potential.coefficients")
                                     for c in coeffs])
-    else:
+    else:   # first a non-object, or a key that no kind takes
+        _section(pot, _keys("potential", kind=_RAW, c=_RAW, coefficients=_RAW))
         raise ConfigError(f"unknown potential kind {kind!r}")
 
-    amplitude = doc.get("amplitude")
+    amplitude, sweep = top["amplitude"], top["sweep"]
     if amplitude is not None:
         amplitude = _number(amplitude, "amplitude", low=0.0)
-    sweep = None
-    if doc.get("sweep") is not None:
-        sw = _section(doc, "sweep")
-        a_min = _number(sw.get("a_min"), "sweep.a_min", low=0.0)
-        sweep = (a_min,
-                 _number(sw.get("a_max"), "sweep.a_max", low=a_min, strict=True),
-                 _number(sw.get("steps"), "sweep.steps", integer=True, low=2,
-                         high=MAX_SWEEP_STEPS))
-
-    sign_str = str(doc.get("sign", "+"))
-    if sign_str not in ("+", "-"):
-        raise ConfigError(f"sign must be '+' or '-', got {sign_str!r}")
-
-    cont = _section(doc, "continuation")
-    for key in cont:
-        if key not in CONTINUATION_CAPS:
-            raise ConfigError(f"continuation.{key} is not a setting; the "
-                              "block takes n_harmonics and max_steps only")
-    options = ContinuationOptions(**{
-        key: _number(v, f"continuation.{key}", integer=True, low=1,
-                     high=CONTINUATION_CAPS[key])
-        for key, v in cont.items()})
-
-    integ = _section(doc, "integration")
-    dt = _number(integ.get("dt", 1e-3), "integration.dt", low=0.0, strict=True)
-    t_final = integ.get("t_final")
+    if sweep is not None:
+        sw = _section(sweep, _SWEEP)
+        sweep = (sw["a_min"], _number(sw["a_max"], "sweep.a_max", strict=True,
+                                      low=sw["a_min"]), sw["steps"])
+    sign = str(top["sign"])
+    if sign not in ("+", "-"):
+        raise ConfigError(f"sign must be '+' or '-', got {sign!r}")
+    options = ContinuationOptions(**_section(top["continuation"],
+                                             _CONTINUATION))
+    integ = _section(top["integration"], _INTEGRATION)
+    dt, t_final = integ["dt"], integ["t_final"]
     if t_final is not None:
         t_final = _number(t_final, "integration.t_final", low=dt)
         if t_final / dt > MAX_TRAJECTORY_STEPS:
             raise ConfigError("integration.t_final / integration.dt is over "
                               f"{MAX_TRAJECTORY_STEPS} steps")
-    pert = _section(doc, "perturbation")
-    out_dir = doc.get("output_dir", ".")
+    pert = _section(top["perturbation"], _PERTURBATION)
+    out_dir = top["output_dir"]
     if not isinstance(out_dir, str):
         raise ConfigError(f"output_dir must be a string, got {out_dir!r}")
     return RunConfig(
-        lattice=cfg,
-        potential=pot,
-        amplitude=amplitude,
-        sweep=sweep,
-        mode=_number(doc.get("mode", 1), "mode", integer=True, low=1),
-        sign=+1 if sign_str == "+" else -1,
-        options=options,
-        dt=dt,
-        periods=_number(integ.get("periods", 1), "integration.periods",
-                        integer=True, low=1),
-        t_final=t_final,
-        perturbation={
-            "scale": _number(pert.get("scale", 0.0), "perturbation.scale"),
-            "seed": _number(pert.get("seed", 0), "perturbation.seed",
-                            integer=True, low=0),
-        } if pert else None,
-        out_dir=Path(out_dir),
-        verify_points=_number(doc.get("verify_points", 5), "verify_points",
-                              integer=True, low=1),
-        snapshot_stride=_number(doc.get("snapshot_stride", 10),
-                                "snapshot_stride", integer=True, low=1),
-    )
+        lattice=cfg, potential=pot, amplitude=amplitude, sweep=sweep,
+        mode=top["mode"], sign=+1 if sign == "+" else -1, options=options,
+        dt=dt, periods=integ["periods"], t_final=t_final,
+        perturbation=pert if top["perturbation"] else None,
+        out_dir=Path(out_dir), verify_points=top["verify_points"],
+        snapshot_stride=top["snapshot_stride"])
 
 
 def _fmt(x) -> str:
@@ -391,13 +390,10 @@ def main(argv=None) -> int:
             doc.update((key, v) for key, v in flags.items() if v is not None)
         config = parse_config(doc)
         COMMANDS[args.command](config)
-    except UnicodeDecodeError as exc:
-        print(f"invalid config: {args.config} is not UTF-8: {exc}",
-              file=sys.stderr)
-        return 2
-    except RecursionError:
-        print(f"invalid config: {args.config} nests too deeply to parse",
-              file=sys.stderr)
+    except (UnicodeDecodeError, RecursionError) as exc:
+        why = (f"is not UTF-8: {exc}" if isinstance(exc, UnicodeDecodeError)
+               else "nests too deeply to parse")
+        print(f"invalid config: {args.config} {why}", file=sys.stderr)
         return 2
     except (json.JSONDecodeError, ConfigError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)

@@ -133,10 +133,12 @@ def make_standing_wave(cfg: LatticeConfig, pot: Potential, a: float) -> Standing
     if a < 0:
         raise ConfigError(f"amplitude must be nonnegative, got {a}")
     omega = 4.0 * np.sin(cfg.angle(cfg.m) / 2.0) ** 2 - pot(a * a, 1)
-    ang = cfg.angle(np.arange(cfg.n) * cfg.m)
+    q = np.arange(cfg.n) * cfg.m % cfg.n
+    ang = cfg.angle(q)
     eq = np.empty((cfg.n, 2))
-    eq[:, 0] = a * np.cos(ang)
-    eq[:, 1] = a * np.sin(ang)
+    # exact zeros where the phase q zeta is a multiple of pi/2
+    eq[:, 0] = np.where(4 * q % (2 * cfg.n) == cfg.n, 0.0, a * np.cos(ang))
+    eq[:, 1] = np.where(2 * q % cfg.n == 0, 0.0, a * np.sin(ang))
     return StandingWave(a=float(a), omega=float(omega), equilibrium=eq.ravel())
 
 

@@ -1,5 +1,6 @@
 import re
 from dataclasses import fields
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -245,6 +246,22 @@ def test_saturable_root_matches_bisection():
     assert th.a_hopf == pytest.approx(root, abs=1e-10)
     # verify phi_1(a_hopf) = 1 directly
     assert block_data(cfg, pot, th.a_hopf, 1).phi == pytest.approx(1.0, abs=1e-10)
+
+
+def test_saturable_threshold_keeps_its_digits_at_small_r():
+    # n = 512, c = -1e6, k = 2: a_hopf = 1.7e-5, where r = a / (1 + a^2) is
+    # so small that the form (1 - sqrt(1 - 4 r^2)) / (2 r) cancels to about
+    # 1e-7 relative accuracy; the reference solves a^2 r - a + r = 0 with 60
+    # digits from the same alpha_k
+    cfg, c = LatticeConfig(512, 1), -1e6
+    th = amplitude_thresholds(cfg, Potential.saturable(c))[1]
+    alpha = block_data(cfg, Potential.saturable(c), 0.0, 2).alpha
+    with localcontext() as ctx:
+        ctx.prec = 60
+        r = (-Decimal(float(alpha)) / (2 * Decimal(c))).sqrt()
+        ref = (1 - (1 - 4 * r * r).sqrt()) / (2 * r)
+    assert float(ref) == pytest.approx(1.7e-5, rel=0.05)
+    assert abs(Decimal(th.a_hopf) - ref) <= Decimal("4e-16") * ref
 
 
 def test_polynomial_threshold_by_bisection():

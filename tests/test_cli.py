@@ -131,6 +131,24 @@ INVALID = [
      "coefficients"),
     ("invalid_utf8", b'{"amplitude": "\xff"}', "not UTF-8"),
     ("deeply_nested", b"[" * 100_000, "nests too deeply"),
+    # a key its section does not name, the other potential kind's included
+    ("misspelt_top_level_key", dict(BASE, Sign="-"), "Sign"),
+    ("misspelt_lattice_key", dict(BASE, lattice={"n": 6, "m": 1, "M": 2}),
+     "lattice.M"),
+    ("misspelt_potential_key",
+     dict(BASE, potential={"kind": "cubic", "c": 1.0, "C": 2.0}), "potential.C"),
+    ("coefficients_on_cubic", dict(BASE, potential={
+        "kind": "cubic", "c": 1.0, "coefficients": [0.0, 1.0]}),
+     "potential.coefficients"),
+    ("c_on_polynomial", dict(BASE, potential=dict(
+        POLY, coefficients=[0.0, 1.0], c=1.0)), "potential.c"),
+    ("misspelt_sweep_key", dict(BASE, sweep={"a_min": 0.1, "a_max": 0.3,
+                                             "steps": 3, "step": 4}),
+     "sweep.step"),
+    ("misspelt_integration_key", dict(BASE, integration={"period": 3}),
+     "integration.period"),
+    ("misspelt_perturbation_key", dict(BASE, perturbation={"scales": 0.1}),
+     "perturbation.scales"),
 ]
 
 
@@ -139,6 +157,23 @@ INVALID = [
 def test_invalid_config_names_key_and_exits_2(tmp_path, capsys, doc, key):
     assert main(["stability", "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+NULL_DEFAULTS = [("sign", {"sign": None}), ("output_dir", {"output_dir": None}),
+                 ("mode", {"mode": None}),
+                 ("integration.dt", {"integration": {"dt": None}}),
+                 ("continuation.n_harmonics",
+                  {"continuation": {"n_harmonics": None}})]
+
+
+@pytest.mark.parametrize("key, change", NULL_DEFAULTS,
+                         ids=[key for key, _ in NULL_DEFAULTS])
+def test_present_null_is_not_the_default(tmp_path, capsys, key, change):
+    # a default stands in for a missing key only; no --out, which would
+    # replace a null output_dir
+    assert main(["stability", "--config",
+                 write_config(tmp_path, dict(BASE, **change))]) == 2
     assert key in capsys.readouterr().err
 
 
@@ -378,7 +413,10 @@ def readme_block(lang):
 README_CONFIG = json.loads(readme_block("json"))
 KEY_PATHS = [()] + [(key,) for key in README_CONFIG] + [
     (key, sub) for key, sec in README_CONFIG.items() if isinstance(sec, dict)
-    for sub in sec]
+    for sub in sec] + [  # misspelt keys, and the key of the other potential
+    ("Sign",), ("k",), ("lattice", "N"), ("potential", "coefficients"),
+    ("continuation", "n_harmonic"), ("integration", "period"),
+    ("perturbation", "scales"), ("sweep", "step")]
 DROP = object()
 ODD_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 20), st.integers(-10**30, 10**30),

@@ -88,6 +88,24 @@ def test_standing_wave_block_norms():
     assert np.linalg.norm(blocks, axis=1) == pytest.approx(0.7)
 
 
+@pytest.mark.parametrize("n, m", [(6, 1), (12, 1), (16, 2), (12, 5), (6, 3),
+                                  (8, 4), (7, 2)])
+def test_standing_wave_right_angle_sites_are_exact(n, m):
+    # where the site phase (j m mod n) zeta is a multiple of pi/2, the
+    # vanishing component is an exact 0 and |u_j|^2 is a^2 to the bit;
+    # every other component is a cos/sin of the reduced angle
+    cfg, a = LatticeConfig(n, m), 0.3
+    x = make_standing_wave(cfg, Potential.cubic(1.0), a).equilibrium.reshape(n, 2)
+    q = np.arange(n) * cfg.m % n
+    right = 4 * q % n == 0
+    sin_zero, cos_zero = right & (2 * q % n == 0), right & (2 * q % n != 0)
+    assert np.all(x[sin_zero, 1] == 0.0) and np.all(x[cos_zero, 0] == 0.0)
+    assert np.all((x[right] ** 2).sum(axis=1) == a * a)
+    ang = cfg.angle(q)
+    assert np.array_equal(x[~cos_zero, 0], a * np.cos(ang[~cos_zero]))
+    assert np.array_equal(x[~sin_zero, 1], a * np.sin(ang[~sin_zero]))
+
+
 def test_equilibrium_is_critical_point():
     # omega is defined exactly so that grad H vanishes at a_m
     for n, m in [(3, 0), (5, 1), (6, 1), (6, 3), (8, 3)]:
