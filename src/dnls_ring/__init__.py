@@ -10,10 +10,10 @@ from .continuation import (Branch, BranchPoint, ContinuationOptions,
 from .errors import (ConfigError, ConvergenceError, DegenerateAmplitudeError,
                      DnlsRingError, DomainError, ResonanceError)
 from .lattice import (LatticeConfig, Potential, StandingWave, gradient,
-                      hamiltonian, hessian, hessian_at_equilibrium,
-                      make_standing_wave, onsite_blocks, rotating_rhs)
+                      hamiltonian, hessian, make_standing_wave, onsite_blocks,
+                      rotating_rhs)
 from .spectral import (BlockData, StabilityVerdict, alpha_beta, block_data,
-                       classify_stability, full_spectrum)
+                       block_table, classify_stability, full_spectrum)
 from .symmetry import (LatticeLoop, ReducedProfile, embed_reduced,
                        project_reduced)
 from .verify import (Trajectory, closure_error, integrate, invariant_drift,

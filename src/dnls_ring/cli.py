@@ -24,7 +24,7 @@ from .bifurcation import (_enumerate, amplitude_thresholds,
 from .continuation import ContinuationOptions, continue_branch, extrapolate_onset
 from .errors import ConfigError, DnlsRingError
 from .lattice import LatticeConfig, Potential, make_standing_wave
-from .spectral import _block_table, classify_stability, full_spectrum
+from .spectral import block_table, classify_stability, full_spectrum
 from .symmetry import embed_reduced
 from .verify import (closure_error, integrate, invariant_drift,
                      spatial_period_error, traveling_wave_error)
@@ -79,9 +79,9 @@ def _keys(name: str, **rules) -> tuple:
         for k, (_, kw) in rules.items() if kw is not None]
 
 
-# Size caps: at n = 512 the dense spectrum is (2n)^2 doubles, 8 MiB, and the
-# banded midpoint Newton matrix 16 x 2n; at nh = 256 the bordered Newton
-# matrix is (2nh + 2)^2 doubles, 2 MiB; 10^6 trajectory steps, 96 MB at n = 6.
+# Size caps: at n = 512 each resonance-scan array is 2 (2n - 2)^2 doubles,
+# 16 MiB, and the midpoint Newton matrix is banded, 16 x 2n; at nh = 256 the
+# bordered one is (2nh + 2)^2 doubles, 2 MiB; 10^6 trajectory steps, 96 MB.
 MAX_TRAJECTORY_STEPS = 1_000_000
 _RAW, _COUNT = (None, None), {"integer": True, "low": 1}
 _TOP = _keys("", lattice=_RAW, potential=_RAW, amplitude=_RAW, sweep=_RAW,
@@ -219,17 +219,16 @@ def _amplitudes(config: RunConfig) -> np.ndarray:
 def cmd_spectrum(config: RunConfig) -> None:
     cfg, pot = config.lattice, config.potential
     a = _require_amplitude(config)
-    # both checked before any write; k = n: alpha = beta = +0, no phi or onset
-    bd, eig = _block_table(cfg, pot, a), full_spectrum(cfg, pot, a)
+    # checked before any write; k = n: alpha = beta = +0, no phi or onset
+    bd = block_table(cfg, pot, a)
     rows = list(zip(bd.k, bd.alpha, bd.beta, bd.phi, bd.gamma, bd.nu_plus.real,
                     bd.nu_plus.imag, bd.nu_minus.real, bd.nu_minus.imag))
     rows.append([cfg.n, 0.0, 0.0, None, None, 0.0, 0.0, 0.0, 0.0])
     write_csv(config.out_dir / "spectrum.csv",
               ["k", "alpha", "beta", "phi", "gamma",
                "nu_plus_re", "nu_plus_im", "nu_minus_re", "nu_minus_im"], rows)
-    order = np.lexsort((eig.imag, eig.real))
     write_csv(config.out_dir / "eigenvalues.csv", ["re", "im"],
-              [[v.real, v.imag] for v in eig[order]])
+              [[v.real, v.imag] for v in full_spectrum(bd)])
 
 
 def cmd_stability(config: RunConfig) -> None:

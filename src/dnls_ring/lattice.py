@@ -200,10 +200,3 @@ def hessian(cfg: LatticeConfig, pot: Potential, omega: float, u) -> np.ndarray:
     H[j, :, (j - 1) % n, :] += I2
     return H.reshape(2 * n, 2 * n)
 
-
-def hessian_at_equilibrium(cfg: LatticeConfig, pot: Potential, a: float) -> np.ndarray:
-    """D^2 H(a_m): block circulant, identity off-diagonal blocks and diagonal
-    blocks -2 cos(m zeta) I + 2 a^2 V''(a^2) e^{jm zeta J} e1 e1^T e^{-jm zeta J}
-    (on site, omega - 2 + V'(a^2) = -2 cos(m zeta))."""
-    sw = make_standing_wave(cfg, pot, a)
-    return hessian(cfg, pot, sw.omega, sw.equilibrium)

@@ -1,8 +1,8 @@
 """Fourier-block diagonalization of the equilibrium Hessian and stability.
 
 The 2x2 blocks carry alpha_k, beta_k, phi_k, gamma_k and the onset
-frequencies nu_k^+/-, which stability is read from; the dense eigensolver on
-J D^2H(a_m) is an independent brute-force oracle (no block structure).
+frequencies nu_k^+/-, which the spectrum and stability are read from; the
+dense eigensolver on J D^2H(a_m) is their brute-force oracle in the tests.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DnlsRingError
-from .lattice import J_SIGNS, LatticeConfig, Potential, hessian_at_equilibrium
+from .lattice import LatticeConfig, Potential
 
 # Growth |Im nu_k^+/-| up to this times max(1, max_k |alpha_k|) is none: at
 # the 1:1 collision phi_k = 1, 1 - phi_k is roundoff and the growth reads
@@ -70,19 +70,7 @@ def block_data(cfg: LatticeConfig, pot: Potential, a: float, k) -> BlockData:
     return BlockData(k[()], alpha, beta, phi, gamma, beta + root, beta - root)
 
 
-def full_spectrum(cfg: LatticeConfig, pot: Potential, a: float) -> np.ndarray:
-    """All 2n eigenvalues of J D^2H(a_m) by a dense general eigensolver.
-
-    This is the brute-force oracle: no block structure is used. The gauge
-    symmetry makes the double zero eigenvalue defective for a > 0, so the QR
-    iteration splits it by ~sqrt(machine eps) times the matrix scale.
-    """
-    H = hessian_at_equilibrium(cfg, pot, a)
-    JH = H.reshape(-1, 2, len(H))[:, ::-1] * J_SIGNS[:, None]
-    return np.linalg.eigvals(JH.reshape(H.shape))
-
-
-def _block_table(cfg: LatticeConfig, pot: Potential, a: float) -> BlockData:
+def block_table(cfg: LatticeConfig, pot: Potential, a: float) -> BlockData:
     """block_data of k = 1..n-1 at amplitude a; DnlsRingError naming the block
     table when it is not finite (a^2, V''(a^2) or 2a^2 V'' overflows)."""
     bd = block_data(cfg, pot, a, np.arange(1, cfg.n))
@@ -90,6 +78,14 @@ def _block_table(cfg: LatticeConfig, pot: Potential, a: float) -> BlockData:
         raise DnlsRingError(f"block table at a = {a:g} is not finite: a^2 = "
                             f"{a * a:.3e}, V''(a^2) = {pot(a * a, 2):.3e}")
     return bd
+
+
+def full_spectrum(bd: BlockData) -> np.ndarray:
+    """The 2n eigenvalues of J D^2H(a_m) from the block table bd: i nu_k^+ and
+    i nu_k^- for k = 1..n-1, then the gauge double zero; + 0.0 turns the -0
+    real part of i nu where Re nu < 0 into 0."""
+    nu = np.stack([bd.nu_plus, bd.nu_minus], axis=-1).ravel()
+    return np.concatenate([1j * nu, [0.0, 0.0]]) + 0.0
 
 
 @dataclass
@@ -113,7 +109,7 @@ class StabilityVerdict:
 def classify_stability(cfg: LatticeConfig, pot: Potential,
                        a: float) -> StabilityVerdict:
     v2 = pot(a * a, 2)
-    bd = _block_table(cfg, pot, a)
+    bd = block_table(cfg, pot, a)
     # sgn(V'') for m < n/4 (the m = 0 case extends the same cos(m zeta) > 0
     # sign rule), flipped for m > n/4; m = n/4 is excluded by LatticeConfig.
     sign = int(np.sign(v2))

@@ -6,10 +6,10 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from dnls_ring import (ConvergenceError, ResonanceRecord, ResonanceReport,
-                       alpha_beta, block_data, full_spectrum, hessian,
-                       hessian_at_equilibrium, rotating_rhs)
+                       alpha_beta, block_data, hessian, make_standing_wave,
+                       rotating_rhs)
 from dnls_ring.bifurcation import L_MAX_CAP
-from dnls_ring.lattice import rot
+from dnls_ring.lattice import J_SIGNS, rot
 from dnls_ring.verify import MIDPOINT_MAX_ITER, MIDPOINT_TOL
 
 
@@ -114,9 +114,23 @@ def block_basis(cfg, k, z):
     return out.ravel() / np.sqrt(n)
 
 
-def block_table(cfg, pot, a):
-    """block_data of k = 1..n-1, the table the guards read."""
-    return block_data(cfg, pot, a, np.arange(1, cfg.n))
+def hessian_at_equilibrium(cfg, pot, a):
+    """D^2 H(a_m): block circulant, identity off-diagonal blocks and diagonal
+    blocks -2 cos(m zeta) I + 2 a^2 V''(a^2) e^{jm zeta J} e1 e1^T e^{-jm zeta J}
+    (on site, omega - 2 + V'(a^2) = -2 cos(m zeta))."""
+    sw = make_standing_wave(cfg, pot, a)
+    return hessian(cfg, pot, sw.omega, sw.equilibrium)
+
+
+def dense_spectrum(cfg, pot, a):
+    """All 2n eigenvalues of J D^2H(a_m) by a dense general eigensolver, the
+    oracle of full_spectrum: no block structure is used. J is applied as a
+    row swap and sign, so J D^2H is exact. The gauge symmetry makes the
+    double zero defective for a > 0, so the QR iteration splits it by
+    ~sqrt(eps) times the matrix scale."""
+    H = hessian_at_equilibrium(cfg, pot, a)
+    JH = H.reshape(-1, 2, len(H))[:, ::-1] * J_SIGNS[:, None]
+    return np.linalg.eigvals(JH.reshape(H.shape))
 
 
 def dense_verdict(cfg, pot, a) -> tuple:
@@ -124,7 +138,7 @@ def dense_verdict(cfg, pot, a) -> tuple:
     oracle of classify_stability. The solver splits the defective gauge zero
     by ~sqrt(eps) ||J D^2H||, and J only permutes and negates rows, so
     10 sqrt(eps) ||D^2H||_inf bounds the split."""
-    max_re = float(np.abs(full_spectrum(cfg, pot, a).real).max())
+    max_re = float(np.abs(dense_spectrum(cfg, pot, a).real).max())
     H = hessian_at_equilibrium(cfg, pot, a)
     split = 10.0 * np.sqrt(np.finfo(float).eps) * np.linalg.norm(H, np.inf)
     return max_re, max_re <= split
@@ -139,13 +153,6 @@ def block_matrices(cfg, pot, a, k):
     d = 2.0 * a * a * pot(a * a, 2)
     B = np.array([[d - alpha, -1j * beta], [1j * beta, -alpha]])
     return B, np.array([[beta, -alpha], [d - alpha, beta]])
-
-
-def expected_spectrum(cfg, pot, a):
-    """Closed-form multiset {i nu_k^+/-: k=1..n-1} plus the gauge double zero."""
-    bd = block_table(cfg, pot, a)
-    nus = np.stack([bd.nu_plus, bd.nu_minus], axis=-1).ravel()
-    return np.concatenate([1j * nus, [0.0 + 0.0j, 0.0 + 0.0j]])
 
 
 def matching_distance(a, b):

@@ -55,6 +55,70 @@ def test_spectrum_table(tmp_path):
     assert len(eig_rows) == 12
 
 
+# eigenvalues.csv of BASE, the README config's ring, at a = 0.2 (stable) and
+# a = 0.6 (phi_1 = 1.44: the k = 1 pair has left the imaginary axis): the
+# rows are i nu_k^+ then i nu_k^- for k = 1..n-1, then the gauge double
+# zero, in that order whatever the roundoff, and no cell reads -0.
+EIGENVALUES = {0.2: """\
+re,im\r
+0,1.9582575694955837\r
+0,1.0417424305044158\r
+0,2.9594519519326425\r
+0,0.040548048067357678\r
+0,1.9595917942265428\r
+0,-1.9595917942265428\r
+0,-0.040548048067357678\r
+0,-2.9594519519326425\r
+0,-1.0417424305044158\r
+0,-1.9582575694955837\r
+0,0\r
+0,0\r
+""", 0.6: """\
+re,im\r
+-0.33166247903553997,1.4999999999999998\r
+0.33166247903553997,1.4999999999999998\r
+0,2.5816653826391969\r
+0,0.41833461736080335\r
+0,1.6000000000000005\r
+0,-1.6000000000000005\r
+0,-0.41833461736080335\r
+0,-2.5816653826391969\r
+-0.33166247903553997,-1.4999999999999998\r
+0.33166247903553997,-1.4999999999999998\r
+0,0\r
+0,0\r
+"""}
+
+
+@pytest.mark.parametrize("a", sorted(EIGENVALUES))
+def test_eigenvalues_rows_pinned(tmp_path, a):
+    cfgp = write_config(tmp_path, dict(BASE, amplitude=a))
+    assert main(["spectrum", "--config", cfgp, "--out", str(tmp_path)]) == 0
+    assert ((tmp_path / "eigenvalues.csv").read_bytes()
+            == EIGENVALUES[a].encode())
+
+
+# the rings of the benchmark survey
+SURVEY_RINGS = [(n, m) for n in (6, 7, 8, 10, 12) for m in range(n // 2 + 1)
+                if 4 * m != n] + [(16, 1), (16, 5), (24, 1), (24, 8), (24, 12),
+                                  (48, 1), (48, 16)]
+
+
+@pytest.mark.parametrize("n, m", SURVEY_RINGS)
+def test_eigenvalues_have_no_negative_zero(tmp_path, n, m):
+    # i nu has the real part -0 wherever nu is real and negative
+    for kind, c in (("cubic", 1.0), ("cubic", -1.0), ("saturable", 1.0)):
+        for a in (0.05, 0.3, 0.6, 1.0):
+            doc = {"lattice": {"n": n, "m": m}, "amplitude": a,
+                   "potential": {"kind": kind, "c": c}}
+            assert main(["spectrum", "--config", write_config(tmp_path, doc),
+                         "--out", str(tmp_path)]) == 0
+            _, rows = read_csv(tmp_path / "eigenvalues.csv")
+            assert len(rows) == 2 * n
+            assert "-0" not in [cell for row in rows for cell in row], \
+                (kind, c, a)
+
+
 def test_invalid_wavenumber_exits_2(tmp_path):
     doc = dict(BASE, lattice={"n": 8, "m": 2})
     assert main(["spectrum", "--config", write_config(tmp_path, doc),

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from dnls_ring import (ContinuationOptions, ConvergenceError, LatticeConfig,
-                       Potential, ReducedProfile, ResonanceError,
+                       Potential, ReducedProfile, ResonanceError, block_table,
                        check_nonresonant, continuation,
                        continue_branch, embed_reduced, enumerate_bifurcations,
                        make_standing_wave, onset_kernel, project_reduced,
@@ -16,7 +16,7 @@ from dnls_ring.continuation import (FIRST_STEP_EPS, KERNEL_RTOL, NEWTON_TOL,
                                     grid_size)
 from dnls_ring.spectral import block_data
 
-from helpers import block_matrices, block_table, fd_jacobian
+from helpers import block_matrices, fd_jacobian
 from oracles import (GroupElement, act, dense_jacobian, dense_residual,
                      loop_vector_field, random_loop, svd_kernel)
 

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from dnls_ring import (ConfigError, DomainError, LatticeConfig, Potential,
-                       gradient, hamiltonian, hessian, hessian_at_equilibrium,
-                       make_standing_wave, onsite_blocks, rotating_rhs)
+                       gradient, hamiltonian, hessian, make_standing_wave,
+                       onsite_blocks, rotating_rhs)
 from dnls_ring.lattice import rot
 
 from helpers import (direct_hamiltonian, fd_gradient, fd_jacobian,
-                     loop_hessian, roll_gradient, symplectic_matrix)
+                     hessian_at_equilibrium, loop_hessian, roll_gradient,
+                     symplectic_matrix)
 
 
 def phase_rotate(u, theta: float, n: int) -> np.ndarray:

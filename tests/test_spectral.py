@@ -7,13 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnls_ring import (BlockData, LatticeConfig, Potential, alpha_beta,
-                       block_data, classify_stability, full_spectrum,
-                       hessian_at_equilibrium)
+                       block_data, block_table, classify_stability,
+                       full_spectrum)
 
 from dnls_ring.cli import main as cli_main, read_csv
 
 from helpers import (average_clusters, block_basis, block_matrices,
-                     block_table, dense_verdict, expected_spectrum,
+                     dense_spectrum, dense_verdict, hessian_at_equilibrium,
                      matching_distance)
 
 
@@ -188,8 +188,8 @@ def test_mode_reflection_identity():
 
 
 def test_full_spectrum_matches_blocks():
-    got = average_clusters(full_spectrum(CFG, CUBIC, 0.2), 1e-6)
-    want = expected_spectrum(CFG, CUBIC, 0.2)
+    got = average_clusters(dense_spectrum(CFG, CUBIC, 0.2), 1e-6)
+    want = full_spectrum(block_table(CFG, CUBIC, 0.2))
     assert matching_distance(got, want) <= 1e-8
 
 
@@ -204,15 +204,24 @@ RINGS = st.integers(3, 12).flatmap(lambda n: st.tuples(
                             Potential.polynomial([0.0, 0.5, -0.3, 0.1, 0.05])]))
 @example(ring=(7, 2), pot=Potential.saturable(1.0), a=0.6)
 def test_spectrum_closed_under_negation_and_conjugation(ring, pot, a):
-    eig = full_spectrum(LatticeConfig(*ring), pot, a)
+    # within roundoff for the dense oracle; bit for bit for the closed form,
+    # whose mirror modes carry equal alpha and opposite beta exactly
+    cfg = LatticeConfig(*ring)
+    eig = dense_spectrum(cfg, pot, a)
     assert matching_distance(eig, -eig) <= 1e-7
     assert matching_distance(eig, eig.conj()) <= 1e-7
+    lam = np.sort_complex(full_spectrum(block_table(cfg, pot, a)))
+    assert np.array_equal(lam, np.sort_complex(-lam))
+    assert np.array_equal(lam, np.sort_complex(lam.conj()))
 
 
 def test_gauge_double_zero():
-    eig = full_spectrum(LatticeConfig(3, 0), CUBIC, 0.0)
+    cfg = LatticeConfig(3, 0)
+    eig = dense_spectrum(cfg, CUBIC, 0.0)
     zeros = np.sort(np.abs(eig))[:2]
     assert zeros.max() <= 1e-10
+    closed = full_spectrum(block_table(cfg, CUBIC, 0.0))
+    assert np.array_equal(closed[-2:], [0.0, 0.0])
 
 
 def test_phi_monotone_in_k_focusing():
