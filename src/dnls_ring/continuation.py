@@ -21,7 +21,7 @@ import numpy as np
 from .bifurcation import BifurcationPoint
 from .errors import ConvergenceError, ResonanceError
 from .lattice import LatticeConfig, Potential, StandingWave, onsite_blocks
-from .spectral import alpha_beta, block_data
+from .spectral import alpha_beta
 from .symmetry import ReducedProfile
 
 
@@ -84,7 +84,7 @@ class ReducedSystem:
         # x_0(t +- k zeta) is -V'(a^2) - [[alpha, beta], [beta, alpha]] of
         # mode lk on each pair (a_l, b_l), and J xdot is -l off the diagonal
         vp_eq = float(pot(sw.a ** 2, 1))
-        alpha, beta = alpha_beta(cfg, ls * k)
+        self.alpha, self.beta = alpha, beta = alpha_beta(cfg, ls * k)
         d = -vp_eq - alpha
         ia, ib = ls[1:], nh + ls[1:]
         self.coupling = np.diag(np.concatenate([d, d[1:]]))
@@ -155,25 +155,21 @@ class ReducedSystem:
                                 (self.j_dt @ pvec - r) / nu])
 
 
-def onset_kernel(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
-                 k: int, sign: int, n_harmonics: int) -> tuple:
-    """Normalized null direction of the reduced linearization at
-    (0, nu_k^sign); refuses resonant onsets with a non-simple kernel."""
-    bd = block_data(cfg, pot, sw.a, k)
-    if abs(bd.phi - 1.0) < 1e-9:
-        raise ResonanceError(
-            f"double eigenvalue at 1:1 resonance: phi_{k}(a) = 1")
-    nu = bd.nu_plus if sign > 0 else bd.nu_minus
-    if abs(nu.imag) > 1e-12 or nu.real <= 0:
-        raise ValueError(f"onset frequency nu_{k}^{'+' if sign > 0 else '-'} "
-                         f"= {nu} is not a positive real")
-    nu = float(nu.real)
+def onset_kernel(sys_: ReducedSystem, nu: float) -> ReducedProfile:
+    """Normalized null direction of the linearization of sys_ at (0, nu), from
+    its mode-lk blocks; refuses a 1:1 onset (phi_k = 1) and resonant onsets
+    with a non-simple kernel, and a nu that is not positive."""
+    sw, nh = sys_.sw, sys_.nh
     # At p = 0 the Jacobian is block-diagonal, with symmetric blocks [[alpha -
     # d, beta - l nu], [beta - l nu, alpha]] / nu of mode lk on (a_l, b_l),
-    # d = 2 a^2 V''(a^2), and -d / nu on a_0 alone.
-    ls = np.arange(n_harmonics + 1)
-    alpha, beta = alpha_beta(cfg, ls * k)
-    d = 2.0 * sw.a ** 2 * pot(sw.a ** 2, 2)
+    # d = 2 a^2 V''(a^2) = phi_k alpha_k, and -d / nu on a_0 alone.
+    alpha, beta, ls = sys_.alpha, sys_.beta, np.arange(nh + 1)
+    d = 2.0 * sw.a ** 2 * sys_.pot(sw.a ** 2, 2)
+    if abs(d / alpha[1] - 1.0) < 1e-9:
+        raise ResonanceError(
+            f"double eigenvalue at 1:1 resonance: phi_{sys_.k}(a) = 1")
+    if nu <= 0:
+        raise ConvergenceError(f"onset frequency {nu:.12g} is not positive")
     w, v = np.linalg.eigh(np.moveaxis(np.array(
         [[alpha - d, beta - ls * nu], [beta - ls * nu, alpha]]) / nu,
         (0, 1), (-2, -1)))
@@ -186,11 +182,11 @@ def onset_kernel(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
         raise ResonanceError(
             f"kernel dimension {small.sum()} at onset nu = {nu:.12g}: "
             "resonant onset, refusing to continue")
-    tangent = np.zeros(2 * n_harmonics + 1)
-    tangent[[1, n_harmonics + 1]] = v[1][:, np.argmin(svals[1])]
+    tangent = np.zeros(sys_.dim)
+    tangent[[1, nh + 1]] = v[1][:, np.argmin(svals[1])]
     if tangent[np.argmax(np.abs(tangent))] < 0:
         tangent = -tangent
-    return ReducedProfile.from_vector(k, tangent), nu
+    return ReducedProfile.from_vector(sys_.k, tangent)
 
 
 def _newton(sys_: ReducedSystem, y0: np.ndarray, row: np.ndarray) -> tuple:
@@ -217,28 +213,25 @@ def _newton(sys_: ReducedSystem, y0: np.ndarray, row: np.ndarray) -> tuple:
 def continue_branch(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
                     onset: BifurcationPoint,
                     opts: Optional[ContinuationOptions] = None) -> Branch:
-    """Follow the branch emanating from (0, nu_onset) by pseudo-arclength
-    steps: the first, of length FIRST_STEP_EPS, along the onset kernel
-    (tangent, 0), the rest along the last secant, each corrected on the
-    hyperplane through its prediction normal to the step direction. A failed
-    step halves ds and a success grows it by 1.3 up to DS_MAX; a failed first
-    step raises ConvergenceError. The branch holds at least one point, and
-    `termination` is "nu_bound", "amplitude_cap", "max_steps" or
-    "newton_failure" (ds below DS_MIN)."""
+    """Follow the branch emanating from (0, onset.nu_onset) by pseudo-arclength
+    steps: the first, of length FIRST_STEP_EPS, along the kernel (tangent, 0)
+    of the branch's own system there, the rest along the last secant, each
+    corrected on the hyperplane through its prediction normal to the step
+    direction. A failed step halves ds and a success grows it by 1.3 up to
+    DS_MAX; a failed first step raises ConvergenceError. The branch holds at
+    least one point, and `termination` is "nu_bound", "amplitude_cap",
+    "max_steps" or "newton_failure" (ds below DS_MIN)."""
     opts = opts or ContinuationOptions()
     if onset.suppressed:
         raise ResonanceError(
             f"onset (k={onset.k}, nu={onset.nu_onset:.9g}) is 1:l resonant with "
             "a bigger frequency and is suppressed")
-    tangent, nu0 = onset_kernel(cfg, pot, sw, onset.k, onset.sign,
-                                opts.n_harmonics)
-    if abs(nu0 - onset.nu_onset) > 1e-6 * max(1.0, abs(nu0)):
-        raise ValueError("onset frequency disagrees with block data")
     sys_ = ReducedSystem(cfg, pot, sw, onset.k, opts.n_harmonics)
+    tangent = onset_kernel(sys_, onset.nu_onset)
     cap = 10.0 * sw.a if sw.a > 0 else 1.0
 
     branch = Branch(onset=onset, termination="max_steps")
-    y = np.concatenate([np.zeros(sys_.dim), [nu0]])
+    y = np.concatenate([np.zeros(sys_.dim), [onset.nu_onset]])
     tau = np.concatenate([tangent.as_vector(), [0.0]])
     ds = FIRST_STEP_EPS
     while True:

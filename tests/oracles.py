@@ -4,8 +4,9 @@ the vector field of the whole lattice on a loop, evaluated by time-domain
 collocation, which the site-0 residual and the group equivariance are
 checked against; and the dense cos/sin-matrix forms of the reduced residual,
 its Jacobian and the SVD onset kernel, which the Fourier forms are checked
-against; and the scan-plus-brentq threshold search, which the closed-form
-and companion-matrix thresholds are checked against."""
+against; the scan-plus-brentq threshold search, which the closed-form and
+companion-matrix thresholds are checked against; and the standing-wave link
+equation, whose roots the reduced Jacobian is checked to lose rank at."""
 
 from dataclasses import dataclass
 from typing import Optional
@@ -16,7 +17,8 @@ from scipy.optimize import brentq
 from dnls_ring.bifurcation import A_MAX
 from dnls_ring.continuation import KERNEL_RTOL, ReducedSystem
 from dnls_ring.lattice import (J_SIGNS, LatticeConfig, Potential,
-                               StandingWave, gradient, onsite_blocks, rot)
+                               StandingWave, gradient, make_standing_wave,
+                               onsite_blocks, rot)
 from dnls_ring.spectral import block_data
 from dnls_ring.symmetry import LatticeLoop
 
@@ -167,3 +169,44 @@ def threshold_by_bisection(cfg: LatticeConfig, pot: Potential, k: int,
     if sign[i] == 0:
         return float(grid[i])
     return float(brentq(g, grid[i], grid[i + 1], xtol=1e-14, rtol=1e-15))
+
+
+def standing_wave_link(cfg: LatticeConfig, pot: Potential, a: float,
+                       k: int) -> list:
+    """Where the standing waves SW(m', b), m' = m + k, cross the traveling
+    branches of SW(m, a) at mode k. In the fixed space of SW(m, a) that
+    family is the curve p = -a e_1 + b (cos t, sin t) at nu = omega(m', b) -
+    omega(m, a), and it has an onset of its own where
+
+        omega(m', b) - omega(m, a) = nu_k'^sign(m', b),  k' in {k, n - k},
+
+    nu_k'^sign from block_data on LatticeConfig(n, m'), which may mirror m'
+    to n - m', hence both k'. Every root b in (0, A_MAX] with nu > 0 is
+    returned once, as (k', sign, b, nu), sorted by b: the equation is
+    scanned on SCAN_SAMPLES equal steps where nu_k'^sign is real, and each
+    zero or sign change is refined by brentq. Two roots inside one step
+    cancel and are missed. ConfigError when LatticeConfig refuses m'."""
+    other = LatticeConfig(cfg.n, cfg.m + k)
+    omega_a = make_standing_wave(cfg, pot, a).omega
+
+    def nu_family(b):      # omega(m', b) - omega(m, a), as make_standing_wave
+        return (4.0 * np.sin(other.angle(other.m) / 2.0) ** 2 - pot(b * b, 1)
+                - omega_a)
+
+    grid = np.linspace(0.0, A_MAX, SCAN_SAMPLES + 1)[1:]
+    links = []
+    # where 2m' = 0 mod n, beta = 0 makes the tables of k and n - k equal
+    for kk in sorted({k, cfg.n - k} if 2 * other.m % cfg.n else {k}):
+        for sign in (+1, -1):
+            def g(b):
+                bd = block_data(other, pot, b, kk)
+                nu = bd.nu_plus if sign > 0 else bd.nu_minus
+                return np.where(nu.imag == 0.0, nu_family(b) - nu.real, np.nan)
+
+            s = np.sign(g(grid))
+            for i in np.flatnonzero((s[:-1] == 0) | (s[:-1] * s[1:] < 0)):
+                b = grid[i] if s[i] == 0 else brentq(
+                    g, grid[i], grid[i + 1], xtol=1e-15, rtol=1e-15)
+                if nu_family(b) > 0:
+                    links.append((kk, sign, float(b), float(nu_family(b))))
+    return sorted(links, key=lambda link: link[2])

@@ -16,7 +16,7 @@ from dnls_ring import (ContinuationOptions, LatticeConfig, Potential,
                        make_standing_wave, onset_kernel, refine_point,
                        spatial_period_error, traveling_wave_error,
                        closure_error)
-from dnls_ring.continuation import extrapolate_onset
+from dnls_ring.continuation import ReducedSystem, extrapolate_onset
 from dnls_ring.cli import main as cli_main
 
 from helpers import (average_clusters, block_basis, block_matrices,
@@ -211,7 +211,8 @@ def test_criterion_8_guards(tmp_path):
     sw = make_standing_wave(cfg, pot, 0.5)
     refused = False
     try:
-        onset_kernel(cfg, pot, sw, 1, +1, n_harmonics=8)
+        onset_kernel(ReducedSystem(cfg, pot, sw, 1, 8),
+                     block_data(cfg, pot, 0.5, 1).nu_plus.real)
     except ResonanceError as exc:
         refused = "double eigenvalue" in str(exc)
     # 4m = n rejected at config parse time with exit code 2

@@ -34,9 +34,9 @@ def test_trivial_branch_residual():
 
 
 def test_residual_quadratic_along_kernel():
-    tangent, nu = onset_kernel(CFG, CUBIC, SW, 3, +1, n_harmonics=8)
     sys_ = ReducedSystem(CFG, CUBIC, SW, 3, 8)
-    tvec = tangent.as_vector()
+    nu = block_data(CFG, CUBIC, SW.a, 3).nu_plus.real
+    tvec = onset_kernel(sys_, nu).as_vector()
     norms = []
     for eps in [1e-4, 1e-5, 1e-6]:
         norms.append(np.linalg.norm(sys_.residual(eps * tvec, nu)))
@@ -157,10 +157,8 @@ def test_origin_jacobian_matches_closed_form_blocks():
 
 
 def test_onset_kernel_matches_block_eigenvector():
-    tangent, nu = onset_kernel(CFG, CUBIC, SW, 3, +1, n_harmonics=16)
-    bd = block_data(CFG, CUBIC, SW.a, 3)
-    assert nu == pytest.approx(bd.nu_plus.real, abs=1e-12)
-    v = tangent.as_vector()
+    nu = block_data(CFG, CUBIC, SW.a, 3).nu_plus.real
+    v = onset_kernel(ReducedSystem(CFG, CUBIC, SW, 3, 16), nu).as_vector()
     # all weight in the first harmonic pair (a_1, b_1)
     mask = np.ones_like(v, dtype=bool)
     mask[1] = mask[17] = False
@@ -179,8 +177,9 @@ def test_onset_kernel_matches_block_eigenvector():
 
 def test_onset_kernel_refuses_double_eigenvalue():
     sw = make_standing_wave(CFG, CUBIC, 0.5)     # phi_1 = 1 exactly
+    nu = block_data(CFG, CUBIC, 0.5, 1).nu_plus.real
     with pytest.raises(ResonanceError, match="double eigenvalue"):
-        onset_kernel(CFG, CUBIC, sw, 1, +1, n_harmonics=8)
+        onset_kernel(ReducedSystem(CFG, CUBIC, sw, 1, 8), nu)
 
 
 def test_continue_refuses_suppressed_onset():
@@ -188,6 +187,18 @@ def test_continue_refuses_suppressed_onset():
                             suppressed=True)
     with pytest.raises(ResonanceError, match="suppressed"):
         continue_branch(CFG, CUBIC, SW, fake)
+
+
+def test_continue_refuses_onset_frequency_without_kernel():
+    # nu comes from the onset record alone: off the onset there is no kernel,
+    # and a nu that is not positive is refused before any block is formed
+    nu = block_data(CFG, CUBIC, SW.a, 3).nu_plus.real
+    for bad, match in ((nu + 1e-3, "no kernel"), (0.0, "not positive"),
+                       (-1.0, "not positive")):
+        fake = BifurcationPoint(k=3, sign=+1, nu_onset=bad, regime="a")
+        with pytest.raises(ConvergenceError, match=match):
+            continue_branch(CFG, CUBIC, SW, fake,
+                            ContinuationOptions(n_harmonics=8, max_steps=2))
 
 
 def test_short_branch_and_onset_extrapolation():
@@ -207,7 +218,7 @@ def test_first_point_is_one_step_along_the_onset_kernel(monkeypatch):
     onset = next(p for p in enumerate_bifurcations(CFG, CUBIC, 0.2)
                  if p.k == 3 and p.sign == +1)
     opts = ContinuationOptions(n_harmonics=8, max_steps=2)
-    tangent, _ = onset_kernel(CFG, CUBIC, SW, 3, +1, n_harmonics=8)
+    tangent = onset_kernel(ReducedSystem(CFG, CUBIC, SW, 3, 8), onset.nu_onset)
     first = continue_branch(CFG, CUBIC, SW, onset, opts).points[0]
     assert abs(tangent.as_vector() @ first.profile.as_vector()
                - FIRST_STEP_EPS) <= NEWTON_TOL
@@ -230,11 +241,11 @@ def test_case_b_mode_gives_two_distinct_branch_starts():
     onsets = enumerate_bifurcations(CFG, CUBIC, 0.2)
     plus = next(p for p in onsets if p.k == 1 and p.sign == +1)
     minus = next(p for p in onsets if p.k == 1 and p.sign == -1)
-    t_p, nu_p = onset_kernel(CFG, CUBIC, SW, 1, +1, n_harmonics=8)
-    t_m, nu_m = onset_kernel(CFG, CUBIC, SW, 1, -1, n_harmonics=8)
-    assert nu_p == pytest.approx(plus.nu_onset, abs=1e-9)
-    assert nu_m == pytest.approx(minus.nu_onset, abs=1e-9)
-    assert abs(nu_p - nu_m) > 0.5
+    sys_ = ReducedSystem(CFG, CUBIC, SW, 1, 8)
+    t_p = onset_kernel(sys_, plus.nu_onset).as_vector()
+    t_m = onset_kernel(sys_, minus.nu_onset).as_vector()
+    assert abs(plus.nu_onset - minus.nu_onset) > 0.5
+    assert abs(t_p @ t_m) < 1.0 - 1e-3
 
 
 def test_refinement_is_spectrally_converged():
@@ -331,8 +342,9 @@ def _unsuppressed_onsets():
 def test_closed_form_kernel_matches_svd_oracle():
     count = 0
     for cfg, pot, sw, on in _unsuppressed_onsets():
-        tangent, nu = onset_kernel(cfg, pot, sw, on.k, on.sign, n_harmonics=16)
-        dim_kernel, want = svd_kernel(cfg, pot, sw, on.k, nu, 16)
+        sys_ = ReducedSystem(cfg, pot, sw, on.k, 16)
+        tangent = onset_kernel(sys_, on.nu_onset)
+        dim_kernel, want = svd_kernel(cfg, pot, sw, on.k, on.nu_onset, 16)
         assert dim_kernel == 1
         assert np.abs(tangent.as_vector() - want).max() <= 1e-12
         count += 1
@@ -379,9 +391,11 @@ def test_singular_higher_block_only_at_a_resonance_record():
                                 assert (k, sign, l) in records
                                 found.add((pot, n, m, a, k, sign, l))
     assert (Potential.cubic(1.0), 6, 1, a_res, 1, -1, 2) in found
-    sw = make_standing_wave(LatticeConfig(6, 1), Potential.cubic(1.0), a_res)
+    cfg, pot = LatticeConfig(6, 1), Potential.cubic(1.0)
+    sw = make_standing_wave(cfg, pot, a_res)
+    nu = block_data(cfg, pot, a_res, 1).nu_minus.real
     with pytest.raises(ResonanceError, match="kernel dimension 2"):
-        onset_kernel(LatticeConfig(6, 1), Potential.cubic(1.0), sw, 1, -1, 8)
+        onset_kernel(ReducedSystem(cfg, pot, sw, 1, 8), nu)
 
 
 def test_gradient_formed_once_per_residual_on_acceptance_branch(monkeypatch):
