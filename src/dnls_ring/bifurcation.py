@@ -10,12 +10,12 @@ import numpy as np
 
 from .errors import DegenerateAmplitudeError, DnlsRingError
 from .lattice import LatticeConfig, Potential
-from .spectral import BlockData, block_data
+from .spectral import BlockData, block_data, block_table
 
 L_MAX_CAP = 64  # resonance scan bound; harmonics beyond the Fourier cutoff
                 # of the continuation cannot be resolved anyway
-TOL_DEG = 1e-9       # V'', phi_k - gamma_k or a block determinant this small
-                     # counts as zero: the amplitude is degenerate
+TOL_DEG = 1e-9       # 2a^2 V'' or phi_k - gamma_k this small counts as zero
+                     # (a degenerate amplitude), phi_k - 1 as a 1:1 collision
 TOL_RES = 1e-9       # frequencies this close are equal (resonant)
 NEAR_TOL = 1e-6      # onsets this close to phi_k = gamma_k or 1 are flagged
 A_MAX = 10.0         # polynomial thresholds are sought on (0, A_MAX]
@@ -23,27 +23,21 @@ ROOT_IMAG_TOL = 1e-6  # a root s = a^2 with |Im s| <= this |s| is real
 
 
 def check_nondegenerate(pot: Potential, a: float, bd: BlockData) -> None:
-    """Amplitude is non-degenerate when V''(a^2) != 0 and phi_k != gamma_k for
-    the modes k of the block table bd (k = 1..n-1 in production);
-    equivalently the Hessian has no kernel in the fixed space (nonzero block
-    determinants beta_k^2 - alpha_k^2 (1 - phi_k) and a nonzero, finite
-    rank-one block 2a^2 V''). Raises DegenerateAmplitudeError naming every
-    failing condition otherwise."""
-    v2 = pot(a * a, 2)
+    """Amplitude is non-degenerate when the rank-one block 2a^2 V''(a^2) is
+    nonzero and finite and phi_k != gamma_k for the modes k of the block
+    table bd (k = 1..n-1 in production): then the Hessian has no kernel in
+    the fixed space, its block determinants alpha_k^2 (phi_k - gamma_k) being
+    nonzero. Raises DegenerateAmplitudeError naming every failing condition
+    otherwise."""
+    d = 2.0 * a * a * pot(a * a, 2)
     failures = []
-    if abs(v2) <= TOL_DEG:
-        failures.append(f"V''(a^2) = {v2:.3e} vanishes")
-    if not TOL_DEG < abs(2.0 * a * a * v2) < np.inf:
-        failures.append(f"rank-one block 2 a^2 V''(a^2) = {2 * a * a * v2:.3e} "
+    if not TOL_DEG < abs(d) < np.inf:
+        failures.append(f"rank-one block 2 a^2 V''(a^2) = {d:.3e} "
                         "vanishes or overflows")
-    margins = np.abs(bd.phi - bd.gamma)
-    dets = np.square(bd.beta) - np.square(bd.alpha) * (1.0 - bd.phi)
-    for k, margin, det in zip(bd.k, margins, dets):
+    for k, margin in zip(bd.k, np.abs(bd.phi - bd.gamma)):
         if margin <= TOL_DEG:
             failures.append(f"phi_{k} = gamma_{k} within {TOL_DEG:g} "
                             f"(margin {margin:.3e})")
-        if abs(det) <= TOL_DEG:
-            failures.append(f"block determinant {k} vanishes ({det:.3e})")
     if failures:
         raise DegenerateAmplitudeError("; ".join(failures))
 
@@ -63,13 +57,15 @@ class ResonanceRecord:
 @dataclass
 class ResonanceReport:
     records: list
-    one_to_one: list  # modes k with nu_k^+ = nu_k^- (phi_k = 1, Hopf flag)
+    one_to_one: list  # modes k with |phi_k - 1| <= TOL_DEG (nu_k^+ = nu_k^-)
 
 
 def check_nonresonant(bd: BlockData) -> ResonanceReport:
     """Scan the block table bd for nu_j^+/- = l nu_k^+/- (j != k,
     1 <= l <= L_MAX_CAP) over every positive candidate onset; flags the 1:1
-    case phi_k = 1 separately. Records and 1:1 modes are labelled by bd.k.
+    collision |phi_k - 1| <= TOL_DEG separately (there nu_k^+ - nu_k^- is
+    2|alpha_k| sqrt(|1 - phi_k|), too coarse a test). Records and 1:1 modes
+    are labelled by bd.k.
 
     For nu_k > TOL_RES the window |nu_j - l nu_k| < TOL_RES is narrower than
     2 nu_k, so only l = floor(nu_j / nu_k) and that plus one can fall in it;
@@ -91,7 +87,7 @@ def check_nonresonant(bd: BlockData) -> ResonanceReport:
                                sign[j % 2], int(l[i, j, c]), float(delta[i, j, c]))
                for i, j, c in zip(*np.nonzero(hit))]
     one_to_one = [int(k) for k in
-                  mode[0::2][np.abs(nus[0::2] - nus[1::2]) < TOL_RES]]
+                  mode[0::2][np.ravel(np.abs(bd.phi - 1.0) <= TOL_DEG)]]
     return ResonanceReport(records=records, one_to_one=one_to_one)
 
 
@@ -110,23 +106,26 @@ class BifurcationPoint:
 
 def _regime(bd, n: int) -> np.ndarray:
     """Case label of every mode in bd, shaped like bd.k: 'a', 'b', 'hopf'
-    (phi_k >= 1) or 'none'."""
+    (phi_k >= 1 - TOL_DEG: a 1:1 collision or past it) or 'none'."""
+    hopf = bd.phi >= 1.0 - TOL_DEG
     return np.select([bd.phi < bd.gamma,
-                      (bd.gamma < bd.phi) & (bd.phi < 1.0) & (2 * bd.k <= n),
-                      bd.phi >= 1.0], ["a", "b", "hopf"], "none")
+                      (bd.gamma < bd.phi) & ~hopf & (2 * bd.k <= n),
+                      hopf], ["a", "b", "hopf"], "none")
 
 
 def enumerate_bifurcations(cfg: LatticeConfig, pot: Potential,
                            a: float) -> list:
     """All bifurcation onsets at amplitude a: case (a) modes (k = 1..n-1)
     contribute nu_k^+, case (b) modes (k <= n/2) contribute both nu_k^+/-.
-    Modes with phi_k >= 1 contribute none (1:1/Hopf territory)."""
+    Modes with phi_k >= 1 - TOL_DEG contribute none (1:1/Hopf territory).
+    Raises DnlsRingError when the block table is not finite and
+    DegenerateAmplitudeError when a is degenerate."""
     return _enumerate(cfg, pot, a)[0]
 
 
 def _enumerate(cfg, pot, a) -> tuple:
     """(onsets, resonance report) from one block table and one scan."""
-    bd = block_data(cfg, pot, a, np.arange(1, cfg.n))
+    bd = block_table(cfg, pot, a)
     check_nondegenerate(pot, a, bd)
     res = check_nonresonant(bd)
     regimes = _regime(bd, cfg.n)

@@ -175,15 +175,8 @@ def parse_config(doc: dict) -> RunConfig:
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, str):
-        return x
-    return f"{float(x):.17g}"
+    # bools and integer cells (at most 10 000) read the same under %.17g
+    return "" if x is None else x if isinstance(x, str) else "%.17g" % x
 
 
 def write_csv(path: Path, header: list, rows: list) -> None:

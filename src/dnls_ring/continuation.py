@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bifurcation import BifurcationPoint
+from .bifurcation import TOL_DEG, BifurcationPoint
 from .errors import ConvergenceError, ResonanceError
 from .lattice import LatticeConfig, Potential, StandingWave, onsite_blocks
 from .spectral import alpha_beta
@@ -165,7 +165,7 @@ def onset_kernel(sys_: ReducedSystem, nu: float) -> ReducedProfile:
     # d = 2 a^2 V''(a^2) = phi_k alpha_k, and -d / nu on a_0 alone.
     alpha, beta, ls = sys_.alpha, sys_.beta, np.arange(nh + 1)
     d = 2.0 * sw.a ** 2 * sys_.pot(sw.a ** 2, 2)
-    if abs(d / alpha[1] - 1.0) < 1e-9:
+    if abs(d / alpha[1] - 1.0) <= TOL_DEG:
         raise ResonanceError(
             f"double eigenvalue at 1:1 resonance: phi_{sys_.k}(a) = 1")
     if nu <= 0:

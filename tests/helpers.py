@@ -271,12 +271,14 @@ def dense_midpoint(cfg, pot, omega, u0, dt, T):
     return states, newton
 
 
-def loop_resonances(cfg, pot, a, tol_res=1e-9):
-    """Resonance scan nu_j = l nu_k by nested loops over (k, +/-, j, +/-, l)."""
-    table = {}
+def loop_resonances(cfg, pot, a, tol_res=1e-9, tol_deg=1e-9):
+    """Resonance scan nu_j = l nu_k by nested loops over (k, +/-, j, +/-, l);
+    1:1 modes are those with |phi_k - 1| <= tol_deg."""
+    table, phi = {}, {}
     for k in range(1, cfg.n):
         bd = block_data(cfg, pot, a, k)
         table[k] = {+1: bd.nu_plus, -1: bd.nu_minus}
+        phi[k] = bd.phi
     positives = [abs(v.real) for k in table for v in table[k].values()
                  if abs(v.imag) <= tol_res and v.real > tol_res]
     all_abs = [abs(v) for k in table for v in table[k].values()]
@@ -299,6 +301,5 @@ def loop_resonances(cfg, pot, a, tol_res=1e-9):
                         delta = abs(nuj.real - l * nu.real)
                         if delta < tol_res:
                             records.append(ResonanceRecord(k, ksign, j, jsign, l, delta))
-    one_to_one = [k for k in table
-                  if abs(table[k][+1] - table[k][-1]) < tol_res]
+    one_to_one = [k for k in table if abs(phi[k] - 1.0) <= tol_deg]
     return ResonanceReport(records=records, one_to_one=one_to_one)

@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import fields
 from decimal import Decimal, localcontext
@@ -11,7 +12,8 @@ from dnls_ring import (BlockData, DegenerateAmplitudeError, LatticeConfig, Poten
                        amplitude_thresholds, block_data, block_table,
                        check_nondegenerate, check_nonresonant,
                        classify_stability, enumerate_bifurcations)
-from dnls_ring.bifurcation import A_MAX, ROOT_IMAG_TOL, _regime
+from dnls_ring.bifurcation import A_MAX, ROOT_IMAG_TOL, _enumerate, _regime
+from dnls_ring.cli import main as cli_main
 from dnls_ring.spectral import alpha_beta
 from helpers import dense_verdict, loop_resonances
 from oracles import SCAN_SAMPLES, threshold_by_bisection
@@ -60,6 +62,24 @@ def test_degenerate_amplitude_detected():
     with pytest.raises(DegenerateAmplitudeError) as again:
         enumerate_bifurcations(CFG, CUBIC, 1.0)
     assert str(again.value) == str(exc.value)
+
+
+def test_degeneracy_window_is_phi_equals_gamma_on_a_large_ring():
+    # n = 512: alpha_1 = 1.5e-4, so a block determinant alpha_1^2 (phi_1 -
+    # gamma_1) within 1e-9 would be a window in phi wider by 1/alpha_1^2
+    # than phi_1 = gamma_1 itself; of 201 amplitudes spread over +-5 % of
+    # a_gamma only the centre one is degenerate
+    cfg, pot = LatticeConfig(512, 1), Potential.cubic(-1.0)
+    a_gamma = amplitude_thresholds(cfg, pot)[0].a_gamma
+    assert a_gamma == pytest.approx(0.0150300, abs=5e-8)
+    refused = []
+    for i, a in enumerate(a_gamma * np.linspace(0.95, 1.05, 201)):
+        try:
+            check_nondegenerate(pot, a, block_table(cfg, pot, a))
+        except DegenerateAmplitudeError as exc:
+            refused.append(i)
+            assert str(exc).startswith("phi_1 = gamma_1")
+    assert refused == [100]
 
 
 def test_zero_amplitude_resonances_flagged():
@@ -171,8 +191,9 @@ POTENTIALS = [CUBIC, Potential.cubic(-1.0), Potential.saturable(1.0),
        a=st.one_of(st.floats(0.0, 2.0),
                    st.sampled_from([0.0, 0.5, 1.0 / np.sqrt(2.0), 1.0])))
 def test_onsets_are_positive_or_amplitude_degenerate(ring, pot, a):
-    # nu^+ nu^- = beta^2 - alpha^2 (1 - phi) is the block determinant the
-    # guard keeps away from zero, so every onset it lets through is positive
+    # nu^+ nu^- = beta^2 - alpha^2 (1 - phi) = alpha^2 (phi - gamma), which
+    # the guard's phi = gamma margin keeps away from zero (alpha_k != 0), so
+    # every onset it lets through is positive
     try:
         points = enumerate_bifurcations(LatticeConfig(*ring), pot, a)
     except DegenerateAmplitudeError:
@@ -214,6 +235,38 @@ def test_hopf_modes_contribute_nothing():
     points = enumerate_bifurcations(CFG, CUBIC, 0.6)
     assert not [p for p in points if p.k == 1]
     assert _regime(block_data(CFG, CUBIC, 0.6, 1), CFG.n) == "hopf"
+
+
+def test_every_hopf_threshold_is_a_one_to_one_collision(tmp_path):
+    # at each a_hopf that thresholds prints, phi_k = 1 up to roundoff: k is
+    # flagged 1:1, carries no onset, and continue refuses it with exit 2
+    count = 0
+    for n in range(3, 13):
+        for m in range(n // 2 + 1):
+            if 4 * m == n:
+                continue
+            cfg = LatticeConfig(n, m)
+            for kind in ("cubic", "saturable"):
+                for c in (1.0, -1.0):
+                    pot = Potential(kind, (c,))
+                    for k, th in enumerate(amplitude_thresholds(cfg, pot), 1):
+                        if th.a_hopf is None:
+                            continue
+                        try:
+                            points, res = _enumerate(cfg, pot, th.a_hopf)
+                        except DegenerateAmplitudeError:
+                            continue
+                        assert k in res.one_to_one, (n, m, kind, c, k)
+                        assert k not in {p.k for p in points}, (n, m, kind, c, k)
+                        doc = {"lattice": {"n": n, "m": m}, "mode": k,
+                               "potential": {"kind": kind, "c": c},
+                               "amplitude": th.a_hopf}
+                        cfgp = tmp_path / "config.json"
+                        cfgp.write_text(json.dumps(doc))
+                        assert cli_main(["continue", "--config", str(cfgp),
+                                         "--out", str(tmp_path)]) == 2
+                        count += 1
+    assert count == 268
 
 
 def test_cubic_thresholds_closed_form():

@@ -346,17 +346,16 @@ def nonfinite_cells(root):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("command", ["spectrum", "stability", "bifurcations"])
+@pytest.mark.parametrize("command", ["spectrum", "stability", "bifurcations",
+                                     "continue", "verify"])
 def test_overflowing_amplitude_exits_3(tmp_path, capsys, command):
-    # a^2 overflows: the command exits 3 naming the block table (the
-    # degeneracy guard names its rank-one block) before it writes anything,
-    # so no CSV holds inf or nan
-    stage = "rank-one block" if command == "bifurcations" else "block table"
+    # a^2 overflows: the command exits 3 naming the block table before it
+    # writes anything, so no CSV holds inf or nan
     doc = dict(BASE, lattice={"n": 6, "m": 3}, amplitude=1e300)
     out = tmp_path / "out"
     assert main([command, "--config", write_config(tmp_path, doc),
                  "--out", str(out)]) == 3
-    assert f"numerical failure in '{command}': {stage}" in capsys.readouterr().err
+    assert f"numerical failure in '{command}': block table" in capsys.readouterr().err
     assert nonfinite_cells(out) == []
 
 
