@@ -15,7 +15,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -179,7 +179,7 @@ def _fmt(x) -> str:
     return "" if x is None else x if isinstance(x, str) else "%.17g" % x
 
 
-def write_csv(path: Path, header: list, rows: list) -> None:
+def write_csv(path: Path, header: list, rows: Iterable) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -342,7 +342,7 @@ def cmd_simulate(config: RunConfig) -> None:
     header = ["t"]
     for j in range(cfg.n):
         header += [f"s{j}_re", f"s{j}_im"]
-    rows = [[t, *u] for t, u in zip(traj.times, traj.states)]
+    rows = ([t, *u] for t, u in zip(traj.times, traj.states))
     write_csv(config.out_dir / "trajectory.csv", header, rows)
 
 

@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 
-J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 I2 = np.eye(2)
 # J (p, q) = (-q, p) = J_SIGNS * (q, p) on each site pair: applied as this
 # swap and sign, never as a dense product, J leaves every value exact.
@@ -158,23 +157,20 @@ def hamiltonian(cfg: LatticeConfig, pot: Potential, omega: float, u) -> float:
 def gradient(cfg: LatticeConfig, pot: Potential, omega: float, u) -> np.ndarray:
     """grad H(u); vanishes at every standing-wave equilibrium. Supports batched
     leading axes (shape (..., 2n))."""
-    return _site_gradient(cfg, pot, omega, u, None).reshape(np.shape(u))
+    return _site_gradient(cfg, pot, omega, u).reshape(np.shape(u))
 
 
-def _site_gradient(cfg, pot, omega, u, vp):
+def _site_gradient(cfg, pot, omega, u):
     x = _sites(u, cfg.n)
-    if vp is None:
-        vp = np.asarray(pot((x * x).sum(axis=-1), 1))
+    vp = np.asarray(pot((x * x).sum(axis=-1), 1))
     pad = np.concatenate((x[..., -1:, :], x, x[..., :1, :]), axis=-2)
     lap = pad[..., 2:, :] + pad[..., :-2, :] - 2.0 * x    # cyclic neighbours
     return (omega + vp)[..., None] * x + lap              # (..., n, 2)
 
 
-def rotating_rhs(cfg: LatticeConfig, pot: Potential, omega: float, u,
-                 vp=None) -> np.ndarray:
-    """udot = -J grad H(u), so J udot = grad H(u); vp = V'(|u_j|^2) if the
-    caller has it."""
-    g = _site_gradient(cfg, pot, omega, u, vp)
+def rotating_rhs(cfg: LatticeConfig, pot: Potential, omega: float, u) -> np.ndarray:
+    """udot = -J grad H(u), so J udot = grad H(u)."""
+    g = _site_gradient(cfg, pot, omega, u)
     return (g[..., ::-1] * _MINUS_J_SIGNS).reshape(np.shape(u))
 
 

@@ -8,11 +8,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConvergenceError
-from .lattice import (I2, J2, J_SIGNS, LatticeConfig, Potential, StandingWave,
-                      hamiltonian, onsite_blocks, rotating_rhs)
+from .lattice import (J_SIGNS, LatticeConfig, Potential, StandingWave,
+                      hamiltonian, rotating_rhs)
 
 MIDPOINT_TOL = 1e-13     # residual norm each midpoint Newton solve meets
 MIDPOINT_MAX_ITER = 50
@@ -34,62 +33,67 @@ def integrate(cfg: LatticeConfig, pot: Potential, omega: float,
     the interval (required downstream for trigonometric interpolation).
     Each step is predicted by extrapolating the last three states (Euler on
     the first step, linear on the second) and corrected by Newton with
-    I + (dt/2) J D^2H at each correction's midpoint, of which only the on-site
-    blocks change. Sites are taken in the folded ring order 0, n-1, 1, n-2,
-    ..., where neighbours sit at most two sites apart, so the matrix is
-    banded with 5 sub- and superdiagonals and is solved by banded LU, O(n).
+    I + (dt/2) J D^2H at each correction's midpoint. The orbit is carried in
+    the folded ring order 0, n-1, 1, n-2, ..., where neighbours sit at most
+    two sites apart, so the matrix is banded with 5 sub- and superdiagonals
+    and is solved by banded LU, O(n). Its on-site blocks are three band rows
+    written at each correction: the diagonal, the superdiagonal at odd and
+    the subdiagonal at even columns.
     """
     if not 0 < dt <= T < np.inf:
         raise ValueError("need finite dt > 0 and T >= dt")
     from scipy.linalg.lapack import dgbsv  # here, so the package imports numpy alone
     n, nsteps = cfg.n, max(1, int(round(T / dt)))
     dt_used = T / nsteps
-    h, j = 0.5 * dt_used, np.arange(n)
+    h, j, k = 0.5 * dt_used, np.arange(n), np.arange(2 * n)
     order = np.where(j % 2, n - 1 - j // 2, j // 2)   # site at each position
     rows = 2 * np.argsort(order)[:, None] + np.arange(2)   # rows of each site
     unfold = rows.ravel()                 # folded index of each natural one
     fold = np.argsort(unfold)             # natural index of each folded one
+    swap = k ^ 1                          # the other entry of the same site
+    # neighbours u_{j+1}, u_{j-1} of the swapped entry, and dt (-J), (dt/2) J
+    # and -(dt/2) J as signs on swapped entries: J (p, q) = J_SIGNS * (q, p)
+    up, down = (rows[(order + d) % n].ravel()[swap] for d in (1, -1))
+    dt_mj, h_j, h_mj = (np.tile(c * J_SIGNS, n) for c in (-dt_used, h, -h))
     band = np.zeros((16, 2 * n), order="F")   # LAPACK band storage, kl = ku = 5
-    for nb in (j + 1) % n, (j - 1) % n:   # A[r, c] is band[10 + r - c, c]
-        c = rows[nb][:, None, :]
-        band[10 + rows[:, :, None] - c, c] = h * J2
-    rs, cs = band.strides                 # the n diagonal 2x2 blocks, writable
-    onsite = as_strided(band[10:], (n, 2, 2), (2 * cs, rs, cs - rs))
-    h_j = h * J_SIGNS[:, None]
+    for c in up, down:      # A[r, c] is band[10 + r - c, c]; blocks (dt/2) J
+        band[10 + k - c, c] = h_j
+    diag, sub, sup = band[10], band[11, 0::2], band[9, 1::2]
     states = np.empty((nsteps + 1, 2 * n))
     states[0] = np.asarray(u0, dtype=float)
-    corrections = 0
+    u, prev, corrections = states[0][fold], None, 0
     for i in range(nsteps):
-        u = states[i]
         if i == 0:
-            v = u + dt_used * rotating_rhs(cfg, pot, omega, u)
+            v = u + dt_used * rotating_rhs(cfg, pot, omega, states[0])[fold]
         elif i == 1:
-            v = 2.0 * u - states[0]
+            v = 2.0 * u - prev
         else:           # quadratic extrapolation, off by O(dt^3)
-            v = 3.0 * (u - states[i - 1]) + states[i - 2]
+            v = 3.0 * (u - prev) + prev2
         for it in range(MIDPOINT_MAX_ITER):    # g(v) = v - u - dt f((u+v)/2)
             mid = 0.5 * (u + v)
-            x = mid.reshape(n, 2)
-            s = (x * x).sum(axis=-1)
-            vp = np.asarray(pot(s, 1))
-            g = v - u - dt_used * rotating_rhs(cfg, pot, omega, mid, vp)
+            ms, xx = mid[swap], mid * mid
+            s = xx + ms * ms                  # |u_j|^2 on both entries of site j
+            vp = pot(s, 1)
+            g = v - u - ((omega + vp) * ms
+                         + ((mid[up] + mid[down]) - 2.0 * ms)) * dt_mj
             if np.sqrt(g.dot(g)) <= MIDPOINT_TOL:   # np.linalg.norm(g)
                 break
-            # I + h J B_j, J applied to the row pair of each block
-            blocks = onsite_blocks(pot, omega, x, s, vp).take(order, 0)
-            np.multiply(blocks[:, ::-1], h_j, out=onsite)
-            onsite += I2
-            _, _, dv, info = dgbsv(5, 5, band, g[fold])
+            # I + h J B_j, B_j = (omega - 2 + V') I + 2 V'' x_j x_j^T
+            e = 2.0 * pot(s, 2)
+            np.add(e * (mid * ms) * h_j, 1.0, out=diag)
+            off = (omega - 2.0 + vp + e * xx) * h_mj
+            sub[:], sup[:] = off[0::2], off[1::2]
+            _, _, dv, info = dgbsv(5, 5, band, g)
             if info:
                 raise np.linalg.LinAlgError("Singular matrix")
-            v = v - dv[unfold]
+            v = v - dv
         else:
             raise ConvergenceError("implicit midpoint solve did not converge")
-        states[i + 1] = v
+        states[i + 1] = v[unfold]
+        prev2, prev, u = prev, u, v
         corrections += it
-    times = dt_used * np.arange(nsteps + 1)
-    return Trajectory(times=times, states=states, dt=dt_used,
-                      newton_iterations=corrections)
+    return Trajectory(times=dt_used * np.arange(nsteps + 1), states=states,
+                      dt=dt_used, newton_iterations=corrections)
 
 
 def invariant_drift(traj: Trajectory, cfg: LatticeConfig, pot: Potential,

@@ -452,6 +452,26 @@ def test_simulate_writes_trajectory(tmp_path):
     assert np.abs(first - last).max() <= 1e-12
 
 
+def test_simulate_streams_its_rows(tmp_path):
+    # trajectory.csv is written row by row from the states array: 5000 steps
+    # at n = 6 peak below twice its 480 kB, where a list of every row as
+    # Python floats is about 3.2 MB.
+    import tracemalloc
+    doc = dict(BASE, integration={"dt": 0.01, "t_final": 50.0})
+    cfgp = write_config(tmp_path, doc)
+    assert main(["simulate", "--config", cfgp, "--out", str(tmp_path / "warm")]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--config", cfgp, "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    _, rows = read_csv(tmp_path / "trajectory.csv")
+    states_nbytes = 5001 * 12 * 8
+    assert code == 0 and len(rows) == 5001
+    assert peak < 2 * states_nbytes
+
+
 def test_outputs_are_deterministic(tmp_path):
     doc = dict(BASE, mode=3, sign="+",
                continuation={"n_harmonics": 8, "max_steps": 4})
