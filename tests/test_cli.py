@@ -360,6 +360,17 @@ def test_overflowing_amplitude_exits_3(tmp_path, capsys, command):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_simulation_exits_3(tmp_path):
+    # the perturbed state overflows in the first midpoint step: no step
+    # converges, so simulate exits 3 and writes no trajectory
+    doc = dict(BASE, integration={"dt": 0.01, "t_final": 1.0},
+               perturbation={"scale": 1e200, "seed": 0})
+    assert main(["simulate", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("coefficients", [[0.0, 1.0], [1e308]])
 def test_polynomial_stability_overflow_exits_3(tmp_path, capsys, coefficients):
     # a^2 overflows and V''(a^2) reads NaN: the block table is not finite

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dnls_ring import (ContinuationOptions, LatticeConfig, Potential,
-                       Trajectory, closure_error, continue_branch,
+from dnls_ring import (ContinuationOptions, ConvergenceError, LatticeConfig,
+                       Potential, Trajectory, closure_error, continue_branch,
                        embed_reduced, enumerate_bifurcations, hessian,
                        integrate, invariant_drift, make_standing_wave,
                        rotating_rhs, spatial_period_error,
@@ -214,6 +214,23 @@ def test_integrate_equals_dense_stepper(n, kind):
     assert traj.newton_iterations == corrections
 
 
+@pytest.mark.parametrize("n", [3, 6, 48, 96])
+@pytest.mark.parametrize("kind", sorted(POTENTIALS))
+def test_two_correction_steps_equal_dense_stepper(n, kind):
+    # At dt = 0.05 most steps need a second correction: the first block's
+    # batched residual check fails, the step resumes from its corrected state
+    # and later blocks check every correction. The states and the count must
+    # still be the dense stepper's exactly.
+    cfg, pot = LatticeConfig(n, 1), POTENTIALS[kind]
+    sw = make_standing_wave(cfg, pot, 0.3)
+    u0 = sw.equilibrium + 0.1 * np.random.default_rng(n).standard_normal(2 * n)
+    traj = integrate(cfg, pot, sw.omega, u0, 0.05, 2.0)
+    states, corrections = dense_midpoint(cfg, pot, sw.omega, u0, 0.05, 2.0)
+    assert len(traj.times) == 41 and traj.newton_iterations > 40
+    assert np.array_equal(traj.states, states)
+    assert traj.newton_iterations == corrections
+
+
 def test_branch_orbit_equals_dense_stepper(short_branch):
     point = short_branch.points[-1]
     u0, T = branch_initial_state(point), 2 * np.pi / point.nu
@@ -262,8 +279,10 @@ def test_newton_band_equals_folded_dense_matrix(n, kind, monkeypatch):
 
 
 def test_integrate_memory_is_linear_in_n():
-    # The Newton matrix lives in band storage: two steps at the n = 512 cap
-    # peak below 1 MiB, where one dense (2n)^2 matrix alone is 8 MiB.
+    # The Newton matrix lives in band storage and each batched residual
+    # check covers a bounded block of steps: 40 steps at the n = 512 cap,
+    # states included, peak below 1 MiB, where one dense (2n)^2 matrix alone
+    # is 8 MiB.
     import tracemalloc
     cfg = LatticeConfig(512, 1)
     sw = make_standing_wave(cfg, CUBIC, 0.3)
@@ -271,12 +290,41 @@ def test_integrate_memory_is_linear_in_n():
     integrate(cfg, CUBIC, sw.omega, u0, 1e-3, 2e-3)   # imports scipy untraced
     tracemalloc.start()
     try:
-        traj = integrate(cfg, CUBIC, sw.omega, u0, 1e-3, 2e-3)
+        traj = integrate(cfg, CUBIC, sw.omega, u0, 1e-3, 4e-2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(traj.times) == 3 and traj.newton_iterations >= 2
+    assert len(traj.times) == 41 and traj.newton_iterations >= 40
     assert peak < 2 ** 20
+
+
+def test_correction_cap_raises(monkeypatch):
+    # With the tolerance at 0 no residual passes: the one step takes exactly
+    # MIDPOINT_MAX_ITER band solves, the first included, then gives up.
+    import scipy.linalg.lapack as lapack
+    import dnls_ring.verify as verify
+    solve, calls = lapack.dgbsv, []
+
+    def spy(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(lapack, "dgbsv", spy)
+    monkeypatch.setattr(verify, "MIDPOINT_TOL", 0.0)
+    u0 = SW.equilibrium + 0.1 * np.random.default_rng(1).standard_normal(12)
+    with pytest.raises(ConvergenceError):
+        integrate(CFG, CUBIC, SW.omega, u0, 0.01, 0.01)
+    assert len(calls) == verify.MIDPOINT_MAX_ITER
+
+
+def test_nonfinite_state_raises():
+    # A NaN never passes the residual test, however the check is batched.
+    u0 = SW.equilibrium.copy()
+    u0[3] = np.nan
+    with pytest.raises(ConvergenceError):
+        integrate(CFG, CUBIC, SW.omega, u0, 1e-2, 1.0)
+    with np.errstate(all="ignore"), pytest.raises(ConvergenceError):
+        integrate(CFG, CUBIC, SW.omega, 1e200 * SW.equilibrium, 1e-2, 1.0)
 
 
 def test_singular_newton_matrix_raises():
