@@ -192,18 +192,14 @@ def _polynomial_root(coeffs: tuple, alpha: float,
 def _cubic_root(params: tuple, alpha: float, target: float) -> Optional[float]:
     # phi(a) = 2 c a^2 / alpha = target  =>  a = sqrt(target alpha / 2c)
     val = target * alpha / (2.0 * params[0])
-    if val <= 0.0:
-        return None
-    return float(np.sqrt(val))
+    return None if val <= 0.0 else float(np.sqrt(val))
 
 
 def _saturable_root(params: tuple, alpha: float, target: float) -> Optional[float]:
     # phi(a) = -(2c/alpha) (a / (1 + a^2))^2 = target; r = a/(1+a^2) in (0, 1/2]
     val = -target * alpha / (2.0 * params[0])
-    if val <= 0.0:
+    if val <= 0.0 or np.sqrt(val) > 0.5:
         return None
     r = np.sqrt(val)
-    if r > 0.5:
-        return None
     # a^2 r - a + r = 0, smaller positive root, in a form free of cancellation
     return float(2.0 * r / (1.0 + np.sqrt(1.0 - 4.0 * r * r)))

@@ -281,11 +281,9 @@ def _run_branch(config: RunConfig) -> tuple:
 def cmd_continue(config: RunConfig) -> None:
     _, branch = _run_branch(config)
     k, sgn = config.mode, _sign_char(config.sign)
-    rows = []
-    for i, pt in enumerate(branch.points):
-        rows.append([i, pt.nu, pt.amplitude, pt.residual_norm,
-                     pt.profile.cos_a[0], pt.profile.cos_a[1],
-                     pt.profile.sin_b[0]])
+    rows = [[i, pt.nu, pt.amplitude, pt.residual_norm, pt.profile.cos_a[0],
+             pt.profile.cos_a[1], pt.profile.sin_b[0]]
+            for i, pt in enumerate(branch.points)]
     write_csv(config.out_dir / f"branch_k{k}{sgn}.csv",
               ["step", "nu", "amplitude", "residual_norm", "a0", "a1", "b1"],
               rows)
@@ -346,15 +344,9 @@ def cmd_simulate(config: RunConfig) -> None:
     write_csv(config.out_dir / "trajectory.csv", header, rows)
 
 
-COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "stability": cmd_stability,
-    "thresholds": cmd_thresholds,
-    "bifurcations": cmd_bifurcations,
-    "continue": cmd_continue,
-    "verify": cmd_verify,
-    "simulate": cmd_simulate,
-}
+COMMANDS = {"spectrum": cmd_spectrum, "stability": cmd_stability,
+            "thresholds": cmd_thresholds, "bifurcations": cmd_bifurcations,
+            "continue": cmd_continue, "verify": cmd_verify, "simulate": cmd_simulate}
 
 
 _PARSER = argparse.ArgumentParser(

@@ -118,7 +118,7 @@ class ReducedSystem:
             spec[0] += self.sw.a
             u = np.fft.irfft(spec.reshape(2, -1), self.M, norm="forward")
             s = (u * u).sum(axis=0)
-            self._grid = (pvec.copy(), u, s, self.pot(s, 1))
+            self._grid = (pvec.copy(), u, s, self.pot.derivs[1](s))
         return self._grid[1:]
 
     def _gradient(self, pvec: np.ndarray) -> np.ndarray:
@@ -136,23 +136,27 @@ class ReducedSystem:
             raise ConvergenceError("frequency left the positive domain")
         return self.j_dt @ pvec - self._gradient(pvec) / nu
 
-    def jacobian(self, pvec: np.ndarray, nu: float,
-                 r: np.ndarray) -> np.ndarray:
+    def jacobian(self, pvec: np.ndarray, nu: float, r: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
         """Exact Jacobian in (p, nu), (dim, dim+1); its nu column is
-        (j_dt p - r) / nu, from the residual r at (p, nu)."""
+        (j_dt p - r) / nu, from the residual r at (p, nu). Written into out
+        if given: _newton passes the rows above its bordering row."""
         u, s, vp = self._site0(pvec)
         # pointwise Hessian V'(s) I + 2 V''(s) u_0 u_0^T, the on-site block
-        # of D^2H with omega - 2 = 0, as rows h00, h01, h10, h11
-        hess = onsite_blocks(self.pot, 2.0, u.T, s, vp).reshape(self.M, 4)
-        h = np.fft.rfft(hess, axis=0, norm="forward")[: 2 * self.nh + 1].T
-        # C(q) = Re h(q), S(q) = -Im h(q) = Re(i h(q)), h(-q) = conj h(q)
-        tab = (np.concatenate([h[:, :0:-1].conj(), h], axis=1)
-               * np.array([[1.0], [-1j], [1j], [1.0]])).real.ravel()
+        # of D^2H with omega - 2 = 0, as rows h00, h01 = h10, h11
+        h = np.fft.rfft(onsite_blocks(self.pot, 2.0, u, s, vp), axis=1,
+                        norm="forward")[:, : 2 * self.nh + 1]
+        # C(q) = Re h(q), S(q) = -Im h(q), h(-q) = conj h(q): rows C00(q),
+        # S01(-q), S10(q) = -S01(-q), C11(q) over q in [-2nh, 2nh]
+        h = np.concatenate([h[:, :0:-1].conj(), h], axis=1)
+        tab = np.concatenate([h[0].real, h[1].imag, -h[1].imag, h[2].real])
         tab = np.concatenate([tab, -tab, [0.0]])
         onsite = tab[self._toeplitz] + tab[self._hankel]
         onsite += self.coupling
-        return np.column_stack([self.j_dt - onsite / nu,
-                                (self.j_dt @ pvec - r) / nu])
+        out = np.empty((self.dim, self.dim + 1)) if out is None else out
+        np.subtract(self.j_dt, onsite / nu, out=out[:, :-1])
+        out[:, -1] = (self.j_dt @ pvec - r) / nu
+        return out
 
 
 def onset_kernel(sys_: ReducedSystem, nu: float) -> ReducedProfile:
@@ -192,7 +196,8 @@ def onset_kernel(sys_: ReducedSystem, nu: float) -> ReducedProfile:
 def _newton(sys_: ReducedSystem, y0: np.ndarray, row: np.ndarray) -> tuple:
     """Solve residual(p, nu) = 0 on the hyperplane row . (y - y0) = 0 by
     Newton's method from y0; returns (y, residual norm)."""
-    y = y0
+    y, bordered = y0, np.empty((len(y0), len(y0)))
+    bordered[-1] = row
     for _ in range(MAX_NEWTON_ITER):
         p, nu = y[:-1], y[-1]
         r = sys_.residual(p, nu)
@@ -200,9 +205,9 @@ def _newton(sys_: ReducedSystem, y0: np.ndarray, row: np.ndarray) -> tuple:
         rnorm = float(np.linalg.norm(r))
         if rnorm <= NEWTON_TOL and abs(c) <= NEWTON_TOL:
             return y, rnorm
-        Jfull = np.vstack([sys_.jacobian(p, nu, r), row])
+        sys_.jacobian(p, nu, r, out=bordered[:-1])
         try:
-            delta = np.linalg.solve(Jfull, -np.concatenate([r, [c]]))
+            delta = np.linalg.solve(bordered, -np.concatenate([r, [c]]))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular bordered system: {exc}") from exc
         y = y + delta

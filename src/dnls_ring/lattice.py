@@ -10,12 +10,14 @@ and the test suite checks that rotating_rhs linearizes to -J D^2H(a_m).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 
 I2 = np.eye(2)
+_I2_ROWS = np.array([[1.0], [0.0], [1.0]])    # I2 as rows 00, 01, 11
 # J (p, q) = (-q, p) = J_SIGNS * (q, p) on each site pair: applied as this
 # swap and sign, never as a dense product, J leaves every value exact.
 J_SIGNS = np.array([-1.0, 1.0])
@@ -67,10 +69,34 @@ class Potential:
         cubic       V(s) = c s^2 / 2          (c > 0 focusing, c < 0 defocusing)
         saturable   V(s) = c ln(1 + s), s > -1
         polynomial  V(s) = sum coeffs[i] s^i  (ascending powers)
+
+    derivs, built once, is (V, V', V'') as functions of float arrays without
+    the domain check, for Newton loops; a cubic's V'' is the scalar c.
     """
 
     kind: str
     params: tuple = field(default=())
+    derivs: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        kind, p = self.kind, self.params
+        c = p[0] if len(p) == 1 else None
+        if kind == "cubic" and c is not None:
+            derivs = (lambda s: 0.5 * c * s * s, lambda s: c * s, lambda s: c)
+        elif kind == "saturable" and c is not None:
+            derivs = (lambda s: c * np.log1p(s), lambda s: c / (1.0 + s),
+                      lambda s: -c / (1.0 + s) ** 2)
+        elif kind == "polynomial" and p:    # coefficients of V, V', V''
+            P, v = np.polynomial.polynomial, np.array(p, dtype=float)
+            derivs = tuple(partial(P.polyval, c=a)
+                           for a in (v, P.polyder(v), P.polyder(P.polyder(v))))
+        else:
+            raise ConfigError(f"no {kind!r} potential of {len(p)} parameters: "
+                              "cubic and saturable take c, polynomial coefficients")
+        object.__setattr__(self, "derivs", derivs)
+
+    def __reduce__(self):       # derivs holds closures: pickle the fields
+        return type(self), (self.kind, self.params)
 
     @classmethod
     def cubic(cls, c: float) -> "Potential":
@@ -89,32 +115,12 @@ class Potential:
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order}")
         s = np.asarray(s, dtype=float)
-        if self.kind == "cubic":
-            c = self.params[0]
-            if order == 0:
-                out = 0.5 * c * s * s
-            elif order == 1:
-                out = c * s
-            else:
-                out = np.full_like(s, c)
-        elif self.kind == "saturable":
-            c = self.params[0]
-            if np.any(s <= -1.0):
-                raise DomainError("saturable potential requires s > -1")
-            if order == 0:
-                out = c * np.log1p(s)
-            elif order == 1:
-                out = c / (1.0 + s)
-            else:
-                out = -c / (1.0 + s) ** 2
-        elif self.kind == "polynomial":
-            coeffs = np.array(self.params, dtype=float)
-            for _ in range(order):
-                coeffs = np.polynomial.polynomial.polyder(coeffs)
-            out = np.polynomial.polynomial.polyval(s, coeffs)
-        else:
-            raise ConfigError(f"unknown potential kind {self.kind!r}")
-        return out if out.ndim else float(out)
+        if self.kind == "saturable" and np.any(s <= -1.0):
+            raise DomainError("saturable potential requires s > -1")
+        out = self.derivs[order](s)
+        if np.ndim(out) < s.ndim:       # a constant V''
+            out = np.full_like(s, out)
+        return out if np.ndim(out) else float(out)
 
 
 @dataclass(frozen=True)
@@ -176,11 +182,11 @@ def rotating_rhs(cfg: LatticeConfig, pot: Potential, omega: float, u) -> np.ndar
 
 def onsite_blocks(pot: Potential, omega: float, x: np.ndarray, s: np.ndarray,
                   vp: np.ndarray) -> np.ndarray:
-    """Diagonal 2x2 blocks (omega - 2 + V'(s_j)) I + 2 V''(s_j) x_j x_j^T of
-    D^2H for site pairs x (shape (n, 2)), s_j = |x_j|^2 and vp = V'(s)."""
-    return ((omega - 2.0 + vp)[:, None, None] * I2
-            + (2.0 * np.asarray(pot(s, 2)))[:, None, None]
-            * (x[:, :, None] * x[:, None, :]))
+    """Rows h00, h01 = h10, h11 (shape (3, n)) of the diagonal 2x2 blocks
+    (omega - 2 + V'(s_j)) I + 2 V''(s_j) x_j x_j^T of D^2H, for site pairs
+    as columns of x (shape (2, n)), s_j = |x_j|^2 and vp = V'(s)."""
+    return ((omega - 2.0 + vp) * _I2_ROWS
+            + 2.0 * pot.derivs[2](s) * (x[[0, 0, 1]] * x[[0, 1, 1]]))
 
 
 def hessian(cfg: LatticeConfig, pot: Potential, omega: float, u) -> np.ndarray:
@@ -191,7 +197,8 @@ def hessian(cfg: LatticeConfig, pot: Potential, omega: float, u) -> np.ndarray:
     s = (x * x).sum(axis=-1)
     j = np.arange(n)
     H = np.zeros((n, 2, n, 2))
-    H[j, :, j, :] = onsite_blocks(pot, omega, x, s, np.asarray(pot(s, 1)))
+    H[j, :, j, :] = onsite_blocks(pot, omega, x.T, s, np.asarray(pot(s, 1)))[
+        [0, 1, 1, 2]].T.reshape(n, 2, 2)
     H[j, :, (j + 1) % n, :] += I2
     H[j, :, (j - 1) % n, :] += I2
     return H.reshape(2 * n, 2 * n)

@@ -45,10 +45,7 @@ class LatticeLoop:
         if M < 2 * nh + 1:
             raise ValueError(f"need at least {2 * nh + 1} samples, got {M}")
         C = np.fft.fft(samples, axis=0) / M
-        c = np.empty((samples.shape[1], 2 * nh + 1, 2), dtype=complex)
-        for l in range(-nh, nh + 1):
-            c[:, nh + l, :] = C[l % M]
-        return cls(c)
+        return cls(C[np.arange(-nh, nh + 1) % M].swapaxes(0, 1).copy())
 
 
 @dataclass
@@ -78,11 +75,8 @@ class ReducedProfile:
         """Zero-pad to a larger harmonic cutoff."""
         if nh < self.nh:
             raise ValueError("padding target smaller than current cutoff")
-        a = np.zeros(nh + 1)
-        b = np.zeros(nh)
-        a[: self.nh + 1] = self.cos_a
-        b[: self.nh] = self.sin_b
-        return ReducedProfile(self.k, a, b)
+        pad = (0, nh - self.nh)
+        return ReducedProfile(self.k, np.pad(self.cos_a, pad), np.pad(self.sin_b, pad))
 
 
 def embed_reduced(p: ReducedProfile, cfg: LatticeConfig) -> LatticeLoop:

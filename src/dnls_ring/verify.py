@@ -38,7 +38,9 @@ def integrate(cfg: LatticeConfig, pot: Potential, omega: float,
     LU, until the residual norm is at most MIDPOINT_TOL. After a block in
     which no step took two corrections, the next block's steps stop after
     one and one residual evaluation over its states (at most 1024 // n)
-    checks them; the first that fails resumes, and the rest are redone.
+    checks them; the first that fails goes on from its corrected state in
+    the next block, checked, and the rest are redone. Every step runs one
+    inline Newton loop on V', V'' bound once from pot.derivs.
     """
     if not 0 < dt <= T < np.inf:
         raise ValueError("need finite dt > 0 and T >= dt")
@@ -63,60 +65,61 @@ def integrate(cfg: LatticeConfig, pot: Potential, omega: float,
     diag, flat = band[10], band.T.ravel()     # flat: a view of band
     offdiag = 16 * k + np.where(k % 2, 9, 11)  # superdiagonal odd, sub even
 
-    def residual(u, v, at=(swap, up, down, dt_mj)):  # states laid end to end
-        mid = 0.5 * (u + v)               # g(v) = v - u - dt f((u+v)/2)
-        ms, xx, nb = mid[at[0]], mid * mid, mid[at[1]] + mid[at[2]]
-        s = xx + ms * ms                  # |u_j|^2 on both entries of site j
-        vp = pot(s, 1)
-        g = v - u - ((omega + vp) * ms + (nb - 2.0 * ms)) * at[3]
-        return g, mid, ms, xx, s, vp
-
-    def correct(u, v, it, once, g, mid, ms, xx, s, vp):   # v is iterate it
-        while not math.sqrt(g.dot(g)) <= MIDPOINT_TOL:
-            # I + h J B_j, B_j = (omega - 2 + V') I + 2 V'' x_j x_j^T
-            e = 2.0 * pot(s, 2)
-            np.add(e * (mid * ms) * h_j, 1.0, out=diag)
-            flat[offdiag] = (omega - 2.0 + vp + e * xx) * h_mj
-            _, _, dv, info = dgbsv(5, 5, band, g)
-            if info and once:   # the batched residual check fails this step
-                break           # and redoes it, unless an earlier one failed
-            if info:
-                raise np.linalg.LinAlgError("Singular matrix")
-            v, it = v - dv, it + 1
-            if it == MIDPOINT_MAX_ITER:
-                raise ConvergenceError("implicit midpoint solve did not converge")
-            if once:        # left to the block's batched residual
-                break
-            g, mid, ms, xx, s, vp = residual(u, v)
-        return v, it
-
+    V1, V2 = pot.derivs[1:]               # bound once: no dispatch per step
     states = np.empty((nsteps + 1, 2 * n))
     states[0] = np.asarray(u0, dtype=float)
     x = np.empty((cap + 3, 2 * n))        # prev2, prev, u, then a block's steps
     x[2], i, size, checked, corrections = states[0][fold], 0, 1, False, 0
     euler = x[2] + dt_used * rotating_rhs(cfg, pot, omega, states[0])[fold]
+    resume = None           # (iterate, corrections) of a step a batch check failed
     while i < nsteps:
         m, (prev2, prev, u) = min(size, nsteps - i), x[:3]
         its = [0] * m                     # corrections of each step
         for r in range(m):  # predictor: Euler, linear, then quadratic, O(dt^3)
-            v = (euler if i + r == 0 else 2.0 * u - prev if i + r == 1
-                 else 3.0 * (u - prev) + prev2)
-            v, its[r] = correct(u, v, 0, not checked, *residual(u, v))
+            if r == 0 and resume is not None:   # goes on from its iterate
+                (v, its[0]), resume = resume, None
+            else:
+                v = (euler if i + r == 0 else 2.0 * u - prev if i + r == 1
+                     else 3.0 * (u - prev) + prev2)
+            while True:     # Newton on g(v) = v - u - dt f((u+v)/2)
+                mid = 0.5 * (u + v)
+                ms, xx = mid[swap], mid * mid
+                s = xx + ms * ms          # |u_j|^2 on both entries of site j
+                vp = V1(s)
+                g = v - u - ((omega + vp) * ms
+                             + (mid[up] + mid[down] - 2.0 * ms)) * dt_mj
+                if math.sqrt(g.dot(g)) <= MIDPOINT_TOL:
+                    break
+                # I + h J B_j, B_j = (omega - 2 + V') I + 2 V'' x_j x_j^T
+                e = 2.0 * V2(s)
+                np.add(e * (mid * ms) * h_j, 1.0, out=diag)
+                flat[offdiag] = (omega - 2.0 + vp + e * xx) * h_mj
+                _, _, dv, info = dgbsv(5, 5, band, g)
+                if info and checked:
+                    raise np.linalg.LinAlgError("Singular matrix")
+                if not info:        # else the batch check fails the step
+                    v, its[r] = v - dv, its[r] + 1
+                if its[r] == MIDPOINT_MAX_ITER:
+                    raise ConvergenceError("implicit midpoint solve did not converge")
+                if not checked:     # one correction, left to the batch check
+                    break
             x[r + 3], prev2, prev, u = v, prev, u, v
-        if not checked:
-            res = [a.reshape(m, -1) for a in residual(
-                x[2:m + 2].ravel(), x[3:m + 3].ravel(), [a[:2 * n * m] for a in wide])]
-            r = next((r for r, g in enumerate(res[0])
-                      if not math.sqrt(g.dot(g)) <= MIDPOINT_TOL), m)
-            if r < m:
-                x[r + 3], its[r] = correct(x[r + 2], x[r + 3], 1, False,
-                                           *(a[r] for a in res))
-                m = r + 1
-            del res         # freed before the next block's band solves
+        if not checked:     # the batch check: the residual of the block's states
+            swaps, ups, downs, dt_mjs = (a[:2 * n * m] for a in wide)
+            u, v = x[2:m + 2].ravel(), x[3:m + 3].ravel()
+            mid = 0.5 * (u + v)
+            ms = mid[swaps]
+            g = (v - u - ((omega + V1(mid * mid + ms * ms)) * ms
+                          + (mid[ups] + mid[downs] - 2.0 * ms)) * dt_mjs).reshape(m, -1)
+            r = next((r for r in range(m)
+                      if not math.sqrt(g[r].dot(g[r])) <= MIDPOINT_TOL), m)
+            if r < m:       # it goes on, checked, in the next block; the rest redone
+                resume, m = (x[r + 3].copy(), its[r]), r
         x[3:m + 3].take(unfold, 1, out=states[i + 1:i + m + 1])
         x[:3] = x[m:m + 3]
         i, corrections = i + m, corrections + sum(its[:m])
-        size, checked = min(2 * size, cap), max(its[:m]) > 1  # a step took two
+        # after a step that took two corrections, check every correction
+        size, checked = min(2 * size, cap), resume is not None or max(its[:m]) > 1
     return Trajectory(times=dt_used * np.arange(nsteps + 1), states=states,
                       dt=dt_used, newton_iterations=corrections)
 

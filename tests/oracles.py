@@ -127,7 +127,7 @@ def dense_jacobian(sys_: ReducedSystem, pvec: np.ndarray, nu: float) -> np.ndarr
     u = synthesis @ pvec
     u[0] += sys_.sw.a
     s = (u * u).sum(axis=0)
-    hess = onsite_blocks(sys_.pot, 2.0, u.T, s, sys_.pot(s, 1)).transpose(1, 2, 0)
+    hess = onsite_blocks(sys_.pot, 2.0, u, s, sys_.pot(s, 1))[[0, 1, 1, 2]].reshape(2, 2, -1)
     onsite = analysis @ np.einsum("cdt,dtj->ctj", hess, synthesis).reshape(
         -1, sys_.dim)
     return np.column_stack([sys_.j_dt - (sys_.coupling + onsite) / nu,

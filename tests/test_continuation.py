@@ -315,6 +315,39 @@ def test_fourier_forms_match_dense_oracles_on_random_rings(data):
                           seed=data.draw(st.integers(0, 2 ** 32 - 1))) <= 1e-13
 
 
+@pytest.mark.parametrize("nh", [6, 32, 64])
+@pytest.mark.parametrize("pot", [Potential.cubic(1.0), Potential.saturable(1.0),
+                                 Potential.polynomial([0.0, 0.5, -0.3, 0.1, 0.05])],
+                         ids=lambda p: p.kind)
+def test_bordered_newton_matrix_equals_stacked_jacobian(pot, nh, monkeypatch):
+    # _newton writes the Jacobian rows into its bordered matrix in place; each
+    # matrix it solves must be the public (dim, dim+1) Jacobian with the
+    # hyperplane row stacked below it, bit for bit
+    solve, seen = np.linalg.solve, []
+
+    def spy(A, b):
+        seen.append((A.copy(), b.copy()))
+        return solve(A, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    rng = np.random.default_rng(nh)
+    sw = make_standing_wave(CFG, pot, 0.3)
+    sys_ = ReducedSystem(CFG, pot, sw, 1, nh)
+    y0 = np.concatenate([_decaying_profile(rng, 1, nh, 0.05).as_vector(),
+                         [float(rng.uniform(0.5, 2.5))]])
+    row = 0.1 * rng.standard_normal(sys_.dim + 1)
+    row[-1] += 1.0          # near nu = const, where p = 0 solves
+    continuation._newton(sys_, y0, row)
+    assert len(seen) >= 2
+    y, fresh = y0, ReducedSystem(CFG, pot, sw, 1, nh)
+    for A, b in seen:
+        p, nu = y[:-1], y[-1]
+        r = fresh.residual(p, nu)
+        assert np.array_equal(b, -np.concatenate([r, [row @ (y - y0)]]))
+        assert A.tobytes() == np.vstack([fresh.jacobian(p, nu, r), row]).tobytes()
+        y = y + solve(A, b)
+
+
 def test_grid_size_is_the_least_5_smooth_length():
     smooth = sorted(2 ** a * 3 ** b * 5 ** c for a in range(12)
                     for b in range(8) for c in range(6))

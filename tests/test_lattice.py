@@ -73,6 +73,66 @@ def test_saturable_domain():
         sat(-2.0, 1)
 
 
+@pytest.mark.parametrize("kind, params", [("cubic", ()), ("polynomial", ()),
+                                           ("bogus", ()), ("saturable", (1.0, 2.0))],
+                         ids=["cubic_no_c", "polynomial_no_coefficients",
+                              "unknown_kind", "saturable_two_c"])
+def test_potential_checks_kind_and_parameter_count_at_construction(kind, params):
+    with pytest.raises(ConfigError):
+        Potential(kind, params)
+
+
+TABLE_POTENTIALS = [Potential.cubic(1.3), Potential.cubic(-1.3),
+                    Potential.saturable(0.7), Potential.saturable(-0.7),
+                    Potential.polynomial([2.0]), Potential.polynomial([1, 3]),
+                    Potential.polynomial([0, 0.5, -0.3, 0.2, 0.1])]
+
+
+def _bits(x, shape=None):
+    x = np.asarray(x, dtype=float)
+    return np.broadcast_to(x, x.shape if shape is None else shape).tobytes()
+
+
+@pytest.mark.parametrize("pot", TABLE_POTENTIALS, ids=repr)
+def test_derivative_table_equals_call_bit_for_bit(pot):
+    # the bound V, V', V'' are what __call__ evaluates: same bits on scalars,
+    # 0-d arrays and batched states; only a constant V'' may be a scalar
+    s = np.random.default_rng(3).uniform(-0.9, 3.0, size=(4, 12))
+    s[1, 5] = s[2, :2] = 0.0
+    for order, f in enumerate(pot.derivs):
+        got = f(s)
+        assert np.shape(got) in ((), s.shape)
+        assert _bits(got, s.shape) == _bits(pot(s, order))
+        assert pot(s, order).shape == s.shape
+        for x in (0.0, 0.37, -0.5, np.array(0.37)):
+            assert type(pot(x, order)) is float
+            assert _bits(f(np.asarray(x))) == _bits(pot(x, order))
+            assert _bits(f(x)) == _bits(pot(x, order))
+
+
+@pytest.mark.parametrize("pot", [p for p in TABLE_POTENTIALS if p.kind == "polynomial"],
+                         ids=repr)
+def test_polynomial_derivatives_equal_polyval_of_polyder(pot):
+    poly = np.polynomial.polynomial
+    s = np.concatenate([[0.0, -0.0], np.random.default_rng(4).uniform(-2.0, 2.0, 20)])
+    for order, f in enumerate(pot.derivs):
+        want = poly.polyval(s, poly.polyder(np.array(pot.params), order))
+        assert _bits(f(s)) == _bits(want)
+
+
+@pytest.mark.parametrize("pot", TABLE_POTENTIALS, ids=repr)
+def test_potential_stays_equal_hashable_picklable(pot):
+    import pickle
+    same = Potential(pot.kind, pot.params)
+    back = pickle.loads(pickle.dumps(pot))
+    assert same == pot == back and hash(same) == hash(pot) == hash(back)
+    assert len({pot, same, back}) == 1
+    assert repr(pot) == f"Potential(kind={pot.kind!r}, params={pot.params!r})"
+    s = np.linspace(0.0, 2.0, 7)
+    for order in range(3):
+        assert _bits(back(s, order)) == _bits(pot(s, order))
+
+
 def test_standing_wave_frequency():
     cfg = LatticeConfig(6, 1)
     pot = Potential.cubic(1.0)
@@ -288,7 +348,8 @@ def test_onsite_blocks_equal_loop_hessian_diagonal():
             u = 0.4 * rng.standard_normal(2 * n)
             x = u.reshape(n, 2)
             s = (x * x).sum(axis=-1)
-            blocks = onsite_blocks(pot, 0.7, x, s, pot(s, 1))
+            rows = onsite_blocks(pot, 0.7, x.T, s, pot(s, 1))
+            blocks = rows[[0, 1, 1, 2]].T.reshape(n, 2, 2)
             H = loop_hessian(n, pot, 0.7, u)
             for j in range(n):
                 assert np.array_equal(blocks[j], H[2 * j:2 * j + 2, 2 * j:2 * j + 2])
