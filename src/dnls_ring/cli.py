@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -180,12 +181,20 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, header: list, rows: Iterable) -> None:
+    """Rewrite path in place, then cut it to the written length: O_TRUNC
+    frees an existing file's blocks only to allocate them again."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
+    with open(path, "w", newline="", opener=lambda p, flags: os.open(
+            p, flags & ~os.O_TRUNC, 0o666)) as fh:   # open's mode, not 0o777
+        try:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows([_fmt(x) for x in row] for row in rows)
+        finally:   # a failed write keeps its prefix and loses the old tail
+            fh.flush()
+            # a pipe cannot tell, and a device reads size 0 (ftruncate: EINVAL)
+            if fh.seekable() and os.fstat(fh.fileno()).st_size > fh.tell():
+                fh.truncate()
 
 
 def read_csv(path) -> tuple:
@@ -257,8 +266,7 @@ def cmd_bifurcations(config: RunConfig) -> None:
     points, res = _enumerate(cfg, pot, a)
     rows = [[p.k, _sign_char(p.sign), p.nu_onset, p.regime,
              p.near_degenerate, p.suppressed, _flag_string(p)] for p in points]
-    for k in res.one_to_one:
-        rows.append([k, "", "", "hopf", "", "", "1:1"])
+    rows += [[k, "", "", "hopf", "", "", "1:1"] for k in res.one_to_one]
     write_csv(config.out_dir / "bifurcations.csv",
               ["k", "sign", "nu_onset", "regime", "near_degenerate",
                "suppressed", "flags"], rows)
@@ -285,17 +293,14 @@ def cmd_continue(config: RunConfig) -> None:
              pt.profile.cos_a[1], pt.profile.sin_b[0]]
             for i, pt in enumerate(branch.points)]
     write_csv(config.out_dir / f"branch_k{k}{sgn}.csv",
-              ["step", "nu", "amplitude", "residual_norm", "a0", "a1", "b1"],
-              rows)
+              ["step", "nu", "amplitude", "residual_norm", "a0", "a1", "b1"], rows)
     snaps = set(range(0, len(branch.points), config.snapshot_stride))
     snaps.add(len(branch.points) - 1)
     for i in sorted(snaps):
         prof = branch.points[i].profile
-        prows = [[0, prof.cos_a[0], 0.0]]
-        for l in range(1, prof.nh + 1):
-            prows.append([l, prof.cos_a[l], prof.sin_b[l - 1]])
-        write_csv(config.out_dir / f"profile_step{i}.csv",
-                  ["l", "a_l", "b_l"], prows)
+        write_csv(config.out_dir / f"profile_step{i}.csv", ["l", "a_l", "b_l"],
+                  [[l, prof.cos_a[l], prof.sin_b[l - 1] if l else 0.0]
+                   for l in range(prof.nh + 1)])
     print(f"branch k={k}{sgn}: {len(branch.points)} points, "
           f"termination={branch.termination}, "
           f"onset extrapolation={extrapolate_onset(branch):.9g}")
@@ -337,9 +342,7 @@ def cmd_simulate(config: RunConfig) -> None:
     if config.t_final is None:
         raise ConfigError("simulate requires integration.t_final")
     traj = integrate(cfg, pot, sw.omega, u0, config.dt, config.t_final)
-    header = ["t"]
-    for j in range(cfg.n):
-        header += [f"s{j}_re", f"s{j}_im"]
+    header = ["t"] + [f"s{j}_{part}" for j in range(cfg.n) for part in ("re", "im")]
     rows = ([t, *u] for t, u in zip(traj.times, traj.states))
     write_csv(config.out_dir / "trajectory.csv", header, rows)
 
@@ -357,8 +360,7 @@ _PARSER.add_argument("command", choices=COMMANDS)
 _PARSER.add_argument("--config", required=True, help="JSON config document")
 _PARSER.add_argument("--out", default=None, help="output directory")
 _PARSER.add_argument("--k", type=int, default=None, help="mode override")
-_PARSER.add_argument("--sign", choices=["+", "-"], default=None,
-                     help="onset sign override")
+_PARSER.add_argument("--sign", choices=["+", "-"], help="onset sign override")
 
 
 def main(argv=None) -> int:
@@ -383,11 +385,8 @@ def main(argv=None) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        if config is None:
-            print(f"invalid config: {exc}", file=sys.stderr)
-        else:
-            print(f"cannot write outputs to {config.out_dir}: {exc}",
-                  file=sys.stderr)
+        print(f"invalid config: {exc}" if config is None else
+              f"cannot write outputs to {config.out_dir}: {exc}", file=sys.stderr)
         return 2
     except (DnlsRingError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure in '{args.command}': {exc}", file=sys.stderr)

@@ -155,9 +155,10 @@ def _sites(u: np.ndarray, n: int) -> np.ndarray:
 def hamiltonian(cfg: LatticeConfig, pot: Potential, omega: float, u) -> float:
     """H(u) = (1/2) sum_j { V(|u_j|^2) + omega |u_j|^2 - |u_{j+1} - u_j|^2 }."""
     x = _sites(u, cfg.n)
-    s = (x * x).sum(axis=-1)
-    diff = np.roll(x, -1, axis=-2) - x
-    val = 0.5 * (pot(s, 0) + omega * s - (diff * diff).sum(axis=-1)).sum(axis=-1)
+    s = np.square(x)
+    s = s[..., 0] + s[..., 1]       # pair sums: no length-2 reduction
+    d = np.square(np.roll(x, -1, axis=-2) - x)
+    val = 0.5 * (pot(s, 0) + omega * s - (d[..., 0] + d[..., 1])).sum(axis=-1)
     return float(val) if np.ndim(val) == 0 else val
 
 def gradient(cfg: LatticeConfig, pot: Potential, omega: float, u) -> np.ndarray:

@@ -133,7 +133,7 @@ def invariant_drift(traj: Trajectory, cfg: LatticeConfig, pot: Potential,
     return float(np.abs(H - H[0]).max()), float(np.abs(P - P[0]).max())
 
 
-def _norm_samples_one_period(traj: Trajectory, n: int, nu: float) -> np.ndarray:
+def _norm_samples_one_period(traj: Trajectory, nu: float) -> np.ndarray:
     period = 2.0 * np.pi / nu
     npts = int(round(period / traj.dt))
     if abs(npts * traj.dt - period) > 1e-8 * period:
@@ -141,8 +141,8 @@ def _norm_samples_one_period(traj: Trajectory, n: int, nu: float) -> np.ndarray:
                          "integrate with dt adjusted to the period")
     if len(traj.times) < npts + 1:
         raise ValueError("trajectory spans less than one period")
-    x = traj.states[:npts].reshape(npts, n, 2)
-    return np.sqrt((x * x).sum(axis=-1))       # (npts, n)
+    xx = np.square(traj.states[:npts])         # sites interleave (re, im)
+    return np.sqrt(xx[:, 0::2] + xx[:, 1::2])  # (npts, n)
 
 
 def traveling_wave_error(traj: Trajectory, sw: StandingWave, k: int,
@@ -151,7 +151,7 @@ def traveling_wave_error(traj: Trajectory, sw: StandingWave, k: int,
     the time shift evaluated by trigonometric interpolation. Zero for an
     exact traveling wave."""
     n = len(sw.equilibrium) // 2
-    norms = _norm_samples_one_period(traj, n, nu)
+    norms = _norm_samples_one_period(traj, nu)
     npts = norms.shape[0]
     # k zeta / nu is exactly k/n of the period, independent of nu.
     freqs = np.fft.fftfreq(npts, d=1.0 / npts)
@@ -167,7 +167,7 @@ def spatial_period_error(traj: Trajectory, cfg: LatticeConfig, k: int,
     max violation of |u_{j+n/k}|(t) = |u_j|(t)."""
     if cfg.n % k:
         raise ValueError(f"k={k} does not divide n={cfg.n}")
-    norms = _norm_samples_one_period(traj, cfg.n, nu)
+    norms = _norm_samples_one_period(traj, nu)
     p = cfg.n // k
     shifted = np.roll(norms, -p, axis=1)
     return float(np.abs(shifted - norms).max())

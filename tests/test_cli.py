@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from dnls_ring import ConfigError, block_data
-from dnls_ring.cli import main, parse_config, read_csv
+from dnls_ring.cli import main, parse_config, read_csv, write_csv
 
 
 BASE = {
@@ -271,6 +271,60 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
                  "--out", str(taken)]) == 2
     assert str(taken) in capsys.readouterr().err
     assert taken.read_text() == ""
+
+
+def _sweep(steps):
+    return {"lattice": {"n": 6, "m": 1}, "potential": {"kind": "cubic", "c": 1.0},
+            "sweep": {"a_min": 0.1, "a_max": 0.7, "steps": steps}}
+
+
+def test_rerun_rewrites_in_place_and_cuts_the_tail(tmp_path):
+    # an 8-point sweep, then a 3-point one into the same directory: the file
+    # keeps its inode and reads exactly as a fresh directory's
+    def run(steps, out):
+        return main(["stability", "--config", write_config(tmp_path, _sweep(steps)),
+                     "--out", str(tmp_path / out)])
+
+    rerun = tmp_path / "out" / "stability.csv"
+    assert run(8, "out") == 0
+    inode = rerun.stat().st_ino
+    assert run(3, "out") == 0 and run(3, "fresh") == 0
+    assert rerun.read_bytes() == (tmp_path / "fresh" / "stability.csv").read_bytes()
+    assert len(read_csv(rerun)[1]) == 3 and rerun.stat().st_ino == inode
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_failed_rewrite_leaves_the_written_prefix(tmp_path, k):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b"], [[i, i + 0.5] for i in range(10)])
+
+    def rows():
+        for i in range(k):
+            yield [i, None]
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError, match="row source failed"):
+        write_csv(path, ["a", "b"], rows())
+    want = "a,b\r\n" + "".join(f"{i},\r\n" for i in range(k))
+    assert path.read_bytes() == want.encode()
+
+
+def test_new_csv_mode_follows_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        assert main(["thresholds", "--config", write_config(tmp_path, BASE),
+                     "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    assert (tmp_path / "thresholds.csv").stat().st_mode & 0o777 == 0o666 & ~0o027
+
+
+def test_csv_symlinked_to_dev_null_exits_0(tmp_path):
+    # a device has no length to cut: ftruncate on /dev/null raises EINVAL
+    (tmp_path / "stability.csv").symlink_to(os.devnull)
+    assert main(["stability", "--config", write_config(tmp_path, _sweep(4)),
+                 "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "stability.csv").is_symlink()
 
 
 def test_verify_over_two_periods(tmp_path):
