@@ -10,8 +10,7 @@ from .continuation import (Branch, BranchPoint, ContinuationOptions,
 from .errors import (ConfigError, ConvergenceError, DegenerateAmplitudeError,
                      DnlsRingError, DomainError, ResonanceError)
 from .lattice import (LatticeConfig, Potential, StandingWave, gradient,
-                      hamiltonian, hessian, make_standing_wave, onsite_blocks,
-                      rotating_rhs)
+                      hamiltonian, hessian, make_standing_wave, onsite_blocks)
 from .spectral import (BlockData, StabilityVerdict, alpha_beta, block_data,
                        block_table, classify_stability, full_spectrum)
 from .symmetry import (LatticeLoop, ReducedProfile, embed_reduced,

@@ -4,7 +4,7 @@ Complex site amplitudes u_j are stored as adjacent (Re, Im) pairs in a flat
 real vector of length 2n, sites indexed 0..n-1 with all neighbor sums mod n.
 Multiplication by i corresponds to the symplectic matrix J; the pair
 (J-convention, sign of the rotating-frame vector field) is pinned once here,
-and the test suite checks that rotating_rhs linearizes to -J D^2H(a_m).
+and test_midpoint_step_linearizes_to_minus_J_hessian checks it on integrate.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ _I2_ROWS = np.array([[1.0], [0.0], [1.0]])    # I2 as rows 00, 01, 11
 # J (p, q) = (-q, p) = J_SIGNS * (q, p) on each site pair: applied as this
 # swap and sign, never as a dense product, J leaves every value exact.
 J_SIGNS = np.array([-1.0, 1.0])
-_MINUS_J_SIGNS = -J_SIGNS
 
 
 def rot(theta: float) -> np.ndarray:
@@ -164,21 +163,11 @@ def hamiltonian(cfg: LatticeConfig, pot: Potential, omega: float, u) -> float:
 def gradient(cfg: LatticeConfig, pot: Potential, omega: float, u) -> np.ndarray:
     """grad H(u); vanishes at every standing-wave equilibrium. Supports batched
     leading axes (shape (..., 2n))."""
-    return _site_gradient(cfg, pot, omega, u).reshape(np.shape(u))
-
-
-def _site_gradient(cfg, pot, omega, u):
     x = _sites(u, cfg.n)
     vp = np.asarray(pot((x * x).sum(axis=-1), 1))
     pad = np.concatenate((x[..., -1:, :], x, x[..., :1, :]), axis=-2)
     lap = pad[..., 2:, :] + pad[..., :-2, :] - 2.0 * x    # cyclic neighbours
-    return (omega + vp)[..., None] * x + lap              # (..., n, 2)
-
-
-def rotating_rhs(cfg: LatticeConfig, pot: Potential, omega: float, u) -> np.ndarray:
-    """udot = -J grad H(u), so J udot = grad H(u)."""
-    g = _site_gradient(cfg, pot, omega, u)
-    return (g[..., ::-1] * _MINUS_J_SIGNS).reshape(np.shape(u))
+    return ((omega + vp)[..., None] * x + lap).reshape(np.shape(u))
 
 
 def onsite_blocks(pot: Potential, omega: float, x: np.ndarray, s: np.ndarray,

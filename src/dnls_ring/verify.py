@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .lattice import (J_SIGNS, LatticeConfig, Potential, StandingWave,
-                      hamiltonian, rotating_rhs)
+from .lattice import J_SIGNS, LatticeConfig, Potential, StandingWave, hamiltonian
 
 MIDPOINT_TOL = 1e-13     # residual norm each midpoint Newton solve meets
 MIDPOINT_MAX_ITER = 50
@@ -33,14 +32,15 @@ def integrate(cfg: LatticeConfig, pot: Potential, omega: float,
     dt is adjusted to the nearest value dividing T evenly so the grid tiles
     the interval (required downstream for trigonometric interpolation).
     Each step extrapolates the last three states (Euler on the first step,
-    linear on the second) and corrects by Newton with I + (dt/2) J D^2H,
-    banded in the folded ring order 0, n-1, 1, n-2, ... and solved by banded
-    LU, until the residual norm is at most MIDPOINT_TOL. After a block in
-    which no step took two corrections, the next block's steps stop after
-    one and one residual evaluation over its states (at most 1024 // n)
-    checks them; the first that fails goes on from its corrected state in
-    the next block, checked, and the rest are redone. Every step runs one
-    inline Newton loop on V', V'' bound once from pot.derivs.
+    as u - g(u) from the step's own residual g, linear on the second) and
+    corrects by Newton with I + (dt/2) J D^2H, banded in the folded ring
+    order 0, n-1, 1, n-2, ... and solved by banded LU, until the residual
+    norm is at most MIDPOINT_TOL. After a block in which no step took two
+    corrections, the next block's steps stop after one and one residual
+    evaluation over its states (at most 1024 // n) checks them; the first
+    that fails goes on from its corrected state in the next block, checked,
+    and the rest are redone. Every step runs one inline Newton loop on V',
+    V'' bound once from pot.derivs.
     """
     if not 0 < dt <= T < np.inf:
         raise ValueError("need finite dt > 0 and T >= dt")
@@ -66,11 +66,19 @@ def integrate(cfg: LatticeConfig, pot: Potential, omega: float,
     offdiag = 16 * k + np.where(k % 2, 9, 11)  # superdiagonal odd, sub even
 
     V1, V2 = pot.derivs[1:]               # bound once: no dispatch per step
+
+    def residual(u, v):     # g(v) = v - u - dt f((u+v)/2), steps laid end to end
+        swaps, ups, downs, dt_mjs = (a[:len(u)] for a in wide)
+        mid = 0.5 * (u + v)
+        ms = mid[swaps]
+        return v - u - ((omega + V1(mid * mid + ms * ms)) * ms
+                        + (mid[ups] + mid[downs] - 2.0 * ms)) * dt_mjs
+
     states = np.empty((nsteps + 1, 2 * n))
     states[0] = np.asarray(u0, dtype=float)
     x = np.empty((cap + 3, 2 * n))        # prev2, prev, u, then a block's steps
     x[2], i, size, checked, corrections = states[0][fold], 0, 1, False, 0
-    euler = x[2] + dt_used * rotating_rhs(cfg, pot, omega, states[0])[fold]
+    euler = x[2] - residual(x[2], x[2])   # u + dt f(u)
     resume = None           # (iterate, corrections) of a step a batch check failed
     while i < nsteps:
         m, (prev2, prev, u) = min(size, nsteps - i), x[:3]
@@ -105,12 +113,7 @@ def integrate(cfg: LatticeConfig, pot: Potential, omega: float,
                     break
             x[r + 3], prev2, prev, u = v, prev, u, v
         if not checked:     # the batch check: the residual of the block's states
-            swaps, ups, downs, dt_mjs = (a[:2 * n * m] for a in wide)
-            u, v = x[2:m + 2].ravel(), x[3:m + 3].ravel()
-            mid = 0.5 * (u + v)
-            ms = mid[swaps]
-            g = (v - u - ((omega + V1(mid * mid + ms * ms)) * ms
-                          + (mid[ups] + mid[downs] - 2.0 * ms)) * dt_mjs).reshape(m, -1)
+            g = residual(x[2:m + 2].ravel(), x[3:m + 3].ravel()).reshape(m, -1)
             r = next((r for r in range(m)
                       if not math.sqrt(g[r].dot(g[r])) <= MIDPOINT_TOL), m)
             if r < m:       # it goes on, checked, in the next block; the rest redone

@@ -6,8 +6,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from dnls_ring import (ConvergenceError, ResonanceRecord, ResonanceReport,
-                       alpha_beta, block_data, hessian, make_standing_wave,
-                       rotating_rhs)
+                       alpha_beta, block_data, hessian, make_standing_wave)
 from dnls_ring.bifurcation import L_MAX_CAP
 from dnls_ring.lattice import J_SIGNS, rot
 from dnls_ring.verify import MIDPOINT_MAX_ITER, MIDPOINT_TOL
@@ -59,6 +58,13 @@ def roll_gradient(n, pot, omega, u):
     lap = np.roll(x, -1, axis=-2) + np.roll(x, 1, axis=-2) - 2.0 * x
     g = (omega + np.asarray(pot(s, 1)))[..., None] * x + lap
     return g.reshape(np.shape(u))
+
+
+def rotating_rhs(cfg, pot, omega, u):
+    """udot = -J grad H(u), so J udot = grad H(u), from roll_gradient with J
+    applied as a swap and a sign (any leading axes)."""
+    g = roll_gradient(cfg.n, pot, omega, u).reshape(np.shape(u)[:-1] + (cfg.n, 2))
+    return (g[..., ::-1] * -J_SIGNS).reshape(np.shape(u))
 
 
 def loop_hessian(n, pot, omega, u):

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from dnls_ring import (ConfigError, DomainError, LatticeConfig, Potential,
-                       gradient, hamiltonian, hessian, make_standing_wave,
-                       onsite_blocks, rotating_rhs)
+                       gradient, hamiltonian, hessian, integrate,
+                       make_standing_wave, onsite_blocks)
 from dnls_ring.lattice import rot
+from dnls_ring.verify import MIDPOINT_TOL
 
 from helpers import (direct_hamiltonian, fd_gradient, fd_jacobian,
                      hessian_at_equilibrium, loop_hessian, roll_gradient,
-                     symplectic_matrix)
+                     rotating_rhs, symplectic_matrix)
 
 
 def phase_rotate(u, theta: float, n: int) -> np.ndarray:
@@ -319,6 +320,33 @@ def test_rotating_rhs_linearizes_to_minus_J_hessian():
                          sw.equilibrium, h=1e-6)
         target = -symplectic_matrix(n) @ hessian_at_equilibrium(cfg, pot, a)
         assert np.abs(fd - target).max() <= 1e-8
+
+
+def test_midpoint_step_linearizes_to_minus_J_hessian():
+    # pins the sign convention on the production vector field: the one-step
+    # map Phi of integrate has (DPhi(a_m) - I)/dt = A + O(dt), A = -J D^2H(a_m)
+    dt, h = 1e-3, 1e-5
+    for n, m, pot, a in [(3, 0, Potential.cubic(1.0), 0.3),
+                         (6, 1, Potential.saturable(1.0), 0.7)]:
+        cfg = LatticeConfig(n, m)
+        sw = make_standing_wave(cfg, pot, a)
+        fd = fd_jacobian(lambda v: integrate(cfg, pot, sw.omega, v, dt, dt).states[1],
+                         sw.equilibrium, h=h)
+        target = -symplectic_matrix(n) @ hessian_at_equilibrium(cfg, pot, a)
+        # Linearized, the midpoint rule is (I - dt A/2) DPhi = I + dt A/2, so
+        # (DPhi - I)/dt - A = (dt/2) A^2 (I - dt A/2)^-1, at most
+        # (dt/2) |A|^2 / (1 - dt |A|/2) in the 2-norm, which bounds every
+        # entry. Each Phi meets its residual within MIDPOINT_TOL, so is off
+        # by MIDPOINT_TOL / (1 - dt |A|/2): the central difference turns that
+        # into MIDPOINT_TOL / ((1 - dt |A|/2) h dt). The truncation,
+        # h^2 |D^3 Phi| / (6 dt) with D^3 Phi = O(dt), and rounding fit in h.
+        norm = np.linalg.norm(target, 2)
+        bound = ((0.5 * dt * norm * norm + MIDPOINT_TOL / (h * dt))
+                 / (1.0 - 0.5 * dt * norm) + h)
+        err = np.abs((fd - np.eye(2 * n)) / dt - target)
+        assert err.max() <= bound < 0.01
+        # the opposite sign would miss by 2 |A|, far outside the bound
+        assert np.abs(target).max() > bound
 
 
 def test_gauge_and_shift_invariance():

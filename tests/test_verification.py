@@ -5,11 +5,10 @@ from dnls_ring import (ContinuationOptions, ConvergenceError, LatticeConfig,
                        Potential, Trajectory, closure_error, continue_branch,
                        embed_reduced, enumerate_bifurcations, hessian,
                        integrate, invariant_drift, make_standing_wave,
-                       rotating_rhs, spatial_period_error,
-                       traveling_wave_error)
+                       spatial_period_error, traveling_wave_error)
 
 from helpers import (dense_midpoint, fold_to_band, reference_midpoint,
-                     symplectic_matrix)
+                     rotating_rhs, symplectic_matrix)
 
 
 CFG = LatticeConfig(6, 1)
@@ -194,17 +193,20 @@ POTENTIALS = {"cubic": Potential.cubic(1.0),
               "quartic": Potential.polynomial([0.0, 0.5, -0.3, 0.2, 0.1])}
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 12, 48, 96])
+@pytest.mark.parametrize("n, m", [(3, 1), (4, 0), (5, 1), (6, 1), (7, 1), (12, 1),
+                                  (48, 1), (96, 1), (6, 3)],
+                         ids=["3", "4", "5", "6", "7", "12", "48", "96", "6-m3"])
 @pytest.mark.parametrize("kind", sorted(POTENTIALS))
-def test_integrate_equals_dense_stepper(n, kind):
+def test_integrate_equals_dense_stepper(n, m, kind):
     # The dense stepper folds the whole matrix it assembles into the same
     # band and solves it with the same dgbsv, so carrying the state in the
     # folded order, writing only the three on-site band rows and applying J
     # as a swap and a sign must give its states exactly, not to a tolerance.
     # 40 steps cover the Euler, linear and quadratic predictors. On odd n
     # the last folded site, (n - 1)/2, has no mirror partner; n = 4 needs
-    # m = 0 (m = n/4 is excluded).
-    cfg, pot = LatticeConfig(n, 0 if n == 4 else 1), POTENTIALS[kind]
+    # m = 0 (m = n/4 is excluded). n = 6, m = 3 is an m = n/2 ring: beta
+    # vanishes and the equilibrium's imaginary parts are exact zeros.
+    cfg, pot = LatticeConfig(n, m), POTENTIALS[kind]
     sw = make_standing_wave(cfg, pot, 0.3)
     u0 = sw.equilibrium + 0.1 * np.random.default_rng(n).standard_normal(2 * n)
     traj = integrate(cfg, pot, sw.omega, u0, 2e-3, 0.08)
