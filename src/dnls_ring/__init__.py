@@ -12,7 +12,7 @@ from .errors import (ConfigError, ConvergenceError, DegenerateAmplitudeError,
 from .lattice import (LatticeConfig, Potential, StandingWave, gradient,
                       hamiltonian, hessian, make_standing_wave, onsite_blocks)
 from .spectral import (BlockData, StabilityVerdict, alpha_beta, block_data,
-                       block_table, classify_stability, full_spectrum)
+                       classify_stability, full_spectrum)
 from .symmetry import (LatticeLoop, ReducedProfile, embed_reduced,
                        project_reduced)
 from .verify import (Trajectory, closure_error, integrate, invariant_drift,

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import DegenerateAmplitudeError, DnlsRingError
 from .lattice import LatticeConfig, Potential
-from .spectral import BlockData, block_data, block_table
+from .spectral import BlockData, block_data
 
 L_MAX_CAP = 64  # resonance scan bound; harmonics beyond the Fourier cutoff
                 # of the continuation cannot be resolved anyway
@@ -24,11 +24,10 @@ ROOT_IMAG_TOL = 1e-6  # a root s = a^2 with |Im s| <= this |s| is real
 
 def check_nondegenerate(pot: Potential, a: float, bd: BlockData) -> None:
     """Amplitude is non-degenerate when the rank-one block 2a^2 V''(a^2) is
-    nonzero and finite and phi_k != gamma_k for the modes k of the block
-    table bd (k = 1..n-1 in production): then the Hessian has no kernel in
-    the fixed space, its block determinants alpha_k^2 (phi_k - gamma_k) being
-    nonzero. Raises DegenerateAmplitudeError naming every failing condition
-    otherwise."""
+    nonzero and finite and phi_k != gamma_k for every mode k of the block
+    table bd: then the Hessian has no kernel in the fixed space, its block
+    determinants alpha_k^2 (phi_k - gamma_k) being nonzero. Raises
+    DegenerateAmplitudeError naming every failing condition otherwise."""
     d = 2.0 * a * a * pot(a * a, 2)
     failures = []
     if not TOL_DEG < abs(d) < np.inf:
@@ -65,7 +64,7 @@ def check_nonresonant(bd: BlockData) -> ResonanceReport:
     1 <= l <= L_MAX_CAP) over every positive candidate onset; flags the 1:1
     collision |phi_k - 1| <= TOL_DEG separately (there nu_k^+ - nu_k^- is
     2|alpha_k| sqrt(|1 - phi_k|), too coarse a test). Records and 1:1 modes
-    are labelled by bd.k.
+    are labelled by bd.k, not by row position.
 
     For nu_k > TOL_RES the window |nu_j - l nu_k| < TOL_RES is narrower than
     2 nu_k, so only l = floor(nu_j / nu_k) and that plus one can fall in it;
@@ -79,15 +78,14 @@ def check_nonresonant(bd: BlockData) -> ResonanceReport:
     nu_j = nus.real[None, :, None]
     l = np.floor(nu_j / nu_k) + np.array([0.0, 1.0])      # (2n-2, 2n-2, 2)
     delta = np.abs(nu_j - l * nu_k)
-    mode = np.repeat(np.ravel(bd.k), 2)
+    mode = np.repeat(bd.k, 2)
     pair = onset[:, None] & real[None, :] & (mode[:, None] != mode[None, :])
     hit = pair[..., None] & (l >= 1) & (l <= L_MAX_CAP) & (delta < TOL_RES)
     sign = (+1, -1)
     records = [ResonanceRecord(int(mode[i]), sign[i % 2], int(mode[j]),
                                sign[j % 2], int(l[i, j, c]), float(delta[i, j, c]))
                for i, j, c in zip(*np.nonzero(hit))]
-    one_to_one = [int(k) for k in
-                  mode[0::2][np.ravel(np.abs(bd.phi - 1.0) <= TOL_DEG)]]
+    one_to_one = [int(k) for k in bd.k[np.abs(bd.phi - 1.0) <= TOL_DEG]]
     return ResonanceReport(records=records, one_to_one=one_to_one)
 
 
@@ -125,7 +123,7 @@ def enumerate_bifurcations(cfg: LatticeConfig, pot: Potential,
 
 def _enumerate(cfg, pot, a) -> tuple:
     """(onsets, resonance report) from one block table and one scan."""
-    bd = block_table(cfg, pot, a)
+    bd = block_data(cfg, pot, a)
     check_nondegenerate(pot, a, bd)
     res = check_nonresonant(bd)
     regimes = _regime(bd, cfg.n)
@@ -149,12 +147,13 @@ class Thresholds:
 
 
 def amplitude_thresholds(cfg: LatticeConfig, pot: Potential) -> list:
-    """Thresholds of the modes k = 1..n-1, in order, from one block table at
+    """Thresholds of the modes k = 1..n-1, in order, from the block table at
     a = 0 (alpha_k and gamma_k do not depend on a): the amplitudes where
     phi_k crosses 1 (Hopf collision) and gamma_k (standing-wave degeneracy),
     in closed form; None when no root exists (c = 0 makes phi_k = 0 for every
-    a; a polynomial's roots are sought on (0, A_MAX])."""
-    bd = block_data(cfg, pot, 0.0, np.arange(1, cfg.n))
+    a; a polynomial's roots are sought on (0, A_MAX]). Raises DnlsRingError
+    when that table is not finite (V''(0) overflows)."""
+    bd = block_data(cfg, pot, 0.0)
     if pot.kind != "polynomial" and pot.params[0] == 0.0:
         return [Thresholds(a_hopf=None, a_gamma=None) for _ in bd.k]
     root = {"cubic": _cubic_root, "saturable": _saturable_root,

@@ -25,7 +25,7 @@ from .bifurcation import (_enumerate, amplitude_thresholds,
 from .continuation import ContinuationOptions, continue_branch, extrapolate_onset
 from .errors import ConfigError, DnlsRingError
 from .lattice import LatticeConfig, Potential, make_standing_wave
-from .spectral import block_table, classify_stability, full_spectrum
+from .spectral import block_data, classify_stability, full_spectrum
 from .symmetry import embed_reduced
 from .verify import (closure_error, integrate, invariant_drift,
                      spatial_period_error, traveling_wave_error)
@@ -222,7 +222,7 @@ def cmd_spectrum(config: RunConfig) -> None:
     cfg, pot = config.lattice, config.potential
     a = _require_amplitude(config)
     # checked before any write; k = n: alpha = beta = +0, no phi or onset
-    bd = block_table(cfg, pot, a)
+    bd = block_data(cfg, pot, a)
     rows = list(zip(bd.k, bd.alpha, bd.beta, bd.phi, bd.gamma, bd.nu_plus.real,
                     bd.nu_plus.imag, bd.nu_minus.real, bd.nu_minus.imag))
     rows.append([cfg.n, 0.0, 0.0, None, None, 0.0, 0.0, 0.0, 0.0])

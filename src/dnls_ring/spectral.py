@@ -38,46 +38,38 @@ def alpha_beta(cfg: LatticeConfig, k) -> tuple:
 
 @dataclass
 class BlockData:
-    """Per-mode quantities of k = 1..n-1, shaped like the mode index k."""
+    """The block table: per-mode quantities of k = 1..n-1, one row per mode."""
 
-    k: int | np.ndarray
-    alpha: float | np.ndarray
-    beta: float | np.ndarray
-    phi: float | np.ndarray
-    gamma: float | np.ndarray
-    nu_plus: complex | np.ndarray
-    nu_minus: complex | np.ndarray
+    k: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    phi: np.ndarray
+    gamma: np.ndarray
+    nu_plus: np.ndarray
+    nu_minus: np.ndarray
 
 
-def block_data(cfg: LatticeConfig, pot: Potential, a: float, k) -> BlockData:
-    """phi_k = 2a^2 V''(a^2) / alpha_k, gamma_k = 1 - (beta_k / alpha_k)^2 and
-    the eigenvalues nu_k^+/- = beta_k +/- sqrt(alpha_k^2 (1 - phi_k)) of iJB_k
-    on R x iR, B_k the block of D^2H(a_m) on the k-th Fourier subspace.
-
-    k is one mode or an integer array of modes in 1..n-1 (alpha_n = 0 leaves
-    k = n without phi, gamma or onsets); one mode and the same mode inside an
-    array give the same bits. gamma_k = 0 exactly for k = +/-2m mod n, where
-    alpha^2 - beta^2 = 16 sin^2(k zeta/2) sin((k+2m) zeta/2) sin((k-2m) zeta/2)."""
-    k = np.asarray(k)
-    if np.any((k < 1) | (k >= cfg.n)):
-        raise ValueError(f"modes must be in 1..n-1, got {k}")
+def block_data(cfg: LatticeConfig, pot: Potential, a: float) -> BlockData:
+    """The block table of k = 1..n-1 at amplitude a (alpha_n = 0 leaves k = n
+    without phi, gamma or onsets): phi_k = 2a^2 V''(a^2) / alpha_k,
+    gamma_k = 1 - (beta_k / alpha_k)^2 and the eigenvalues
+    nu_k^+/- = beta_k +/- sqrt(alpha_k^2 (1 - phi_k)) of iJB_k on R x iR, B_k
+    the block of D^2H(a_m) on the k-th Fourier subspace. gamma_k = 0 exactly
+    for k = +/-2m mod n, where alpha^2 - beta^2 =
+    16 sin^2(k zeta/2) sin((k+2m) zeta/2) sin((k-2m) zeta/2). Raises
+    DnlsRingError naming the block table when it is not finite (a^2,
+    V''(a^2) or 2a^2 V'' overflows)."""
+    k = np.arange(1, cfg.n)
     d = 2.0 * a * a * pot(a * a, 2)
     alpha, beta = alpha_beta(cfg, k)
     phi = d / alpha
     zero = ((k - 2 * cfg.m) % cfg.n == 0) | ((k + 2 * cfg.m) % cfg.n == 0)
-    gamma = np.where(zero, 0.0, 1.0 - np.square(beta / alpha))[()]
+    gamma = np.where(zero, 0.0, 1.0 - np.square(beta / alpha))
     root = np.sqrt((alpha * alpha * (1.0 - phi)).astype(complex))
-    return BlockData(k[()], alpha, beta, phi, gamma, beta + root, beta - root)
-
-
-def block_table(cfg: LatticeConfig, pot: Potential, a: float) -> BlockData:
-    """block_data of k = 1..n-1 at amplitude a; DnlsRingError naming the block
-    table when it is not finite (a^2, V''(a^2) or 2a^2 V'' overflows)."""
-    bd = block_data(cfg, pot, a, np.arange(1, cfg.n))
-    if not np.isfinite(bd.nu_plus).all():
+    if not np.isfinite(root).all():
         raise DnlsRingError(f"block table at a = {a:g} is not finite: a^2 = "
                             f"{a * a:.3e}, V''(a^2) = {pot(a * a, 2):.3e}")
-    return bd
+    return BlockData(k, alpha, beta, phi, gamma, beta + root, beta - root)
 
 
 def full_spectrum(bd: BlockData) -> np.ndarray:
@@ -109,7 +101,7 @@ class StabilityVerdict:
 def classify_stability(cfg: LatticeConfig, pot: Potential,
                        a: float) -> StabilityVerdict:
     v2 = pot(a * a, 2)
-    bd = block_table(cfg, pot, a)
+    bd = block_data(cfg, pot, a)
     # sgn(V'') for m < n/4 (the m = 0 case extends the same cos(m zeta) > 0
     # sign rule), flipped for m > n/4; m = n/4 is excluded by LatticeConfig.
     sign = int(np.sign(v2))

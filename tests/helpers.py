@@ -280,11 +280,10 @@ def dense_midpoint(cfg, pot, omega, u0, dt, T):
 def loop_resonances(cfg, pot, a, tol_res=1e-9, tol_deg=1e-9):
     """Resonance scan nu_j = l nu_k by nested loops over (k, +/-, j, +/-, l);
     1:1 modes are those with |phi_k - 1| <= tol_deg."""
-    table, phi = {}, {}
-    for k in range(1, cfg.n):
-        bd = block_data(cfg, pot, a, k)
-        table[k] = {+1: bd.nu_plus, -1: bd.nu_minus}
-        phi[k] = bd.phi
+    bd = block_data(cfg, pot, a)
+    table = {k: {+1: bd.nu_plus[k - 1], -1: bd.nu_minus[k - 1]}
+             for k in range(1, cfg.n)}
+    phi = dict(zip(range(1, cfg.n), bd.phi))
     positives = [abs(v.real) for k in table for v in table[k].values()
                  if abs(v.imag) <= tol_res and v.real > tol_res]
     all_abs = [abs(v) for k in table for v in table[k].values()]

@@ -157,8 +157,8 @@ def threshold_by_bisection(cfg: LatticeConfig, pot: Potential, k: int,
     phi_k is evaluated on SCAN_SAMPLES equal steps at once, and the first
     zero or sign change is refined by brentq. Two roots inside one step
     cancel and are missed."""
-    def g(a):
-        return block_data(cfg, pot, a, k).phi - target
+    def g(a):       # a grid of amplitudes reads one table row per amplitude
+        return block_data(cfg, pot, np.expand_dims(a, -1)).phi[..., k - 1] - target
 
     grid = np.linspace(0.0, A_MAX, SCAN_SAMPLES + 1)[1:]
     sign = np.sign(g(grid))
@@ -199,8 +199,8 @@ def standing_wave_link(cfg: LatticeConfig, pot: Potential, a: float,
     for kk in sorted({k, cfg.n - k} if 2 * other.m % cfg.n else {k}):
         for sign in (+1, -1):
             def g(b):
-                bd = block_data(other, pot, b, kk)
-                nu = bd.nu_plus if sign > 0 else bd.nu_minus
+                bd = block_data(other, pot, np.expand_dims(b, -1))
+                nu = (bd.nu_plus if sign > 0 else bd.nu_minus)[..., kk - 1]
                 return np.where(nu.imag == 0.0, nu_family(b) - nu.real, np.nan)
 
             s = np.sign(g(grid))

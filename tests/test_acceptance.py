@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dnls_ring import (ContinuationOptions, LatticeConfig, Potential,
-                       ResonanceError, block_data, block_table,
+                       ResonanceError, block_data,
                        check_nonresonant, classify_stability,
                        continue_branch, embed_reduced, enumerate_bifurcations,
                        full_spectrum, gradient, hamiltonian, integrate,
@@ -43,22 +43,16 @@ def grid_configurations():
                     yield cfg, pot, a
 
 
-def all_phi_at_most_one(cfg, pot, a):
-    for k in range(1, cfg.n):
-        if block_data(cfg, pot, a, k).phi > 1.0:
-            return False
-    return True
-
-
 def test_criterion_1_spectrum_oracle_equivalence():
     t0 = time.perf_counter()
     worst = 0.0
     count = 0
     for cfg, pot, a in grid_configurations():
-        if not all_phi_at_most_one(cfg, pot, a):
+        bd = block_data(cfg, pot, a)
+        if (bd.phi > 1.0).any():
             continue
         got = average_clusters(dense_spectrum(cfg, pot, a), 1e-6)
-        want = full_spectrum(block_table(cfg, pot, a))
+        want = full_spectrum(bd)
         worst = max(worst, matching_distance(got, want))
         count += 1
     elapsed = time.perf_counter() - t0
@@ -203,16 +197,16 @@ def test_criterion_8_guards(tmp_path):
     cfg = LatticeConfig(6, 1)
     pot = Potential.cubic(1.0)
     # a = 0: exact integer resonances must be flagged
-    rep0 = check_nonresonant(block_table(cfg, pot, 0.0))
+    rep0 = check_nonresonant(block_data(cfg, pot, 0.0))
     resonances_flagged = bool(rep0.records)
     # phi_1 = 1 at a = 0.5: 1:1 flag plus kernel refusal
-    rep_hopf = check_nonresonant(block_table(cfg, pot, 0.5))
+    rep_hopf = check_nonresonant(block_data(cfg, pot, 0.5))
     one_to_one = 1 in rep_hopf.one_to_one
     sw = make_standing_wave(cfg, pot, 0.5)
     refused = False
     try:
         onset_kernel(ReducedSystem(cfg, pot, sw, 1, 8),
-                     block_data(cfg, pot, 0.5, 1).nu_plus.real)
+                     block_data(cfg, pot, 0.5).nu_plus[0].real)
     except ResonanceError as exc:
         refused = "double eigenvalue" in str(exc)
     # 4m = n rejected at config parse time with exit code 2

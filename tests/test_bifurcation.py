@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -9,7 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from dnls_ring import (BlockData, DegenerateAmplitudeError, LatticeConfig, Potential,
-                       amplitude_thresholds, block_data, block_table,
+                       amplitude_thresholds, block_data,
                        check_nondegenerate, check_nonresonant,
                        classify_stability, enumerate_bifurcations)
 from dnls_ring.bifurcation import A_MAX, ROOT_IMAG_TOL, _enumerate, _regime
@@ -24,7 +24,7 @@ CUBIC = Potential.cubic(1.0)
 
 
 def test_nondegenerate_fixture():
-    bd = block_table(CFG, CUBIC, 0.2)
+    bd = block_data(CFG, CUBIC, 0.2)
     check_nondegenerate(CUBIC, 0.2, bd)            # passes without raising
     assert np.abs(bd.phi - bd.gamma) == pytest.approx([8.16, 0.16 / 3.0, 0.96,
                                                        0.16 / 3.0, 8.16])
@@ -32,13 +32,16 @@ def test_nondegenerate_fixture():
 
 def test_zero_amplitude_is_degenerate():
     with pytest.raises(DegenerateAmplitudeError, match=re.escape("2 a^2 V''")):
-        check_nondegenerate(CUBIC, 0.0, block_table(CFG, CUBIC, 0.0))
+        check_nondegenerate(CUBIC, 0.0, block_data(CFG, CUBIC, 0.0))
 
 
 def test_overflowing_rank_one_block_is_degenerate():
-    # a^2 overflows: the onset frequencies would be infinite (block_table
-    # would refuse this table, so it is built without its finiteness check)
-    bd = block_data(CFG, CUBIC, 1e200, np.arange(1, 6))
+    # a^2 overflows: phi_k and the onset frequencies are infinite, a table
+    # block_data refuses, so it is built here from the finite one at a = 0
+    bd = block_data(CFG, CUBIC, 0.0)
+    inf = complex(0.0, np.inf)
+    bd = replace(bd, phi=np.full(5, np.inf), nu_plus=bd.beta + inf,
+                 nu_minus=bd.beta - inf)
     with pytest.raises(DegenerateAmplitudeError, match="overflows"):
         check_nondegenerate(CUBIC, 1e200, bd)
 
@@ -47,14 +50,14 @@ def test_k2_margin_stays_positive_on_sweep():
     # phi_2 > 0 = gamma_2 for every a > 0, so the k=2 margin never closes;
     # read from the table, since a = 1 on the sweep is degenerate at k = 3
     for a in np.linspace(0.05, 2.0, 40):
-        bd = block_table(CFG, CUBIC, float(a))
+        bd = block_data(CFG, CUBIC, float(a))
         assert abs(bd.phi[1] - bd.gamma[1]) > 1e-3
 
 
 def test_degenerate_amplitude_detected():
     # a = 1 closes the k=3 margin exactly: phi_3 = a^2 meets gamma_3 = 1; the
     # message names every failing mode, and the enumeration raises the same
-    bd = block_table(CFG, CUBIC, 1.0)
+    bd = block_data(CFG, CUBIC, 1.0)
     with pytest.raises(DegenerateAmplitudeError) as exc:
         check_nondegenerate(CUBIC, 1.0, bd)
     assert "phi_3" in str(exc.value)
@@ -75,7 +78,7 @@ def test_degeneracy_window_is_phi_equals_gamma_on_a_large_ring():
     refused = []
     for i, a in enumerate(a_gamma * np.linspace(0.95, 1.05, 201)):
         try:
-            check_nondegenerate(pot, a, block_table(cfg, pot, a))
+            check_nondegenerate(pot, a, block_data(cfg, pot, a))
         except DegenerateAmplitudeError as exc:
             refused.append(i)
             assert str(exc).startswith("phi_1 = gamma_1")
@@ -84,7 +87,7 @@ def test_degeneracy_window_is_phi_equals_gamma_on_a_large_ring():
 
 def test_zero_amplitude_resonances_flagged():
     # at a=0 the frequencies are beta_k +- alpha_k, integer-related for n=6
-    rep = check_nonresonant(block_table(CFG, CUBIC, 0.0))
+    rep = check_nonresonant(block_data(CFG, CUBIC, 0.0))
     assert rep.records
     hits = {(r.j, r.l) for r in rep.records}
     # nu_2^+ = 3 is exactly 3 * nu_1^- = 3 * 1
@@ -94,14 +97,14 @@ def test_zero_amplitude_resonances_flagged():
 
 
 def test_generic_amplitude_is_nonresonant():
-    rep = check_nonresonant(block_table(CFG, CUBIC, 0.2))
+    rep = check_nonresonant(block_data(CFG, CUBIC, 0.2))
     assert not [r for r in rep.records if r.k == 3 and r.ksign == +1]
     assert not rep.one_to_one
 
 
 def test_one_to_one_flag_at_hopf_amplitude():
     # phi_1(a) = 1 at a = sqrt(alpha_1 / 2c) = 0.5 for the focusing cubic
-    rep = check_nonresonant(block_table(CFG, CUBIC, 0.5))
+    rep = check_nonresonant(block_data(CFG, CUBIC, 0.5))
     assert 1 in rep.one_to_one
 
 
@@ -117,7 +120,7 @@ def test_resonance_scan_matches_loop_oracle():
         cfg = LatticeConfig(n, m)
         for pot in pots:
             for a in (0.0, 0.123, 0.3, 0.5, 1.0 / np.sqrt(2.0), 1.0):
-                got = check_nonresonant(block_table(cfg, pot, a))
+                got = check_nonresonant(block_data(cfg, pot, a))
                 want = loop_resonances(cfg, pot, a)
                 assert got.one_to_one == want.one_to_one
                 assert [vars(r) for r in got.records] == \
@@ -134,7 +137,7 @@ def test_resonance_labels_follow_table_modes():
     rng = np.random.default_rng(11)
     records = one_to_one = 0
     for n, a in ((6, 0.0), (6, 0.5), (12, 0.0)):
-        bd = block_table(LatticeConfig(n, 1), CUBIC, a)
+        bd = block_data(LatticeConfig(n, 1), CUBIC, a)
         perm = rng.permutation(n - 1)
         shuffled = BlockData(*(getattr(bd, f.name)[perm] for f in fields(bd)))
         want = check_nonresonant(bd)
@@ -213,13 +216,10 @@ def test_case_labels_match_frequency_signs():
         cfg = LatticeConfig(n, m)
         pot = Potential.cubic(float(rng.choice([-1.0, 1.0])))
         a = float(rng.uniform(0.05, 0.8))
-        for k in range(1, n):
-            bd = block_data(cfg, pot, a, k)
-            label = _regime(bd, n)
-            if label == "a":
-                assert bd.nu_minus.real <= 0
-            elif label == "b":
-                assert bd.nu_minus.real > 0
+        bd = block_data(cfg, pot, a)
+        labels = _regime(bd, n)
+        assert (bd.nu_minus.real[labels == "a"] <= 0).all()
+        assert (bd.nu_minus.real[labels == "b"] > 0).all()
 
 
 def test_large_wavenumber_all_case_a():
@@ -234,7 +234,7 @@ def test_hopf_modes_contribute_nothing():
     # a = 0.6 puts phi_1 = 1.44 past the collision; k=1 must be absent
     points = enumerate_bifurcations(CFG, CUBIC, 0.6)
     assert not [p for p in points if p.k == 1]
-    assert _regime(block_data(CFG, CUBIC, 0.6, 1), CFG.n) == "hopf"
+    assert _regime(block_data(CFG, CUBIC, 0.6), CFG.n)[0] == "hopf"
 
 
 def test_every_hopf_threshold_is_a_one_to_one_collision(tmp_path):
@@ -300,7 +300,7 @@ def test_saturable_root_matches_bisection():
     root = threshold_by_bisection(cfg, pot, 1, 1.0)
     assert th.a_hopf == pytest.approx(root, abs=1e-10)
     # verify phi_1(a_hopf) = 1 directly
-    assert block_data(cfg, pot, th.a_hopf, 1).phi == pytest.approx(1.0, abs=1e-10)
+    assert block_data(cfg, pot, th.a_hopf).phi[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_saturable_threshold_keeps_its_digits_at_small_r():
@@ -310,7 +310,7 @@ def test_saturable_threshold_keeps_its_digits_at_small_r():
     # digits from the same alpha_k
     cfg, c = LatticeConfig(512, 1), -1e6
     th = amplitude_thresholds(cfg, Potential.saturable(c))[1]
-    alpha = block_data(cfg, Potential.saturable(c), 0.0, 2).alpha
+    alpha = block_data(cfg, Potential.saturable(c), 0.0).alpha[1]
     with localcontext() as ctx:
         ctx.prec = 60
         r = (-Decimal(float(alpha)) / (2 * Decimal(c))).sqrt()
@@ -323,7 +323,7 @@ def test_polynomial_threshold_by_bisection():
     pot = Potential.polynomial([0.0, 0.5, 0.25])   # V = x^2/2 + x^3/4 roughly
     th = amplitude_thresholds(CFG, pot)[0]
     if th.a_hopf is not None:
-        assert block_data(CFG, pot, th.a_hopf, 1).phi == pytest.approx(1.0, abs=1e-8)
+        assert block_data(CFG, pot, th.a_hopf).phi[0] == pytest.approx(1.0, abs=1e-8)
 
 
 def collision_quadratic(total, prod):
@@ -356,7 +356,7 @@ def test_tangent_root_is_decided_by_imaginary_tolerance():
         if found:
             assert a_hopf == pytest.approx(0.5, rel=1e-7), delta
         else:
-            assert a_hopf is None and block_data(CFG, pot, 0.5, 1).phi < 1.0
+            assert a_hopf is None and block_data(CFG, pot, 0.5).phi[0] < 1.0
 
 
 # Subnormal coefficients are left out: the scan oracle's phi_k underflows to
@@ -377,7 +377,7 @@ def test_block_forms_match_brute_force_oracles(ring, pot, a):
     # scan-plus-brentq root wherever the scan finds one above its first grid
     # point (a root below it is invisible to the scan)
     cfg = LatticeConfig(*ring)
-    bd = block_table(cfg, pot, a)
+    bd = block_data(cfg, pot, a)
     if np.abs(bd.phi - 1.0).min() >= 1e-6:
         assert (classify_stability(cfg, pot, a).empirical_stable
                 == dense_verdict(cfg, pot, a)[1])
@@ -387,8 +387,8 @@ def test_block_forms_match_brute_force_oracles(ring, pot, a):
             scan = threshold_by_bisection(cfg, pot, k, target)
             if root is not None:
                 event("root")
-                size = max(1.0, abs(block_data(cfg, absolute, root, k).phi))
-                assert abs(block_data(cfg, pot, root, k).phi - target) <= 1e-12 * size
+                size = max(1.0, abs(block_data(cfg, absolute, root).phi[k - 1]))
+                assert abs(block_data(cfg, pot, root).phi[k - 1] - target) <= 1e-12 * size
             below_grid = root is not None and root < A_MAX / SCAN_SAMPLES
             if scan is not None and not below_grid:
                 assert root == pytest.approx(scan, rel=1e-12)

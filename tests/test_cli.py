@@ -425,16 +425,23 @@ def test_overflowing_simulation_exits_3(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("coefficients", [[0.0, 1.0], [1e308]])
-def test_polynomial_stability_overflow_exits_3(tmp_path, capsys, coefficients):
-    # a^2 overflows and V''(a^2) reads NaN: the block table is not finite
+@pytest.mark.parametrize("command, coefficients", [
+    ("stability", [0.0, 1.0]), ("stability", [1e308]),
+    ("thresholds", [0.0, 0.0, 1e308])],
+    ids=["coefficients0", "coefficients1", "thresholds"])
+def test_polynomial_stability_overflow_exits_3(tmp_path, capsys, command,
+                                               coefficients):
+    # stability: a^2 overflows and V''(a^2) reads NaN; thresholds: V''(0)
+    # overflows in the table at a = 0. Either block table is not finite, and
+    # the command exits 3 before it writes its CSV
     doc = dict(BASE, potential={"kind": "polynomial",
                                 "coefficients": coefficients}, amplitude=1e160)
-    assert main(["stability", "--config", write_config(tmp_path, doc),
+    assert main([command, "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
-    assert "numerical failure in 'stability': block table" in err
+    assert f"numerical failure in '{command}': block table" in err
     assert "Traceback" not in err
+    assert not (tmp_path / f"{command}.csv").exists()
 
 
 def test_continue_and_verify_round_trip(tmp_path):
@@ -745,8 +752,9 @@ def test_one_block_table_per_amplitude(tmp_path, monkeypatch, n, command, tables
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[3])
-        return block_data(*args, **kwargs)
+        table = block_data(*args, **kwargs)
+        calls.append(table.k)
+        return table
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "dnls_ring" and getattr(module, "block_data",

@@ -5,14 +5,14 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from dnls_ring import (ContinuationOptions, ConvergenceError, LatticeConfig,
-                       Potential, ReducedProfile, ResonanceError, block_table,
+                       Potential, ReducedProfile, ResonanceError,
                        check_nonresonant, continuation,
                        continue_branch, embed_reduced, enumerate_bifurcations,
                        make_standing_wave, onset_kernel, project_reduced,
                        refine_point)
 from dnls_ring.bifurcation import BifurcationPoint
 from dnls_ring.continuation import (FIRST_STEP_EPS, KERNEL_RTOL, NEWTON_TOL,
-                                    ReducedSystem, extrapolate_onset,
+                                    ReducedSystem, _newton, extrapolate_onset,
                                     grid_size)
 from dnls_ring.spectral import block_data
 
@@ -35,7 +35,7 @@ def test_trivial_branch_residual():
 
 def test_residual_quadratic_along_kernel():
     sys_ = ReducedSystem(CFG, CUBIC, SW, 3, 8)
-    nu = block_data(CFG, CUBIC, SW.a, 3).nu_plus.real
+    nu = block_data(CFG, CUBIC, SW.a).nu_plus[2].real
     tvec = onset_kernel(sys_, nu).as_vector()
     norms = []
     for eps in [1e-4, 1e-5, 1e-6]:
@@ -121,8 +121,7 @@ def test_origin_jacobian_singular_exactly_at_onsets():
     # the determinant changes sign across each positive onset frequency
     # carried by a harmonic within the cutoff, and nowhere else nearby
     sys_ = ReducedSystem(CFG, CUBIC, SW, 3, 6)
-    bd = block_data(CFG, CUBIC, SW.a, 3)
-    nu_star = bd.nu_plus.real
+    nu_star = block_data(CFG, CUBIC, SW.a).nu_plus[2].real
     def det(nu):
         p = np.zeros(sys_.dim)
         J = sys_.jacobian(p, nu, sys_.residual(p, nu))
@@ -157,7 +156,7 @@ def test_origin_jacobian_matches_closed_form_blocks():
 
 
 def test_onset_kernel_matches_block_eigenvector():
-    nu = block_data(CFG, CUBIC, SW.a, 3).nu_plus.real
+    nu = block_data(CFG, CUBIC, SW.a).nu_plus[2].real
     v = onset_kernel(ReducedSystem(CFG, CUBIC, SW, 3, 16), nu).as_vector()
     # all weight in the first harmonic pair (a_1, b_1)
     mask = np.ones_like(v, dtype=bool)
@@ -177,7 +176,7 @@ def test_onset_kernel_matches_block_eigenvector():
 
 def test_onset_kernel_refuses_double_eigenvalue():
     sw = make_standing_wave(CFG, CUBIC, 0.5)     # phi_1 = 1 exactly
-    nu = block_data(CFG, CUBIC, 0.5, 1).nu_plus.real
+    nu = block_data(CFG, CUBIC, 0.5).nu_plus[0].real
     with pytest.raises(ResonanceError, match="double eigenvalue"):
         onset_kernel(ReducedSystem(CFG, CUBIC, sw, 1, 8), nu)
 
@@ -192,7 +191,7 @@ def test_continue_refuses_suppressed_onset():
 def test_continue_refuses_onset_frequency_without_kernel():
     # nu comes from the onset record alone: off the onset there is no kernel,
     # and a nu that is not positive is refused before any block is formed
-    nu = block_data(CFG, CUBIC, SW.a, 3).nu_plus.real
+    nu = block_data(CFG, CUBIC, SW.a).nu_plus[2].real
     for bad, match in ((nu + 1e-3, "no kernel"), (0.0, "not positive"),
                        (-1.0, "not positive")):
         fake = BifurcationPoint(k=3, sign=+1, nu_onset=bad, regime="a")
@@ -246,6 +245,30 @@ def test_case_b_mode_gives_two_distinct_branch_starts():
     t_m = onset_kernel(sys_, minus.nu_onset).as_vector()
     assert abs(plus.nu_onset - minus.nu_onset) > 0.5
     assert abs(t_p @ t_m) < 1.0 - 1e-3
+
+
+@pytest.mark.parametrize("n, m, pot, a", [
+    (6, 1, Potential.cubic(1.0), 0.2), (5, 1, Potential.saturable(1.0), 0.3),
+    (8, 1, Potential.cubic(-1.0), 0.3),
+    (7, 2, Potential.polynomial([0.0, 0.5, -0.3, 0.2, 0.1]), 0.3)])
+def test_time_shift_by_pi_maps_one_side_of_the_onset_to_the_other(n, m, pot, a):
+    # t -> t + pi multiplies a_l and b_l by S = (-1)^l: it commutes with the
+    # reduced system and maps the l = 1 kernel tau to -tau, so the points
+    # corrected from (0, nu_k) + eps tau and - eps tau share nu and are
+    # S-images of each other, and nu(eps) is even
+    cfg, nh, eps = LatticeConfig(n, m), 16, 0.05
+    sw = make_standing_wave(cfg, pot, a)
+    S = (-1.0) ** np.concatenate([np.arange(nh + 1), np.arange(1, nh + 1)])
+    onsets = [p for p in enumerate_bifurcations(cfg, pot, a) if not p.suppressed]
+    assert onsets
+    for onset in onsets:
+        sys_ = ReducedSystem(cfg, pot, sw, onset.k, nh)
+        tau = np.append(onset_kernel(sys_, onset.nu_onset).as_vector(), 0.0)
+        y0 = np.append(np.zeros(sys_.dim), onset.nu_onset)
+        (yp, _), (ym, _) = (_newton(sys_, y0 + side * eps * tau, tau)
+                            for side in (1.0, -1.0))
+        assert abs(yp[-1] - ym[-1]) <= 1e-13, onset
+        assert np.abs(S * yp[:-1] - ym[:-1]).max() <= 1e-13, onset
 
 
 def test_refinement_is_spectrally_converged():
@@ -399,8 +422,8 @@ def test_singular_higher_block_only_at_a_resonance_record():
     # at a_res, nu_2^+ = 2 nu_1^- on the cubic ring n = 6, m = 1, so the l = 2
     # block of mode k = 1 at nu_1^- is singular: a 1:2 resonance
     cfg, pot = LatticeConfig(6, 1), Potential.cubic(1.0)
-    a_res = brentq(lambda a: (block_data(cfg, pot, a, 2).nu_plus
-                              - 2.0 * block_data(cfg, pot, a, 1).nu_minus).real,
+    a_res = brentq(lambda a: (block_data(cfg, pot, a).nu_plus[1]
+                              - 2.0 * block_data(cfg, pot, a).nu_minus[0]).real,
                    0.48, 0.49, xtol=1e-15)
     found = set()
     for pot in (Potential.cubic(1.0), Potential.cubic(-1.0),
@@ -412,12 +435,12 @@ def test_singular_higher_block_only_at_a_resonance_record():
                 cfg = LatticeConfig(n, m)
                 for a in (0.2, 0.3, 0.45, a_res):
                     sw = make_standing_wave(cfg, pot, a)
+                    bd = block_data(cfg, pot, a)
                     records = {(r.k, r.ksign, r.l)
-                               for r in check_nonresonant(
-                                   block_table(cfg, pot, a)).records}
+                               for r in check_nonresonant(bd).records}
                     for k in range(1, n):
-                        bd = block_data(cfg, pot, a, k)
-                        for sign, nu in ((+1, bd.nu_plus), (-1, bd.nu_minus)):
+                        for sign, nu in ((+1, bd.nu_plus[k - 1]),
+                                         (-1, bd.nu_minus[k - 1])):
                             if abs(nu.imag) > 0 or nu.real <= 0:
                                 continue
                             for l in _singular_blocks(cfg, pot, sw, k, nu.real, 6):
@@ -426,7 +449,7 @@ def test_singular_higher_block_only_at_a_resonance_record():
     assert (Potential.cubic(1.0), 6, 1, a_res, 1, -1, 2) in found
     cfg, pot = LatticeConfig(6, 1), Potential.cubic(1.0)
     sw = make_standing_wave(cfg, pot, a_res)
-    nu = block_data(cfg, pot, a_res, 1).nu_minus.real
+    nu = block_data(cfg, pot, a_res).nu_minus[0].real
     with pytest.raises(ResonanceError, match="kernel dimension 2"):
         onset_kernel(ReducedSystem(cfg, pot, sw, 1, 8), nu)
 

@@ -1,14 +1,12 @@
 import json
-from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dnls_ring import (BlockData, LatticeConfig, Potential, alpha_beta,
-                       block_data, block_table, classify_stability,
-                       full_spectrum)
+from dnls_ring import (LatticeConfig, Potential, alpha_beta, block_data,
+                       classify_stability, full_spectrum)
 
 from dnls_ring.cli import main as cli_main, read_csv
 
@@ -84,25 +82,27 @@ def test_block_diagonalization_against_hessian():
 
 
 def test_block_fixture_k1():
-    bd = block_data(CFG, CUBIC, 0.2, 1)
-    assert bd.alpha == pytest.approx(0.5)
-    assert bd.beta == pytest.approx(1.5)
-    assert bd.phi == pytest.approx(0.16)
-    assert bd.gamma == pytest.approx(-8.0)
-    assert bd.nu_plus.real == pytest.approx(1.9582575694955841, abs=1e-12)
-    assert bd.nu_minus.real == pytest.approx(1.0417424305044159, abs=1e-12)
+    bd = block_data(CFG, CUBIC, 0.2)
+    assert bd.k[0] == 1
+    assert bd.alpha[0] == pytest.approx(0.5)
+    assert bd.beta[0] == pytest.approx(1.5)
+    assert bd.phi[0] == pytest.approx(0.16)
+    assert bd.gamma[0] == pytest.approx(-8.0)
+    assert bd.nu_plus[0].real == pytest.approx(1.9582575694955841, abs=1e-12)
+    assert bd.nu_minus[0].real == pytest.approx(1.0417424305044159, abs=1e-12)
 
 
 def test_block_fixture_k3():
     # k = n/2 is its own mirror: beta_3 = 0 exactly, so nu_3^+/- are exact
     # negatives of each other
-    bd = block_data(CFG, CUBIC, 0.2, 3)
-    assert bd.alpha == pytest.approx(2.0)
-    assert bd.beta == 0.0
-    assert bd.phi == pytest.approx(0.04)
-    assert bd.gamma == pytest.approx(1.0)
-    assert bd.nu_plus.real == pytest.approx(2.0 * np.sqrt(0.96), abs=1e-12)
-    assert bd.nu_plus == -bd.nu_minus
+    bd = block_data(CFG, CUBIC, 0.2)
+    assert bd.k[2] == 3
+    assert bd.alpha[2] == pytest.approx(2.0)
+    assert bd.beta[2] == 0.0
+    assert bd.phi[2] == pytest.approx(0.04)
+    assert bd.gamma[2] == pytest.approx(1.0)
+    assert bd.nu_plus[2].real == pytest.approx(2.0 * np.sqrt(0.96), abs=1e-12)
+    assert bd.nu_plus[2] == -bd.nu_minus[2]
 
 
 def test_block_k_equals_n(tmp_path):
@@ -134,62 +134,28 @@ def test_block_k_equals_n(tmp_path):
                 assert np.array_equal(got, want), (n, m)
 
 
-def test_block_data_array_matches_scalar_calls():
-    # One array call per ring gives the per-k scalar calls bit for bit, on
-    # every m for n <= 48 and each potential of the benchmark survey.
-    names = [f.name for f in fields(BlockData)]
-    for n in range(3, 49):
-        for m in range(n // 2 + 1):
-            if 4 * m == n:
-                continue
-            cfg = LatticeConfig(n, m)
-            a = (0.3, 1.0)[(n + m) % 2]
-            for pot in (CUBIC, Potential.cubic(-1.0), Potential.saturable(1.0)):
-                table = block_data(cfg, pot, a, np.arange(1, n))
-                rows = [block_data(cfg, pot, a, k) for k in range(1, n)]
-                for name in names:
-                    assert np.array_equal(getattr(table, name),
-                                          [getattr(r, name) for r in rows]), \
-                        (n, m, pot, name)
-
-
-def test_block_data_array_shapes_and_range():
-    ks = np.array([[1, 2, 3], [5, 4, 1]])
-    bd = block_data(CFG, CUBIC, 0.2, ks)
-    assert bd.phi.shape == bd.nu_minus.shape == (2, 3)
-    assert bd.nu_plus[1, 0] == block_data(CFG, CUBIC, 0.2, 5).nu_plus
-    # k = n has no phi or onsets, so neither a mode nor an array may hold it
-    for bad in (np.arange(1, 7), np.array([0, 1]), np.array([[2], [7]])):
-        with pytest.raises(ValueError):
-            block_data(CFG, CUBIC, 0.2, bad)
-    for bad in (0, 6, 7):
-        with pytest.raises(ValueError):
-            block_data(CFG, CUBIC, 0.2, bad)
-
-
 def test_zero_amplitude_frequencies():
-    for k in range(1, 6):
-        bd = block_data(CFG, CUBIC, 0.0, k)
-        assert bd.phi == 0.0
-        assert bd.nu_plus.real == pytest.approx(bd.beta + abs(bd.alpha), abs=1e-13)
-        assert bd.nu_minus.real == pytest.approx(bd.beta - abs(bd.alpha), abs=1e-13)
+    bd = block_data(CFG, CUBIC, 0.0)
+    assert np.array_equal(bd.k, np.arange(1, 6))
+    assert (bd.phi == 0.0).all()
+    assert bd.nu_plus.real == pytest.approx(bd.beta + abs(bd.alpha), abs=1e-13)
+    assert bd.nu_minus.real == pytest.approx(bd.beta - abs(bd.alpha), abs=1e-13)
 
 
 def test_mode_reflection_identity():
     # {nu_{n-k}^+-} = {-nu_k^+-}: alpha is even, beta odd under k -> n-k
     for n, m, a in [(6, 1, 0.2), (7, 2, 0.5), (8, 1, 0.9)]:
-        cfg = LatticeConfig(n, m)
+        bd = block_data(LatticeConfig(n, m), CUBIC, a)
         for k in range(1, n):
-            b1 = block_data(cfg, CUBIC, a, k)
-            b2 = block_data(cfg, CUBIC, a, n - k)
-            s1 = sorted([b1.nu_plus, b1.nu_minus], key=lambda z: (z.real, z.imag))
-            s2 = sorted([-b2.nu_plus, -b2.nu_minus], key=lambda z: (z.real, z.imag))
+            i, j = k - 1, n - k - 1          # the rows of k and n - k
+            s1 = sorted([bd.nu_plus[i], bd.nu_minus[i]], key=lambda z: (z.real, z.imag))
+            s2 = sorted([-bd.nu_plus[j], -bd.nu_minus[j]], key=lambda z: (z.real, z.imag))
             assert np.abs(np.array(s1) - np.array(s2)).max() <= 1e-12
 
 
 def test_full_spectrum_matches_blocks():
     got = average_clusters(dense_spectrum(CFG, CUBIC, 0.2), 1e-6)
-    want = full_spectrum(block_table(CFG, CUBIC, 0.2))
+    want = full_spectrum(block_data(CFG, CUBIC, 0.2))
     assert matching_distance(got, want) <= 1e-8
 
 
@@ -210,7 +176,7 @@ def test_spectrum_closed_under_negation_and_conjugation(ring, pot, a):
     eig = dense_spectrum(cfg, pot, a)
     assert matching_distance(eig, -eig) <= 1e-7
     assert matching_distance(eig, eig.conj()) <= 1e-7
-    lam = np.sort_complex(full_spectrum(block_table(cfg, pot, a)))
+    lam = np.sort_complex(full_spectrum(block_data(cfg, pot, a)))
     assert np.array_equal(lam, np.sort_complex(-lam))
     assert np.array_equal(lam, np.sort_complex(lam.conj()))
 
@@ -220,14 +186,14 @@ def test_gauge_double_zero():
     eig = dense_spectrum(cfg, CUBIC, 0.0)
     zeros = np.sort(np.abs(eig))[:2]
     assert zeros.max() <= 1e-10
-    closed = full_spectrum(block_table(cfg, CUBIC, 0.0))
+    closed = full_spectrum(block_data(cfg, CUBIC, 0.0))
     assert np.array_equal(closed[-2:], [0.0, 0.0])
 
 
 def test_phi_monotone_in_k_focusing():
     # for sigma > 0 (focusing, m < n/4) phi_k decreases with k up to n/2
     for a in [0.2, 0.5, 0.9]:
-        phis = [block_data(CFG, CUBIC, a, k).phi for k in range(1, 4)]
+        phis = block_data(CFG, CUBIC, a).phi[:3]
         assert phis[0] >= phis[1] >= phis[2]
 
 
@@ -243,13 +209,14 @@ def test_frequency_signs_match_cases():
         a = float(rng.uniform(0.05, 1.0))
         c = float(rng.choice([-1.0, 1.0]))
         pot = Potential.cubic(c)
-        for k in range(1, n):
-            bd = block_data(cfg, pot, a, k)
-            if bd.phi < bd.gamma:
-                assert bd.nu_plus.real > 0 > bd.nu_minus.real
-            elif bd.gamma < bd.phi < 1.0 and 2 * k < n:
+        bd = block_data(cfg, pot, a)
+        for k, phi, gamma, nu_p, nu_m in zip(bd.k, bd.phi, bd.gamma,
+                                             bd.nu_plus.real, bd.nu_minus.real):
+            if phi < gamma:
+                assert nu_p > 0 > nu_m
+            elif gamma < phi < 1.0 and 2 * k < n:
                 # both roots carry the sign of beta, positive below n/2
-                assert bd.nu_plus.real > 0 and bd.nu_minus.real > 0
+                assert nu_p > 0 and nu_m > 0
 
 
 def test_stability_fixture_values():
@@ -279,7 +246,7 @@ def test_block_stability_matches_dense_spectrum():
             cfg = LatticeConfig(n, m)
             for pot, amps in amplitudes:
                 a = amps[(n + m) % 2]
-                if np.abs(block_table(cfg, pot, a).phi - 1.0).min() < 1e-6:
+                if np.abs(block_data(cfg, pot, a).phi - 1.0).min() < 1e-6:
                     continue
                 v = classify_stability(cfg, pot, a)
                 max_re, dense_stable = dense_verdict(cfg, pot, a)
@@ -318,4 +285,4 @@ def test_stability_large_wavenumber_and_defocusing():
 def test_stability_per_k_real_flags():
     # phi_1 is the one-mode block, bit for bit
     v = classify_stability(CFG, CUBIC, 0.2)
-    assert v.phi_1 == block_data(CFG, CUBIC, 0.2, 1).phi
+    assert v.phi_1 == block_data(CFG, CUBIC, 0.2).phi[0]
