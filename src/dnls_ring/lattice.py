@@ -70,7 +70,8 @@ class Potential:
         polynomial  V(s) = sum coeffs[i] s^i  (ascending powers)
 
     derivs, built once, is (V, V', V'') as functions of float arrays without
-    the domain check, for Newton loops; a cubic's V'' is the scalar c.
+    the domain check, for Newton loops; the closed forms hold c and 1 as 0-d
+    float64 arrays (a cubic's V'' is that c). __call__ returns scalars as floats.
     """
 
     kind: str
@@ -78,17 +79,18 @@ class Potential:
     derivs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kind, p = self.kind, self.params
-        c = p[0] if len(p) == 1 else None
+        kind, p, one = self.kind, self.params, np.array(1.0)
+        c = np.array(float(p[0])) if len(p) == 1 else None
         if kind == "cubic" and c is not None:
             derivs = (lambda s: 0.5 * c * s * s, lambda s: c * s, lambda s: c)
         elif kind == "saturable" and c is not None:
-            derivs = (lambda s: c * np.log1p(s), lambda s: c / (1.0 + s),
-                      lambda s: -c / (1.0 + s) ** 2)
+            derivs = (lambda s: c * np.log1p(s), lambda s: c / (one + s),
+                      lambda s: -c / (one + s) ** 2)
         elif kind == "polynomial" and p:    # coefficients of V, V', V''
             P, v = np.polynomial.polynomial, np.array(p, dtype=float)
-            derivs = tuple(partial(P.polyval, c=a)
-                           for a in (v, P.polyder(v), P.polyder(P.polyder(v))))
+            with np.errstate(over="ignore"):    # an overflow leaves inf, quietly
+                derivs = tuple(partial(P.polyval, c=a) for a in
+                               (v, P.polyder(v), P.polyder(P.polyder(v))))
         else:
             raise ConfigError(f"no {kind!r} potential of {len(p)} parameters: "
                               "cubic and saturable take c, polynomial coefficients")

@@ -110,10 +110,5 @@ def classify_stability(cfg: LatticeConfig, pot: Potential,
     covered = sigma < 0 or (sigma > 0 and phi_1 < 1.0)
     growth = float(np.abs(bd.nu_plus.imag).max())     # Im nu^- = -Im nu^+
     tol = GROWTH_TOL * max(1.0, float(np.abs(bd.alpha).max()))
-    return StabilityVerdict(
-        sigma=sigma,
-        covered=bool(covered),
-        phi_1=float(phi_1),
-        max_real_part=growth,
-        empirical_stable=bool(growth <= tol),
-    )
+    return StabilityVerdict(sigma=sigma, covered=bool(covered), phi_1=float(phi_1),
+                            max_real_part=growth, empirical_stable=bool(growth <= tol))

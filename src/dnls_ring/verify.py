@@ -38,9 +38,10 @@ def integrate(cfg: LatticeConfig, pot: Potential, omega: float,
     norm is at most MIDPOINT_TOL. After a block in which no step took two
     corrections, the next block's steps stop after one and one residual
     evaluation over its states (at most 1024 // n) checks them; the first
-    that fails goes on from its corrected state in the next block, checked,
-    and the rest are redone. Every step runs one inline Newton loop on V',
-    V'' bound once from pot.derivs.
+    that fails (one row-norm test over the block; a NaN fails) goes on from
+    its corrected state in the next block, checked, and the rest are redone.
+    Every step runs one inline Newton loop on V', V'' bound once from
+    pot.derivs, with constants and omega as 0-d float64 arrays.
     """
     if not 0 < dt <= T < np.inf:
         raise ValueError("need finite dt > 0 and T >= dt")
@@ -66,13 +67,15 @@ def integrate(cfg: LatticeConfig, pot: Potential, omega: float,
     offdiag = 16 * k + np.where(k % 2, 9, 11)  # superdiagonal odd, sub even
 
     V1, V2 = pot.derivs[1:]               # bound once: no dispatch per step
+    half, one, two, three, om, om2 = (np.array(c, dtype=float) for c in (
+        0.5, 1.0, 2.0, 3.0, omega, omega - 2.0))    # strong operands
 
     def residual(u, v):     # g(v) = v - u - dt f((u+v)/2), steps laid end to end
         swaps, ups, downs, dt_mjs = (a[:len(u)] for a in wide)
-        mid = 0.5 * (u + v)
+        mid = half * (u + v)
         ms = mid[swaps]
-        return v - u - ((omega + V1(mid * mid + ms * ms)) * ms
-                        + (mid[ups] + mid[downs] - 2.0 * ms)) * dt_mjs
+        return v - u - ((om + V1(mid * mid + ms * ms)) * ms
+                        + (mid[ups] + mid[downs] - two * ms)) * dt_mjs
 
     states = np.empty((nsteps + 1, 2 * n))
     states[0] = np.asarray(u0, dtype=float)
@@ -87,21 +90,21 @@ def integrate(cfg: LatticeConfig, pot: Potential, omega: float,
             if r == 0 and resume is not None:   # goes on from its iterate
                 (v, its[0]), resume = resume, None
             else:
-                v = (euler if i + r == 0 else 2.0 * u - prev if i + r == 1
-                     else 3.0 * (u - prev) + prev2)
+                v = (euler if i + r == 0 else two * u - prev if i + r == 1
+                     else three * (u - prev) + prev2)
             while True:     # Newton on g(v) = v - u - dt f((u+v)/2)
-                mid = 0.5 * (u + v)
+                mid = half * (u + v)
                 ms, xx = mid[swap], mid * mid
                 s = xx + ms * ms          # |u_j|^2 on both entries of site j
                 vp = V1(s)
-                g = v - u - ((omega + vp) * ms
-                             + (mid[up] + mid[down] - 2.0 * ms)) * dt_mj
+                g = v - u - ((om + vp) * ms
+                             + (mid[up] + mid[down] - two * ms)) * dt_mj
                 if math.sqrt(g.dot(g)) <= MIDPOINT_TOL:
                     break
                 # I + h J B_j, B_j = (omega - 2 + V') I + 2 V'' x_j x_j^T
-                e = 2.0 * V2(s)
-                np.add(e * (mid * ms) * h_j, 1.0, out=diag)
-                flat[offdiag] = (omega - 2.0 + vp + e * xx) * h_mj
+                e = two * V2(s)
+                np.add(e * (mid * ms) * h_j, one, out=diag)
+                flat[offdiag] = (om2 + vp + e * xx) * h_mj
                 _, _, dv, info = dgbsv(5, 5, band, g)
                 if info and checked:
                     raise np.linalg.LinAlgError("Singular matrix")
@@ -114,8 +117,8 @@ def integrate(cfg: LatticeConfig, pot: Potential, omega: float,
             x[r + 3], prev2, prev, u = v, prev, u, v
         if not checked:     # the batch check: the residual of the block's states
             g = residual(x[2:m + 2].ravel(), x[3:m + 3].ravel()).reshape(m, -1)
-            r = next((r for r in range(m)
-                      if not math.sqrt(g[r].dot(g[r])) <= MIDPOINT_TOL), m)
+            ok = np.sqrt(g[:, None] @ g[..., None]).ravel() <= MIDPOINT_TOL
+            r = m if ok.all() else int(ok.argmin())     # a NaN row fails
             if r < m:       # it goes on, checked, in the next block; the rest redone
                 resume, m = (x[r + 3].copy(), its[r]), r
         x[3:m + 3].take(unfold, 1, out=states[i + 1:i + m + 1])
@@ -171,9 +174,7 @@ def spatial_period_error(traj: Trajectory, cfg: LatticeConfig, k: int,
     if cfg.n % k:
         raise ValueError(f"k={k} does not divide n={cfg.n}")
     norms = _norm_samples_one_period(traj, nu)
-    p = cfg.n // k
-    shifted = np.roll(norms, -p, axis=1)
-    return float(np.abs(shifted - norms).max())
+    return float(np.abs(np.roll(norms, -(cfg.n // k), axis=1) - norms).max())
 
 
 def closure_error(traj: Trajectory) -> float:

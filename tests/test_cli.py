@@ -444,6 +444,21 @@ def test_polynomial_stability_overflow_exits_3(tmp_path, capsys, command,
     assert not (tmp_path / f"{command}.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["thresholds", "spectrum", "stability",
+                                     "bifurcations"])
+def test_overflowing_derivative_table_exits_3_quietly(tmp_path, capsys, command):
+    # V'' = 2e308 overflows while the derivative table is built: the table
+    # holds inf without a numpy warning (an error under this suite's
+    # warning filter), and stderr is the one exit-3 line
+    doc = dict(BASE, potential={"kind": "polynomial",
+                                "coefficients": [0, 0, 1e308]})
+    assert main([command, "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure in '{command}': block table ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_continue_and_verify_round_trip(tmp_path):
     doc = dict(BASE, mode=3, sign="+",
                continuation={"n_harmonics": 8, "max_steps": 5},

@@ -233,6 +233,32 @@ def test_two_correction_steps_equal_dense_stepper(n, kind):
     assert traj.newton_iterations == corrections
 
 
+# dt at which each orbit mixes one- and two-correction steps, and some
+# unchecked block fails its batch check at a row after the first; each
+# mixing window is narrow, a few 1e-4 wide
+MIXED_DT = {(6, "cubic"): 0.0123, (6, "defocusing"): 0.0113,
+            (6, "quartic"): 0.0134, (6, "saturable"): 0.012,
+            (48, "cubic"): 0.00885, (48, "defocusing"): 0.008,
+            (48, "quartic"): 0.0099, (48, "saturable"): 0.00865}
+
+
+@pytest.mark.parametrize("n, kind", sorted(MIXED_DT))
+def test_mixed_correction_steps_equal_dense_stepper(n, kind):
+    # A block whose vectorized batch check fails at a row after the first
+    # keeps the rows before it; that row goes on from its corrected state
+    # and the rows after it are redone. The states and the count must be
+    # the dense stepper's exactly, and the orbit must take some steps with
+    # one correction and some with two.
+    cfg, pot, dt = LatticeConfig(n, 1), POTENTIALS[kind], MIXED_DT[n, kind]
+    sw = make_standing_wave(cfg, pot, 0.3)
+    u0 = sw.equilibrium + 0.1 * np.random.default_rng(n).standard_normal(2 * n)
+    traj = integrate(cfg, pot, sw.omega, u0, dt, 200 * dt)
+    states, corrections = dense_midpoint(cfg, pot, sw.omega, u0, dt, 200 * dt)
+    assert len(traj.times) == 201 and 200 < traj.newton_iterations < 400
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.newton_iterations == corrections
+
+
 def test_branch_orbit_equals_dense_stepper(short_branch):
     point = short_branch.points[-1]
     u0, T = branch_initial_state(point), 2 * np.pi / point.nu
