@@ -84,6 +84,7 @@ def _keys(name: str, **rules) -> tuple:
 # 16 MiB, and the midpoint Newton matrix is banded, 16 x 2n; at nh = 256 the
 # bordered one is (2nh + 2)^2 doubles, 2 MiB; 10^6 trajectory steps, 96 MB.
 MAX_TRAJECTORY_STEPS = 1_000_000
+_SIGNS = {+1: "+", -1: "-"}   # an onset's sign in CSVs and file names
 _RAW, _COUNT = (None, None), {"integer": True, "low": 1}
 _TOP = _keys("", lattice=_RAW, potential=_RAW, amplitude=_RAW, sweep=_RAW,
              mode=(1, _COUNT), sign=("+", None), continuation=_RAW,
@@ -175,21 +176,23 @@ def parse_config(doc: dict) -> RunConfig:
         snapshot_stride=top["snapshot_stride"])
 
 
-def _fmt(x) -> str:
-    # bools and integer cells (at most 10 000) read the same under %.17g
-    return "" if x is None else x if isinstance(x, str) else "%.17g" % x
-
-
 def write_csv(path: Path, header: list, rows: Iterable) -> None:
     """Rewrite path in place, then cut it to the written length: O_TRUNC
-    frees an existing file's blocks only to allocate them again."""
+    frees an existing file's blocks only to allocate them again. A row of
+    numbers is one "%.17g" format; bools and ints read the same under it."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="", opener=lambda p, flags: os.open(
             p, flags & ~os.O_TRUNC, 0o666)) as fh:   # open's mode, not 0o777
         try:
             w = csv.writer(fh)
             w.writerow(header)
-            w.writerows([_fmt(x) for x in row] for row in rows)
+            for row in map(tuple, rows):
+                try:
+                    fh.write(line % row)
+                except TypeError:   # None, a string or a ragged row: per cell
+                    w.writerow(["" if x is None else x if isinstance(x, str)
+                                else "%.17g" % x for x in row])
         finally:   # a failed write keeps its prefix and loses the old tail
             fh.flush()
             # a pipe cannot tell, and a device reads size 0 (ftruncate: EINVAL)
@@ -211,18 +214,10 @@ def _require_amplitude(config: RunConfig) -> float:
     return config.amplitude
 
 
-def _amplitudes(config: RunConfig) -> np.ndarray:
-    if config.sweep is not None:
-        a0, a1, steps = config.sweep
-        return np.linspace(a0, a1, steps)
-    return np.array([_require_amplitude(config)])
-
-
 def cmd_spectrum(config: RunConfig) -> None:
-    cfg, pot = config.lattice, config.potential
-    a = _require_amplitude(config)
+    cfg = config.lattice
     # checked before any write; k = n: alpha = beta = +0, no phi or onset
-    bd = block_data(cfg, pot, a)
+    bd = block_data(cfg, config.potential, _require_amplitude(config))
     rows = list(zip(bd.k, bd.alpha, bd.beta, bd.phi, bd.gamma, bd.nu_plus.real,
                     bd.nu_plus.imag, bd.nu_minus.real, bd.nu_minus.imag))
     rows.append([cfg.n, 0.0, 0.0, None, None, 0.0, 0.0, 0.0, 0.0])
@@ -236,7 +231,8 @@ def cmd_spectrum(config: RunConfig) -> None:
 def cmd_stability(config: RunConfig) -> None:
     cfg, pot = config.lattice, config.potential
     rows = []
-    for a in _amplitudes(config):
+    for a in (np.linspace(*config.sweep) if config.sweep is not None
+              else [_require_amplitude(config)]):
         v = classify_stability(cfg, pot, float(a))
         rows.append([a, v.sigma, v.covered, v.covered, v.phi_1,
                      v.max_real_part, v.empirical_stable])
@@ -251,21 +247,12 @@ def cmd_thresholds(config: RunConfig) -> None:
               [[k, th.a_hopf, th.a_gamma] for k, th in enumerate(ths, start=1)])
 
 
-def _sign_char(sign: int) -> str:
-    return "+" if sign > 0 else "-"
-
-
-def _flag_string(p) -> str:
-    return ";".join(f"1:{r.l}_with_nu_{r.j}{_sign_char(r.jsign)}"
-                    for r in p.resonances)
-
-
 def cmd_bifurcations(config: RunConfig) -> None:
-    cfg, pot = config.lattice, config.potential
-    a = _require_amplitude(config)
-    points, res = _enumerate(cfg, pot, a)
-    rows = [[p.k, _sign_char(p.sign), p.nu_onset, p.regime,
-             p.near_degenerate, p.suppressed, _flag_string(p)] for p in points]
+    points, res = _enumerate(config.lattice, config.potential,
+                             _require_amplitude(config))
+    rows = [[p.k, _SIGNS[p.sign], p.nu_onset, p.regime, p.near_degenerate,
+             p.suppressed, ";".join(f"1:{r.l}_with_nu_{r.j}{_SIGNS[r.jsign]}"
+                                    for r in p.resonances)] for p in points]
     rows += [[k, "", "", "hopf", "", "", "1:1"] for k in res.one_to_one]
     write_csv(config.out_dir / "bifurcations.csv",
               ["k", "sign", "nu_onset", "regime", "near_degenerate",
@@ -281,22 +268,21 @@ def _run_branch(config: RunConfig) -> tuple:
     if not match:
         raise ConfigError(
             f"no bifurcation onset for mode k={config.mode} "
-            f"sign={_sign_char(config.sign)} at a={a:g}")
+            f"sign={_SIGNS[config.sign]} at a={a:g}")
     branch = continue_branch(cfg, pot, sw, match[0], config.options)
     return sw, branch
 
 
 def cmd_continue(config: RunConfig) -> None:
     _, branch = _run_branch(config)
-    k, sgn = config.mode, _sign_char(config.sign)
+    k, sgn = config.mode, _SIGNS[config.sign]
     rows = [[i, pt.nu, pt.amplitude, pt.residual_norm, pt.profile.cos_a[0],
              pt.profile.cos_a[1], pt.profile.sin_b[0]]
             for i, pt in enumerate(branch.points)]
     write_csv(config.out_dir / f"branch_k{k}{sgn}.csv",
               ["step", "nu", "amplitude", "residual_norm", "a0", "a1", "b1"], rows)
-    snaps = set(range(0, len(branch.points), config.snapshot_stride))
-    snaps.add(len(branch.points) - 1)
-    for i in sorted(snaps):
+    last = len(branch.points) - 1
+    for i in sorted({*range(0, last, config.snapshot_stride), last}):
         prof = branch.points[i].profile
         write_csv(config.out_dir / f"profile_step{i}.csv", ["l", "a_l", "b_l"],
                   [[l, prof.cos_a[l], prof.sin_b[l - 1] if l else 0.0]

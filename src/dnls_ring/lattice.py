@@ -21,6 +21,7 @@ _I2_ROWS = np.array([[1.0], [0.0], [1.0]])    # I2 as rows 00, 01, 11
 # J (p, q) = (-q, p) = J_SIGNS * (q, p) on each site pair: applied as this
 # swap and sign, never as a dense product, J leaves every value exact.
 J_SIGNS = np.array([-1.0, 1.0])
+_ROOT_MAX = np.sqrt(np.finfo(float).max)    # the largest t with t * t finite
 
 
 def rot(theta: float) -> np.ndarray:
@@ -84,8 +85,13 @@ class Potential:
         if kind == "cubic" and c is not None:
             derivs = (lambda s: 0.5 * c * s * s, lambda s: c * s, lambda s: c)
         elif kind == "saturable" and c is not None:
-            derivs = (lambda s: c * np.log1p(s), lambda s: c / (one + s),
-                      lambda s: -c / (one + s) ** 2)
+            def v2(s):      # -(c / t) / t only where t^2 = (1 + s)^2 overflows
+                t = one + s
+                if t.max() <= _ROOT_MAX:          # NaN takes the masked path
+                    return -c / t ** 2
+                hi, lo = np.maximum(t, _ROOT_MAX), np.minimum(t, _ROOT_MAX)
+                return np.where(t > _ROOT_MAX, -(c / hi) / hi, -c / lo ** 2)
+            derivs = (lambda s: c * np.log1p(s), lambda s: c / (one + s), v2)
         elif kind == "polynomial" and p:    # coefficients of V, V', V''
             P, v = np.polynomial.polynomial, np.array(p, dtype=float)
             with np.errstate(over="ignore"):    # an overflow leaves inf, quietly

@@ -8,6 +8,7 @@ dense eigensolver on J D^2H(a_m) is their brute-force oracle in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,22 +50,30 @@ class BlockData:
     nu_minus: np.ndarray
 
 
+@lru_cache(maxsize=64)
+def _modes(cfg: LatticeConfig) -> tuple:
+    """k = 1..n-1, alpha_k, beta_k and gamma_k of the ring, read-only, cached
+    by its normalized (n, m); gamma_k = 0 exactly for k = +/-2m mod n, where
+    beta_k / alpha_k = +/-1 holds only to roundoff."""
+    k = np.arange(1, cfg.n)
+    alpha, beta = alpha_beta(cfg, k)
+    zero = ((k - 2 * cfg.m) % cfg.n == 0) | ((k + 2 * cfg.m) % cfg.n == 0)
+    cols = k, alpha, beta, np.where(zero, 0.0, 1.0 - np.square(beta / alpha))
+    for col in cols:
+        col.flags.writeable = False
+    return cols
+
+
 def block_data(cfg: LatticeConfig, pot: Potential, a: float) -> BlockData:
     """The block table of k = 1..n-1 at amplitude a (alpha_n = 0 leaves k = n
     without phi, gamma or onsets): phi_k = 2a^2 V''(a^2) / alpha_k,
     gamma_k = 1 - (beta_k / alpha_k)^2 and the eigenvalues
     nu_k^+/- = beta_k +/- sqrt(alpha_k^2 (1 - phi_k)) of iJB_k on R x iR, B_k
-    the block of D^2H(a_m) on the k-th Fourier subspace. gamma_k = 0 exactly
-    for k = +/-2m mod n, where alpha^2 - beta^2 =
-    16 sin^2(k zeta/2) sin((k+2m) zeta/2) sin((k-2m) zeta/2). Raises
-    DnlsRingError naming the block table when it is not finite (a^2,
-    V''(a^2) or 2a^2 V'' overflows)."""
-    k = np.arange(1, cfg.n)
-    d = 2.0 * a * a * pot(a * a, 2)
-    alpha, beta = alpha_beta(cfg, k)
-    phi = d / alpha
-    zero = ((k - 2 * cfg.m) % cfg.n == 0) | ((k + 2 * cfg.m) % cfg.n == 0)
-    gamma = np.where(zero, 0.0, 1.0 - np.square(beta / alpha))
+    the block of D^2H(a_m) on the k-th Fourier subspace; k, alpha, beta and
+    gamma are the ring's cached, read-only arrays. Raises DnlsRingError when
+    the table is not finite (a^2, V''(a^2) or 2a^2 V'' overflows)."""
+    k, alpha, beta, gamma = _modes(cfg)
+    phi = 2.0 * a * a * pot(a * a, 2) / alpha
     root = np.sqrt((alpha * alpha * (1.0 - phi)).astype(complex))
     if not np.isfinite(root).all():
         raise DnlsRingError(f"block table at a = {a:g} is not finite: a^2 = "
@@ -106,9 +115,8 @@ def classify_stability(cfg: LatticeConfig, pot: Potential,
     # sign rule), flipped for m > n/4; m = n/4 is excluded by LatticeConfig.
     sign = int(np.sign(v2))
     sigma = sign if 4 * cfg.m < cfg.n else -sign
-    phi_1 = bd.phi[0]
-    covered = sigma < 0 or (sigma > 0 and phi_1 < 1.0)
+    covered = sigma < 0 or (sigma > 0 and bd.phi[0] < 1.0)
     growth = float(np.abs(bd.nu_plus.imag).max())     # Im nu^- = -Im nu^+
     tol = GROWTH_TOL * max(1.0, float(np.abs(bd.alpha).max()))
-    return StabilityVerdict(sigma=sigma, covered=bool(covered), phi_1=float(phi_1),
+    return StabilityVerdict(sigma=sigma, covered=bool(covered), phi_1=float(bd.phi[0]),
                             max_real_part=growth, empirical_stable=bool(growth <= tol))

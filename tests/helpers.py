@@ -2,6 +2,9 @@
 direct summation and literal loops, kept deliberately independent of the
 package internals they check."""
 
+import csv
+import io
+
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -10,6 +13,18 @@ from dnls_ring import (ConvergenceError, ResonanceRecord, ResonanceReport,
 from dnls_ring.bifurcation import L_MAX_CAP
 from dnls_ring.lattice import J_SIGNS, rot
 from dnls_ring.verify import MIDPOINT_MAX_ITER, MIDPOINT_TOL
+
+
+def percell_csv(header, rows) -> bytes:
+    """A table's bytes as the per-cell writer gave them, the oracle of
+    write_csv: csv.writer over "%.17g" of every number, "" for None and
+    strings as they are, so a string holding a comma or a quote is quoted."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(["" if x is None else x if isinstance(x, str) else "%.17g" % x
+                 for x in row] for row in rows)
+    return buf.getvalue().encode()
 
 
 def fd_gradient(f, x, h=1e-5):

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,10 @@ from hypothesis import strategies as st
 
 from dnls_ring import ConfigError, block_data
 from dnls_ring.cli import main, parse_config, read_csv, write_csv
+from dnls_ring.lattice import LatticeConfig, Potential, make_standing_wave
+from dnls_ring.verify import integrate
+
+from helpers import percell_csv
 
 
 BASE = {
@@ -291,6 +296,79 @@ def test_rerun_rewrites_in_place_and_cuts_the_tail(tmp_path):
     assert run(3, "out") == 0 and run(3, "fresh") == 0
     assert rerun.read_bytes() == (tmp_path / "fresh" / "stability.csv").read_bytes()
     assert len(read_csv(rerun)[1]) == 3 and rerun.stat().st_ino == inode
+
+
+@pytest.mark.parametrize("c, a", [(1.05e296, 4.28e92), (5.77e207, 6.15e88),
+                                  (4.42e297, 1.03e139)])
+def test_saturable_square_overflow_gives_the_decimal_answer(tmp_path, c, a):
+    # (1 + a^2)^2 overflows, 2a^2 V''(a^2) does not: spectrum and stability
+    # must write the 60-digit Decimal phi_k and nu_k^+/-, not phi = -0
+    doc = dict(BASE, potential={"kind": "saturable", "c": c}, amplitude=a)
+    for command in ("spectrum", "stability"):
+        assert main([command, "--config", write_config(tmp_path, doc),
+                     "--out", str(tmp_path)]) == 0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        s = Decimal(a) * Decimal(a)
+        d = -2 * s * Decimal(c) / (1 + s) ** 2
+        rows = read_csv(tmp_path / "spectrum.csv")[1][:-1]
+        for k, alpha, beta, phi, _, re_p, im_p, re_m, im_m in rows:
+            alpha, beta = Decimal(alpha), Decimal(beta)
+            root = (alpha * alpha * (1 - d / alpha)).sqrt()
+            assert float(phi) == pytest.approx(float(d / alpha), rel=1e-14), k
+            assert float(re_p) == pytest.approx(float(beta + root), rel=1e-14)
+            assert float(re_m) == pytest.approx(float(beta - root), rel=1e-14)
+            assert float(im_p) == float(im_m) == 0.0
+        (row,) = read_csv(tmp_path / "stability.csv")[1]
+        assert float(row[4]) == float(rows[0][3])
+        assert row[1] == "-1"       # sigma = sgn V'' on m < n/4
+
+
+# Rows the one-format writer must render as the per-cell writer did: Python
+# and numpy floats, ints and bools; non-finite, signed-zero, subnormal and
+# huge values; None and strings (one to be quoted); rows short and long.
+WRITER_HEADER = ["a", "b", "c", "d", "e", "f"]
+WRITER_ROWS = [
+    [1.5, np.float64(-2.25), 3, np.int64(-4), True, np.False_],
+    [np.float32(0.1), np.int32(7), np.uint8(255), 10_000, False, np.True_],
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308],
+    [np.nan, np.float64(np.inf), np.float64(-0.0), -1e-300, 0, 1],
+    [None, 1.0, "", 'a,"b', "plain", None],
+    [None] * 6,
+    [1.0, 2.0],
+    [1.0] * 7,
+    [],
+]
+
+
+@pytest.mark.parametrize("header, rows", [
+    (WRITER_HEADER, WRITER_ROWS), (WRITER_HEADER, []), (["x"], [[0.5], [None]]),
+    (WRITER_HEADER, WRITER_ROWS[:4] * 3), (["x,y", 'q"'], [[1, 2], ["1", 2]])],
+    ids=["mixed", "empty", "one-column", "numbers", "quoted-header"])
+def test_write_csv_bytes_equal_the_per_cell_writer(tmp_path, header, rows):
+    path = tmp_path / "t.csv"
+    write_csv(path, header, rows)
+    assert path.read_bytes() == percell_csv(header, rows)
+    write_csv(path, header, (row for row in rows))     # a generator of rows
+    assert path.read_bytes() == percell_csv(header, rows)
+    write_csv(path, header, map(tuple, rows))          # tuple rows
+    assert path.read_bytes() == percell_csv(header, rows)
+
+
+def test_simulate_trajectory_equals_the_per_cell_rendering(tmp_path):
+    doc = copy.deepcopy(README_CONFIG)
+    doc["integration"]["t_final"] = 2.5
+    assert main(["simulate", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path)]) == 0
+    cfg = LatticeConfig(**doc["lattice"])
+    pot = Potential(doc["potential"]["kind"], (doc["potential"]["c"],))
+    sw = make_standing_wave(cfg, pot, doc["amplitude"])
+    traj = integrate(cfg, pot, sw.omega, sw.equilibrium.copy(),
+                     doc["integration"]["dt"], 2.5)
+    header = ["t"] + [f"s{j}_{part}" for j in range(cfg.n) for part in ("re", "im")]
+    want = percell_csv(header, ([t, *u] for t, u in zip(traj.times, traj.states)))
+    assert len(traj.times) == 2501
+    assert (tmp_path / "trajectory.csv").read_bytes() == want
 
 
 @pytest.mark.parametrize("k", [0, 2])

@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,45 @@ def test_derivative_table_equals_call_bit_for_bit(pot):
             assert type(pot(x, order)) is float
             assert _bits(f(np.asarray(x))) == _bits(pot(x, order))
             assert _bits(f(x)) == _bits(pot(x, order))
+
+
+# (c, a) where the saturable (1 + a^2)^2 overflows though 2a^2 V''(a^2) is
+# representable: -1.15e111, -3.05e30 and -8.4e19
+SATURABLE_OVERFLOW = [(1.05e296, 4.28e92), (5.77e207, 6.15e88), (4.42e297, 1.03e139)]
+
+
+def decimal_saturable_v2(c: float, s: float) -> float:
+    """-c / (1 + s)^2 in 60-digit Decimal arithmetic on the float inputs."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return float(-Decimal(c) / (1 + Decimal(s)) ** 2)
+
+
+@pytest.mark.parametrize("c, a", SATURABLE_OVERFLOW)
+def test_saturable_second_derivative_past_the_square_overflow(c, a):
+    pot, s = Potential.saturable(c), a * a
+    want = decimal_saturable_v2(c, s)
+    assert want < 0.0 and pot(s, 2) == pytest.approx(want, rel=1e-15)
+    # masked per entry in a batch: overflowing and ordinary s side by side
+    batch = np.array([s, 0.5, 2e154, 1.3407807929942596e154, np.nan, 3.0])
+    got = pot.derivs[2](batch)
+    for x, v in zip(batch, got):
+        if np.isnan(x):
+            assert np.isnan(v)
+        else:
+            assert v == pytest.approx(decimal_saturable_v2(c, x), rel=1e-15)
+    assert got[1].tobytes() == (-np.array(c) / (1.0 + batch[1]) ** 2).tobytes()
+
+
+def test_saturable_second_derivative_keeps_its_bits_where_finite():
+    # today's -c / (1 + s)^2 wherever (1 + s)^2 is finite, up to its edge
+    s = np.concatenate([np.random.default_rng(5).uniform(-0.99, 50.0, 400),
+                        np.logspace(-300, 154, 200), [0.0, 1.3407807929942596e154]])
+    for c in (1.0, -1.0, 0.37, 1e300, -5.77e207):
+        one, cc = np.array(1.0), np.array(c)
+        want = -cc / (one + s) ** 2
+        assert Potential.saturable(c).derivs[2](s).tobytes() == want.tobytes()
+        assert Potential.saturable(c)(s[:5], 2).tobytes() == want[:5].tobytes()
 
 
 @pytest.mark.parametrize("pot", [p for p in TABLE_POTENTIALS if p.kind == "polynomial"],

@@ -46,6 +46,34 @@ def test_alpha_beta_mirror_symmetric(n):
         assert np.all(beta[zero] == 0.0) and not np.signbit(beta[zero]).any()
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_cached_mode_table_is_fresh_read_only_and_shared(n):
+    # k, alpha, beta and gamma come from one read-only table per ring, equal
+    # bit for bit to a fresh alpha_beta and gamma_k = 1 - (beta_k/alpha_k)^2
+    # (exactly 0 at k = +/-2m mod n); only phi and the onsets follow a
+    pot = Potential.saturable(1.0)
+    for m in range(n // 2 + 1):
+        if 4 * m == n:
+            continue
+        cfg, k = LatticeConfig(n, m), np.arange(1, n)
+        bd, other = block_data(cfg, pot, 0.3), block_data(cfg, pot, 0.7)
+        alpha, beta = alpha_beta(cfg, k)
+        gamma = [0.0 if (q - 2 * m) % n == 0 or (q + 2 * m) % n == 0
+                 else 1.0 - (b / a) ** 2 for q, a, b in zip(k, alpha, beta)]
+        for got, want in ((bd.k, k), (bd.alpha, alpha), (bd.beta, beta),
+                          (bd.gamma, np.array(gamma))):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 1
+        mirror = block_data(LatticeConfig(n, n - m), pot, 0.3)
+        for name in ("k", "alpha", "beta", "gamma"):
+            assert getattr(other, name) is getattr(bd, name)
+            assert getattr(mirror, name) is getattr(bd, name)
+        assert not np.shares_memory(bd.phi, other.phi)
+        assert not np.array_equal(bd.phi, other.phi)
+        bd.phi[0] = 0.0     # phi is the table's own
+
+
 def test_block_basis_orthonormality():
     rng = np.random.default_rng(0)
     for n, m in [(5, 1), (6, 1), (7, 3)]:
