@@ -109,8 +109,6 @@ def _section(sec, keys: tuple) -> dict:
     """sec, a JSON object (null reads as {} below the top level), checked
     against keys, defaults filled in; an empty one is the shared defaults."""
     name, names, values, checks = keys
-    if sec is None and name and len(values) == len(names):  # none required
-        return values
     if not isinstance(sec, dict) and (sec is not None or not name):
         raise ConfigError(f"{name or 'config'} must be a JSON object, "
                           f"got {type(sec).__name__}")
@@ -360,8 +358,9 @@ def main(argv=None) -> int:
         flags = {"mode": args.k, "sign": args.sign, "output_dir": args.out}
         if isinstance(doc, dict):
             doc.update((key, v) for key, v in flags.items() if v is not None)
-        config = parse_config(doc)
-        COMMANDS[args.command](config)
+        with np.errstate(all="ignore"):   # non-finite values exit 3 at checks
+            config = parse_config(doc)
+            COMMANDS[args.command](config)
     except (UnicodeDecodeError, RecursionError) as exc:
         why = (f"is not UTF-8: {exc}" if isinstance(exc, UnicodeDecodeError)
                else "nests too deeply to parse")

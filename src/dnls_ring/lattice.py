@@ -94,9 +94,8 @@ class Potential:
             derivs = (lambda s: c * np.log1p(s), lambda s: c / (one + s), v2)
         elif kind == "polynomial" and p:    # coefficients of V, V', V''
             P, v = np.polynomial.polynomial, np.array(p, dtype=float)
-            with np.errstate(over="ignore"):    # an overflow leaves inf, quietly
-                derivs = tuple(partial(P.polyval, c=a) for a in
-                               (v, P.polyder(v), P.polyder(P.polyder(v))))
+            derivs = tuple(partial(P.polyval, c=a) for a in
+                           (v, P.polyder(v), P.polyder(P.polyder(v))))
         else:
             raise ConfigError(f"no {kind!r} potential of {len(p)} parameters: "
                               "cubic and saturable take c, polynomial coefficients")

@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 import tempfile
-import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -477,7 +476,6 @@ def nonfinite_cells(root):
     return bad
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", ["spectrum", "stability", "bifurcations",
                                      "continue", "verify"])
 def test_overflowing_amplitude_exits_3(tmp_path, capsys, command):
@@ -491,7 +489,6 @@ def test_overflowing_amplitude_exits_3(tmp_path, capsys, command):
     assert nonfinite_cells(out) == []
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_simulation_exits_3(tmp_path):
     # the perturbed state overflows in the first midpoint step: no step
     # converges, so simulate exits 3 and writes no trajectory
@@ -502,7 +499,6 @@ def test_overflowing_simulation_exits_3(tmp_path):
     assert not (tmp_path / "trajectory.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command, coefficients", [
     ("stability", [0.0, 1.0]), ("stability", [1e308]),
     ("thresholds", [0.0, 0.0, 1e308])],
@@ -535,6 +531,23 @@ def test_overflowing_derivative_table_exits_3_quietly(tmp_path, capsys, command)
     err = capsys.readouterr().err
     assert err.startswith(f"numerical failure in '{command}': block table ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_numpy_error_state_is_scoped_to_main(tmp_path):
+    # main runs a command under np.errstate(all="ignore") and gives numpy's
+    # state back on return; outside main the library keeps numpy's default,
+    # so the same overflowing derivative table warns
+    before = np.geterr()
+    assert main(["spectrum", "--config", write_config(tmp_path, BASE),
+                 "--out", str(tmp_path)]) == 0
+    assert np.geterr() == before
+    doc = dict(BASE, potential={"kind": "polynomial",
+                                "coefficients": [0, 0, 1e308]})
+    assert main(["spectrum", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path)]) == 3
+    assert np.geterr() == before
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        Potential.polynomial([0, 0, 1e308])
 
 
 def test_continue_and_verify_round_trip(tmp_path):
@@ -743,9 +756,7 @@ def test_mutated_readme_config_exits_0_2_or_3(tmp_path, command, mutations):
     assume(n is None or not n > 12)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        code = main([command, "--config", str(path), "--out", str(tmp_path)])
+    code = main([command, "--config", str(path), "--out", str(tmp_path)])
     event(f"exit {code}")
     assert code in (0, 2, 3)
 
@@ -798,17 +809,21 @@ def run_in_process(command, doc):
 
 def check_extreme_run(command, doc):
     # non-finite intermediates exit 3 and name the stage: never a traceback,
-    # never an inf or nan cell in a CSV left behind
+    # never an inf or nan cell in a CSV left behind, and no numpy warning:
+    # stderr is empty on exit 0 and the one message line on exit 2 or 3
     code, err, bad = run_in_process(command, doc)
     assert code in (0, 2, 3), err
     assert "Traceback" not in err
     assert bad == [], (code, err)
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
     if code == 3:
-        assert f"numerical failure in '{command}': " in err
+        assert err.startswith(f"numerical failure in '{command}': "), err
     return code
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", ["spectrum", "stability", "thresholds",
                                      "bifurcations", "continue", "simulate"])
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -828,7 +843,6 @@ VERIFY_EXTREMES = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("change", [c for _, c in VERIFY_EXTREMES],
                          ids=[name for name, _ in VERIFY_EXTREMES])
 def test_verify_extreme_inputs_exit_0_2_or_3_with_finite_csv(change):
