@@ -82,7 +82,7 @@ def _keys(name: str, **rules) -> tuple:
 
 # Size caps: at n = 512 each resonance-scan array is 2 (2n - 2)^2 doubles,
 # 16 MiB, and the midpoint Newton matrix is banded, 16 x 2n; at nh = 256 the
-# bordered one is (2nh + 2)^2 doubles, 2 MiB; 10^6 trajectory steps, 96 MB.
+# bordered one is 2 MiB; trajectory states, 10^6 steps and 6e6 steps x n, 96 MB.
 MAX_TRAJECTORY_STEPS = 1_000_000
 _SIGNS = {+1: "+", -1: "-"}   # an onset's sign in CSVs and file names
 _RAW, _COUNT = (None, None), {"integer": True, "low": 1}
@@ -158,9 +158,10 @@ def parse_config(doc: dict) -> RunConfig:
     dt, t_final = integ["dt"], integ["t_final"]
     if t_final is not None:
         t_final = _number(t_final, "integration.t_final", low=dt)
-        if t_final / dt > MAX_TRAJECTORY_STEPS:
+        cap = min(MAX_TRAJECTORY_STEPS, 6 * MAX_TRAJECTORY_STEPS // cfg.n)
+        if t_final / dt > cap:
             raise ConfigError("integration.t_final / integration.dt is over "
-                              f"{MAX_TRAJECTORY_STEPS} steps")
+                              f"{cap} steps at n = {cfg.n}")
     pert = _section(top["perturbation"], _PERTURBATION)
     out_dir = top["output_dir"]
     if not isinstance(out_dir, str):
@@ -294,16 +295,16 @@ def cmd_verify(config: RunConfig) -> None:
     cfg, pot = config.lattice, config.potential
     sw, branch = _run_branch(config)
     k = config.mode
-    rows = []
+    rows, cap = [], min(MAX_TRAJECTORY_STEPS, 6 * MAX_TRAJECTORY_STEPS // cfg.n)
     for i, pt in enumerate(branch.points[: config.verify_points]):
         loop = embed_reduced(pt.profile, cfg)
         u0 = sw.equilibrium + loop.sample(0.0)[0].ravel()
         # whole steps per period, so the wave checks can resample one period
         P = 2.0 * np.pi / pt.nu
         per_period = max(1, round(min(P / config.dt, MAX_TRAJECTORY_STEPS + 1)))
-        if config.periods * per_period > MAX_TRAJECTORY_STEPS:
+        if config.periods * per_period > cap:
             raise ConfigError(f"integration.dt and integration.periods ask for over "
-                              f"{MAX_TRAJECTORY_STEPS} steps at branch point {i}")
+                              f"{cap} steps at n = {cfg.n}, branch point {i}")
         dt = P / per_period
         traj = integrate(cfg, pot, sw.omega, u0, dt, config.periods * P)
         dH, dP = invariant_drift(traj, cfg, pot, sw.omega)

@@ -121,20 +121,16 @@ class ReducedSystem:
             self._grid = (pvec.copy(), u, s, self.pot.derivs[1](s))
         return self._grid[1:]
 
-    def _gradient(self, pvec: np.ndarray) -> np.ndarray:
-        """Site-0 component of grad H(a_m + x) as cos/sin coefficients."""
-        u, _, vp = self._site0(pvec)
-        g = np.fft.rfft(vp * u, axis=1, norm="forward").ravel()[self._slots]
-        g = (g / self._to_grid).real
-        g[0] -= self._g_eq
-        return self.coupling @ pvec + g
-
     def residual(self, pvec: np.ndarray, nu: float) -> np.ndarray:
         """f(x; nu) = J xdot - nu^{-1} grad H(a_m + x) at site 0, as reduced
         coefficients."""
         if nu <= 0:
             raise ConvergenceError("frequency left the positive domain")
-        return self.j_dt @ pvec - self._gradient(pvec) / nu
+        u, _, vp = self._site0(pvec)
+        g = np.fft.rfft(vp * u, axis=1, norm="forward").ravel()[self._slots]
+        g = (g / self._to_grid).real
+        g[0] -= self._g_eq
+        return self.j_dt @ pvec - (self.coupling @ pvec + g) / nu
 
     def jacobian(self, pvec: np.ndarray, nu: float, r: np.ndarray,
                  out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -261,7 +257,7 @@ def continue_branch(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
         if y[-1] <= NU_MIN:
             branch.termination = "nu_bound"
             break
-        if np.linalg.norm(y[:-1]) >= cap:
+        if branch.points[-1].amplitude >= cap:
             branch.termination = "amplitude_cap"
             break
         if len(branch.points) >= opts.max_steps:

@@ -714,6 +714,39 @@ def test_trajectory_step_cap_exits_2(tmp_path, capsys, command, integration,
     assert key in capsys.readouterr().err
 
 
+SITE_STEP_CAP = [  # n = 512: under 10^6 steps, over 6 x 10^6 steps x sites
+    ("simulate", {"dt": 1e-3, "t_final": 1000}, "integration.t_final"),
+    ("verify", {"dt": 1e-3, "periods": 100}, "integration.periods"),
+]
+
+
+@pytest.mark.parametrize("command, integration, key", SITE_STEP_CAP,
+                         ids=[c for c, _, _ in SITE_STEP_CAP])
+def test_trajectory_cap_scales_with_ring_size(tmp_path, capsys, monkeypatch,
+                                              command, integration, key):
+    # 10^6 steps at n = 512 would be 8.2 GB of states; the cap is 11718
+    # steps there, so both documents exit 2 before integrate is reached:
+    # simulate's in parse_config, verify's (316 700 steps at the onset
+    # frequency 1.98 of mode 128) after the branch point is found
+    doc = {"lattice": {"n": 512, "m": 1},
+           "potential": {"kind": "cubic", "c": 1.0}, "amplitude": 0.2,
+           "mode": 128, "continuation": {"n_harmonics": 8, "max_steps": 1},
+           "integration": integration}
+    if command == "simulate":
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            parse_config(doc)
+    else:
+        parse_config(doc)
+
+    def refuse(*args):
+        raise AssertionError("integrate called past the trajectory cap")
+    monkeypatch.setattr("dnls_ring.cli.integrate", refuse)
+    assert main([command, "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "11718 steps" in err
+
+
 def mutate(mutations):
     """README_CONFIG with each (key path, value) applied in turn: the value
     replaces what the path names, or DROP deletes it (the empty path names

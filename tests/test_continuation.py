@@ -455,25 +455,34 @@ def test_singular_higher_block_only_at_a_resonance_record():
 
 
 def test_gradient_formed_once_per_residual_on_acceptance_branch(monkeypatch):
-    # counts completed calls: a residual refused at nu <= 0 forms nothing
-    calls = {"residual": 0, "jacobian": 0, "gradient": 0}
+    # counts site-0 syntheses (np.fft.irfft) inside completed calls: one per
+    # residual, and none per Jacobian, which reads the residual's grid from
+    # the _site0 memo; a residual refused at nu <= 0 synthesises nothing
+    calls = {"residual": 0, "jacobian": 0}
+    syntheses = {"residual": 0, "jacobian": 0}
+    irfft, count = np.fft.irfft, [0]
+
+    def counted_irfft(*args, **kwargs):
+        count[0] += 1
+        return irfft(*args, **kwargs)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
+            before = count[0]
             out = fn(*args, **kwargs)
             calls[name] += 1
+            syntheses[name] += count[0] - before
             return out
         return wrapper
 
+    monkeypatch.setattr(np.fft, "irfft", counted_irfft)
     for name in ("residual", "jacobian"):
         monkeypatch.setattr(ReducedSystem, name,
                             counted(name, getattr(ReducedSystem, name)))
-    monkeypatch.setattr(ReducedSystem, "_gradient",
-                        counted("gradient", ReducedSystem._gradient))
     onset = next(p for p in enumerate_bifurcations(CFG, CUBIC, 0.2)
                  if p.k == 3 and p.sign == +1)
     branch = continue_branch(CFG, CUBIC, SW, onset,
                              ContinuationOptions(n_harmonics=32, max_steps=20))
     assert len(branch.points) == 20
     assert calls["jacobian"] > 0
-    assert calls["gradient"] == calls["residual"]
+    assert syntheses == {"residual": calls["residual"], "jacobian": 0}
