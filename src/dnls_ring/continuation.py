@@ -50,7 +50,6 @@ class BranchPoint:
 
 @dataclass
 class Branch:
-    onset: BifurcationPoint
     points: list = field(default_factory=list)
     termination: str = ""
 
@@ -231,7 +230,7 @@ def continue_branch(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
     tangent = onset_kernel(sys_, onset.nu_onset)
     cap = 10.0 * sw.a if sw.a > 0 else 1.0
 
-    branch = Branch(onset=onset, termination="max_steps")
+    branch = Branch(termination="max_steps")
     y = np.concatenate([np.zeros(sys_.dim), [onset.nu_onset]])
     tau = np.concatenate([tangent.as_vector(), [0.0]])
     ds = FIRST_STEP_EPS

@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 
-I2 = np.eye(2)
-_I2_ROWS = np.array([[1.0], [0.0], [1.0]])    # I2 as rows 00, 01, 11
+_I2_ROWS = np.array([[1.0], [0.0], [1.0]])    # the identity as rows 00, 01, 11
 # J (p, q) = (-q, p) = J_SIGNS * (q, p) on each site pair: applied as this
 # swap and sign, never as a dense product, J leaves every value exact.
 J_SIGNS = np.array([-1.0, 1.0])
@@ -196,7 +195,7 @@ def hessian(cfg: LatticeConfig, pot: Potential, omega: float, u) -> np.ndarray:
     H = np.zeros((n, 2, n, 2))
     H[j, :, j, :] = onsite_blocks(pot, omega, x.T, s, np.asarray(pot(s, 1)))[
         [0, 1, 1, 2]].T.reshape(n, 2, 2)
-    H[j, :, (j + 1) % n, :] += I2
-    H[j, :, (j - 1) % n, :] += I2
+    H[j, :, (j + 1) % n, :] += np.eye(2)
+    H[j, :, (j - 1) % n, :] += np.eye(2)
     return H.reshape(2 * n, 2 * n)
 

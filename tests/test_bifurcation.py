@@ -13,7 +13,7 @@ from dnls_ring import (BlockData, DegenerateAmplitudeError, LatticeConfig, Poten
                        check_nondegenerate, check_nonresonant,
                        classify_stability, enumerate_bifurcations)
 from dnls_ring.bifurcation import A_MAX, ROOT_IMAG_TOL, _enumerate, _regime
-from dnls_ring.cli import main as cli_main
+from dnls_ring.cli import main as cli_main, read_csv
 from dnls_ring.spectral import alpha_beta
 from helpers import dense_verdict, loop_resonances
 from oracles import SCAN_SAMPLES, threshold_by_bisection
@@ -239,7 +239,8 @@ def test_hopf_modes_contribute_nothing():
 
 def test_every_hopf_threshold_is_a_one_to_one_collision(tmp_path):
     # at each a_hopf that thresholds prints, phi_k = 1 up to roundoff: k is
-    # flagged 1:1, carries no onset, and continue refuses it with exit 2
+    # flagged 1:1, carries no onset, bifurcations.csv gives k only its 1:1
+    # row, and continue refuses it with exit 2
     count = 0
     for n in range(3, 13):
         for m in range(n // 2 + 1):
@@ -263,6 +264,11 @@ def test_every_hopf_threshold_is_a_one_to_one_collision(tmp_path):
                                "amplitude": th.a_hopf}
                         cfgp = tmp_path / "config.json"
                         cfgp.write_text(json.dumps(doc))
+                        assert cli_main(["bifurcations", "--config", str(cfgp),
+                                         "--out", str(tmp_path)]) == 0
+                        _, rows = read_csv(tmp_path / "bifurcations.csv")
+                        assert [r for r in rows if r[0] == str(k)] == [
+                            [str(k), "", "", "hopf", "", "", "1:1"]], (n, m, kind, c, k)
                         assert cli_main(["continue", "--config", str(cfgp),
                                          "--out", str(tmp_path)]) == 2
                         count += 1

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from dnls_ring import ConfigError, block_data
@@ -489,7 +489,7 @@ def test_overflowing_amplitude_exits_3(tmp_path, capsys, command):
     assert nonfinite_cells(out) == []
 
 
-def test_overflowing_simulation_exits_3(tmp_path):
+def test_overflowing_simulation_exits_3(tmp_path, capsys):
     # the perturbed state overflows in the first midpoint step: no step
     # converges, so simulate exits 3 and writes no trajectory
     doc = dict(BASE, integration={"dt": 0.01, "t_final": 1.0},
@@ -497,6 +497,12 @@ def test_overflowing_simulation_exits_3(tmp_path):
     assert main(["simulate", "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path)]) == 3
     assert not (tmp_path / "trajectory.csv").exists()
+    # so does an overflowing V'', and stderr is its one exit-3 line
+    capsys.readouterr()
+    assert main(["simulate", "--config", write_config(tmp_path, HUGE_SIMULATION),
+                 "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == ("numerical failure in 'simulate': "
+                                       "implicit midpoint solve did not converge\n")
 
 
 @pytest.mark.parametrize("command, coefficients", [
@@ -618,16 +624,20 @@ def test_simulate_requires_t_final(tmp_path):
 
 
 def test_simulate_writes_trajectory(tmp_path):
-    doc = dict(BASE, integration={"dt": 0.01, "t_final": 0.1})
-    cfgp = write_config(tmp_path, doc)
-    assert main(["simulate", "--config", cfgp, "--out", str(tmp_path)]) == 0
-    header, rows = read_csv(tmp_path / "trajectory.csv")
-    assert header[0] == "t" and len(header) == 13
-    assert len(rows) == 11
-    # the equilibrium does not move (up to solver roundoff)
-    first = np.array([float(v) for v in rows[0][1:]])
-    last = np.array([float(v) for v in rows[-1][1:]])
-    assert np.abs(first - last).max() <= 1e-12
+    # round(t_final / dt) + 1 rows, on the cubic and on a quartic polynomial
+    for potential in (BASE["potential"],
+                      dict(POLY, coefficients=[0.0, 0.5, -0.3, 0.2, 0.1])):
+        doc = dict(BASE, potential=potential,
+                   integration={"dt": 0.01, "t_final": 0.1})
+        cfgp = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", cfgp, "--out", str(tmp_path)]) == 0
+        header, rows = read_csv(tmp_path / "trajectory.csv")
+        assert header[0] == "t" and len(header) == 13
+        assert len(rows) == 11
+        # the equilibrium does not move (up to solver roundoff)
+        first = np.array([float(v) for v in rows[0][1:]])
+        last = np.array([float(v) for v in rows[-1][1:]])
+        assert np.abs(first - last).max() <= 1e-12
 
 
 def test_simulate_streams_its_rows(tmp_path):
@@ -840,6 +850,13 @@ def run_in_process(command, doc):
         return code, err.getvalue(), nonfinite_cells(Path(work) / "out")
 
 
+# README's config on a polynomial whose V'' overflows in the derivative
+# table: simulate's midpoint solve cannot converge, and it exits 3
+HUGE_SIMULATION = dict(
+    README_CONFIG, potential=dict(POLY, coefficients=[0.0, 0.0, 1e308]),
+    integration=dict(README_CONFIG["integration"], t_final=2.5))
+
+
 def check_extreme_run(command, doc):
     # non-finite intermediates exit 3 and name the stage: never a traceback,
     # never an inf or nan cell in a CSV left behind, and no numpy warning:
@@ -861,6 +878,7 @@ def check_extreme_run(command, doc):
                                      "bifurcations", "continue", "simulate"])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(doc=extreme_configs())
+@example(doc=HUGE_SIMULATION)
 def test_extreme_inputs_exit_0_2_or_3_with_finite_csv(command, doc):
     event(f"exit {check_extreme_run(command, doc)}")
 
