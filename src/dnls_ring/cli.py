@@ -202,9 +202,8 @@ def write_csv(path: Path, header: list, rows: Iterable) -> None:
 def read_csv(path) -> tuple:
     """(header, rows-of-strings) for any table emitted by this module."""
     with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        return header, list(r)
+        header, *rows = csv.reader(fh)
+        return header, rows
 
 
 def _require_amplitude(config: RunConfig) -> float:
@@ -268,8 +267,7 @@ def _run_branch(config: RunConfig) -> tuple:
         raise ConfigError(
             f"no bifurcation onset for mode k={config.mode} "
             f"sign={_SIGNS[config.sign]} at a={a:g}")
-    branch = continue_branch(cfg, pot, sw, match[0], config.options)
-    return sw, branch
+    return sw, continue_branch(cfg, pot, sw, match[0], config.options)
 
 
 def cmd_continue(config: RunConfig) -> None:
@@ -297,8 +295,7 @@ def cmd_verify(config: RunConfig) -> None:
     k = config.mode
     rows, cap = [], min(MAX_TRAJECTORY_STEPS, 6 * MAX_TRAJECTORY_STEPS // cfg.n)
     for i, pt in enumerate(branch.points[: config.verify_points]):
-        loop = embed_reduced(pt.profile, cfg)
-        u0 = sw.equilibrium + loop.sample(0.0)[0].ravel()
+        u0 = sw.equilibrium + embed_reduced(pt.profile, cfg).sample(0.0)[0].ravel()
         # whole steps per period, so the wave checks can resample one period
         P = 2.0 * np.pi / pt.nu
         per_period = max(1, round(min(P / config.dt, MAX_TRAJECTORY_STEPS + 1)))
@@ -318,9 +315,8 @@ def cmd_verify(config: RunConfig) -> None:
 
 def cmd_simulate(config: RunConfig) -> None:
     cfg, pot = config.lattice, config.potential
-    a = _require_amplitude(config)
-    sw = make_standing_wave(cfg, pot, a)
-    u0 = sw.equilibrium.copy()
+    sw = make_standing_wave(cfg, pot, _require_amplitude(config))
+    u0 = sw.equilibrium
     if config.perturbation:
         rng = np.random.default_rng(config.perturbation["seed"])
         u0 = u0 + config.perturbation["scale"] * rng.standard_normal(len(u0))

@@ -30,8 +30,7 @@ MAX_NEWTON_ITER = 25
 DS0, DS_MIN, DS_MAX = 1e-2, 1e-5, 1e-1  # first step, halving floor, growth cap
 FIRST_STEP_EPS = 1e-3  # offset along the onset kernel of the first point
 NU_MIN = 1e-6          # a branch whose frequency falls to this ends
-KERNEL_RTOL = 1e-8     # singular values below this fraction of the largest
-                       # span the onset kernel
+KERNEL_RTOL = 1e-8     # |det| below this times its terms: a singular mode block
 
 
 @dataclass
@@ -146,8 +145,7 @@ class ReducedSystem:
         h = np.concatenate([h[:, :0:-1].conj(), h], axis=1)
         tab = np.concatenate([h[0].real, h[1].imag, -h[1].imag, h[2].real])
         tab = np.concatenate([tab, -tab, [0.0]])
-        onsite = tab[self._toeplitz] + tab[self._hankel]
-        onsite += self.coupling
+        onsite = tab[self._toeplitz] + tab[self._hankel] + self.coupling
         out = np.empty((self.dim, self.dim + 1)) if out is None else out
         np.subtract(self.j_dt, onsite / nu, out=out[:, :-1])
         out[:, -1] = (self.j_dt @ pvec - r) / nu
@@ -161,7 +159,9 @@ def onset_kernel(sys_: ReducedSystem, nu: float) -> ReducedProfile:
     sw, nh = sys_.sw, sys_.nh
     # At p = 0 the Jacobian is block-diagonal, with symmetric blocks [[alpha -
     # d, beta - l nu], [beta - l nu, alpha]] / nu of mode lk on (a_l, b_l),
-    # d = 2 a^2 V''(a^2) = phi_k alpha_k, and -d / nu on a_0 alone.
+    # d = 2 a^2 V''(a^2) = phi_k alpha_k, and -d / nu on a_0 alone. A block is
+    # singular when its determinant (alpha - d) alpha - (beta - l nu)^2 is
+    # small against its own two terms, and the a_0 entry when d = 0.
     alpha, beta, ls = sys_.alpha, sys_.beta, np.arange(nh + 1)
     d = 2.0 * sw.a ** 2 * sys_.pot(sw.a ** 2, 2)
     if abs(d / alpha[1] - 1.0) <= TOL_DEG:
@@ -169,20 +169,19 @@ def onset_kernel(sys_: ReducedSystem, nu: float) -> ReducedProfile:
             f"double eigenvalue at 1:1 resonance: phi_{sys_.k}(a) = 1")
     if nu <= 0:
         raise ConvergenceError(f"onset frequency {nu:.12g} is not positive")
-    w, v = np.linalg.eigh(np.moveaxis(np.array(
-        [[alpha - d, beta - ls * nu], [beta - ls * nu, alpha]]) / nu,
-        (0, 1), (-2, -1)))
-    svals = np.abs(w)
-    svals[0] = abs(d / nu), np.nan
-    small = svals < KERNEL_RTOL * np.nanmax(svals)
-    if not small[1].any():
+    b, ad = beta - ls * nu, (alpha - d) * alpha
+    det, terms = ad - b * b, np.abs(ad) + b * b
+    det[0], terms[0] = d, abs(d)
+    small = np.abs(det) <= KERNEL_RTOL * terms
+    if not small[1]:
         raise ConvergenceError(f"no kernel at onset nu = {nu:.12g}")
     if small.sum() > 1:
         raise ResonanceError(
             f"kernel dimension {small.sum()} at onset nu = {nu:.12g}: "
             "resonant onset, refusing to continue")
+    w, v = np.linalg.eigh(np.array([[alpha[1] - d, b[1]], [b[1], alpha[1]]]) / nu)
     tangent = np.zeros(sys_.dim)
-    tangent[[1, nh + 1]] = v[1][:, np.argmin(svals[1])]
+    tangent[[1, nh + 1]] = v[:, np.argmin(np.abs(w))]
     if tangent[np.argmax(np.abs(tangent))] < 0:
         tangent = -tangent
     return ReducedProfile.from_vector(sys_.k, tangent)
@@ -227,12 +226,11 @@ def continue_branch(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
             f"onset (k={onset.k}, nu={onset.nu_onset:.9g}) is 1:l resonant with "
             "a bigger frequency and is suppressed")
     sys_ = ReducedSystem(cfg, pot, sw, onset.k, opts.n_harmonics)
-    tangent = onset_kernel(sys_, onset.nu_onset)
     cap = 10.0 * sw.a if sw.a > 0 else 1.0
 
     branch = Branch(termination="max_steps")
     y = np.concatenate([np.zeros(sys_.dim), [onset.nu_onset]])
-    tau = np.concatenate([tangent.as_vector(), [0.0]])
+    tau = np.concatenate([onset_kernel(sys_, onset.nu_onset).as_vector(), [0.0]])
     ds = FIRST_STEP_EPS
     while True:
         pred = y + ds * tau
@@ -270,8 +268,7 @@ def refine_point(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
     fixed; returns (profile, residual_norm). Used for spectral-convergence
     checks."""
     sys_ = ReducedSystem(cfg, pot, sw, point.profile.k, n_harmonics)
-    e_nu = np.zeros(sys_.dim + 1)
-    e_nu[-1] = 1.0
+    e_nu = np.append(np.zeros(sys_.dim), 1.0)
     y0 = np.concatenate([point.profile.padded(n_harmonics).as_vector(), [point.nu]])
     y, rnorm = _newton(sys_, y0, e_nu)
     return ReducedProfile.from_vector(sys_.k, y[:-1]), rnorm

@@ -43,9 +43,7 @@ class LatticeConfig:
     def __post_init__(self):
         if self.n < 3:
             raise ConfigError(f"need at least 3 sites, got n={self.n}")
-        m = self.m % self.n
-        if 2 * m > self.n:
-            m = self.n - m
+        m = min(self.m % self.n, -self.m % self.n)     # m or its mirror n - m
         object.__setattr__(self, "m", m)
         if 4 * m == self.n:
             raise ConfigError("m=n/4 excluded")

@@ -109,11 +109,10 @@ class StabilityVerdict:
 
 def classify_stability(cfg: LatticeConfig, pot: Potential,
                        a: float) -> StabilityVerdict:
-    v2 = pot(a * a, 2)
     bd = block_data(cfg, pot, a)
     # sgn(V'') for m < n/4 (the m = 0 case extends the same cos(m zeta) > 0
     # sign rule), flipped for m > n/4; m = n/4 is excluded by LatticeConfig.
-    sign = int(np.sign(v2))
+    sign = int(np.sign(pot(a * a, 2)))
     sigma = sign if 4 * cfg.m < cfg.n else -sign
     covered = sigma < 0 or (sigma > 0 and bd.phi[0] < 1.0)
     growth = float(np.abs(bd.nu_plus.imag).max())     # Im nu^- = -Im nu^+

@@ -33,7 +33,6 @@ class LatticeLoop:
 
     def sample(self, times) -> np.ndarray:
         """Evaluate the loop on a time grid; returns real array (nt, n, 2)."""
-        times = np.atleast_1d(np.asarray(times, dtype=float))
         E = np.exp(1j * np.outer(times, self.harmonic_range()))
         return np.real(np.einsum("tl,nlc->tnc", E, self.coeffs))
 

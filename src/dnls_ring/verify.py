@@ -5,8 +5,13 @@ relation."""
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
 
@@ -15,6 +20,26 @@ from .lattice import J_SIGNS, LatticeConfig, Potential, StandingWave, hamiltonia
 
 MIDPOINT_TOL = 1e-13     # residual norm each midpoint Newton solve meets
 MIDPOINT_MAX_ITER = 50
+
+
+@functools.cache
+def _lapack():
+    """scipy's compiled LAPACK extension, loaded from its file without the
+    scipy.linalg package and kept; if that load fails, scipy.linalg.lapack."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    try:
+        root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        path = next(p for p in (os.path.join(root, "linalg", "_flapack" + x)
+                                for x in EXTENSION_SUFFIXES) if os.path.isfile(p))
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    except Exception:
+        from scipy.linalg import lapack
+        return lapack
 
 
 @dataclass
@@ -27,25 +52,12 @@ class Trajectory:
 
 def integrate(cfg: LatticeConfig, pot: Potential, omega: float,
               u0: np.ndarray, dt: float, T: float) -> Trajectory:
-    """Implicit-midpoint trajectory of J udot = grad H(u) from u0 to time T.
-
-    dt is adjusted to the nearest value dividing T evenly so the grid tiles
-    the interval (required downstream for trigonometric interpolation).
-    Each step extrapolates the last three states (Euler on the first step,
-    as u - g(u) from the step's own residual g, linear on the second) and
-    corrects by Newton with I + (dt/2) J D^2H, banded in the folded ring
-    order 0, n-1, 1, n-2, ... and solved by banded LU, until the residual
-    norm is at most MIDPOINT_TOL. After a block in which no step took two
-    corrections, the next block's steps stop after one and one residual
-    evaluation over its states (at most 1024 // n) checks them; the first
-    that fails (one row-norm test over the block; a NaN fails) goes on from
-    its corrected state in the next block, checked, and the rest are redone.
-    Every step runs one inline Newton loop on V', V'' bound once from
-    pot.derivs, with constants and omega as 0-d float64 arrays.
-    """
+    """Implicit-midpoint trajectory of J udot = grad H(u) from u0 to time T,
+    with dt adjusted to the nearest value dividing T evenly; each step is
+    corrected by Newton until its residual norm is at most MIDPOINT_TOL."""
     if not 0 < dt <= T < np.inf:
         raise ValueError("need finite dt > 0 and T >= dt")
-    from scipy.linalg.lapack import dgbsv  # here, so the package imports numpy alone
+    dgbsv = _lapack().dgbsv
     n, nsteps = cfg.n, max(1, int(round(T / dt)))
     dt_used, cap = T / nsteps, max(1, 1024 // n)
     h, j, k = 0.5 * dt_used, np.arange(n), np.arange(2 * n)
@@ -126,8 +138,7 @@ def integrate(cfg: LatticeConfig, pot: Potential, omega: float,
         i, corrections = i + m, corrections + sum(its[:m])
         # after a step that took two corrections, check every correction
         size, checked = min(2 * size, cap), resume is not None or max(its[:m]) > 1
-    return Trajectory(times=dt_used * np.arange(nsteps + 1), states=states,
-                      dt=dt_used, newton_iterations=corrections)
+    return Trajectory(dt_used * np.arange(nsteps + 1), states, dt_used, corrections)
 
 
 def invariant_drift(traj: Trajectory, cfg: LatticeConfig, pot: Potential,

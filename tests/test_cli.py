@@ -933,8 +933,9 @@ def test_readme_library_sketch_runs():
 
 
 # One fresh interpreter: the scipy modules loaded after the import and after
-# each command (polynomial thresholds before verify, which loads LAPACK), and
-# the numpy.fft modules loaded by the import, printed as the last line of JSON.
+# each command (polynomial thresholds before the last command, verify or
+# simulate, which loads LAPACK), and the numpy.fft modules loaded by the
+# import, printed as the last line of JSON.
 COLD_START = """
 import json, sys
 import dnls_ring, dnls_ring.cli
@@ -942,13 +943,13 @@ import dnls_ring, dnls_ring.cli
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-config, polynomial, out = sys.argv[1:]
+config, polynomial, out, last, last_config = sys.argv[1:]
 seen = {"import": [0, scipy_modules()],
         "numpy.fft": sorted(m for m in sys.modules if m.startswith("numpy.fft"))}
 runs = [(command, command, config, out) for command in
         ["spectrum", "stability", "thresholds", "bifurcations", "continue"]]
 runs += [("polynomial", "thresholds", polynomial, out + "/polynomial"),
-         ("verify", "verify", config, out)]
+         (last, last, last_config, out)]
 for stage, command, path, where in runs:
     code = dnls_ring.cli.main([command, "--config", path, "--out", where])
     seen[stage] = [code, scipy_modules()]
@@ -971,24 +972,28 @@ k,a_hopf,a_gamma\r
 
 def test_cold_start_loads_scipy_only_where_needed(tmp_path):
     # and no numpy.fft on import: the reduced system reaches it only inside
-    # its methods
+    # its methods; verify and simulate load scipy's LAPACK extension alone,
+    # each in its own interpreter
     config = write_config(tmp_path, README_CONFIG)
     polynomial = write_config(tmp_path, dict(
         README_CONFIG, potential={"kind": "polynomial",
                                   "coefficients": [0.0, 1.0, 0.5, -0.05]}),
         name="polynomial.json")
+    simulate = write_config(tmp_path, dict(
+        README_CONFIG, integration={"dt": 1e-3, "t_final": 0.1}),
+        name="simulate.json")
     src = Path(__file__).resolve().parent.parent / "src"
-    run = subprocess.run(
-        [sys.executable, "-c", COLD_START, config, polynomial, str(tmp_path)],
-        capture_output=True, text=True, cwd=tmp_path, check=True,
-        env={**os.environ, "PYTHONPATH": str(src)})
-    seen = json.loads(run.stdout.splitlines()[-1])
-    assert seen["numpy.fft"] == []
-    for stage in ["import", "spectrum", "stability", "thresholds",
-                  "bifurcations", "continue", "polynomial"]:
-        assert seen[stage] == [0, []], stage
-    code, loaded = seen["verify"]
-    assert code == 0
-    assert "scipy.linalg.lapack" in loaded and "scipy.optimize" not in loaded
+    for last, last_config in [("verify", config), ("simulate", simulate)]:
+        run = subprocess.run(
+            [sys.executable, "-c", COLD_START, config, polynomial,
+             str(tmp_path), last, last_config],
+            capture_output=True, text=True, cwd=tmp_path, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        seen = json.loads(run.stdout.splitlines()[-1])
+        assert seen["numpy.fft"] == []
+        for stage in ["import", "spectrum", "stability", "thresholds",
+                      "bifurcations", "continue", "polynomial"]:
+            assert seen[stage] == [0, []], stage
+        assert seen[last] == [0, ["scipy.linalg._flapack"]], last
     assert ((tmp_path / "polynomial" / "thresholds.csv").read_bytes()
             == POLYNOMIAL_THRESHOLDS.encode())

@@ -1,3 +1,7 @@
+import io
+import json
+from contextlib import redirect_stderr
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from dnls_ring import (ContinuationOptions, ConvergenceError, LatticeConfig,
                        make_standing_wave, onset_kernel, project_reduced,
                        refine_point)
 from dnls_ring.bifurcation import BifurcationPoint
+from dnls_ring.cli import main
 from dnls_ring.continuation import (FIRST_STEP_EPS, KERNEL_RTOL, NEWTON_TOL,
                                     ReducedSystem, _newton, extrapolate_onset,
                                     grid_size)
@@ -179,6 +184,31 @@ def test_onset_kernel_refuses_double_eigenvalue():
     nu = block_data(CFG, CUBIC, 0.5).nu_plus[0].real
     with pytest.raises(ResonanceError, match="double eigenvalue"):
         onset_kernel(ReducedSystem(CFG, CUBIC, sw, 1, 8), nu)
+
+
+def test_onset_kernel_reads_each_block_against_its_own_terms(tmp_path):
+    # n = 6, m = 1, saturable c = 5.77e207, a = 6.15e88, k = 3+: the a_0
+    # entry |d / nu| is ~1e15 times every other block's scale, and the blocks
+    # with lk = 0 (mod n) are regular (determinant -(l nu)^2) though their
+    # small eigenvalues fall below 1e-8 |d / nu|. Only l = 1 is singular.
+    cfg, pot, a = LatticeConfig(6, 1), Potential.saturable(5.77e207), 6.15e88
+    onset = next(p for p in enumerate_bifurcations(cfg, pot, a)
+                 if p.k == 3 and p.sign == +1)
+    sys_ = ReducedSystem(cfg, pot, make_standing_wave(cfg, pot, a), 3, 32)
+    tangent = onset_kernel(sys_, onset.nu_onset).as_vector()
+    assert np.flatnonzero(tangent).tolist() == [1, 33]
+    assert abs(np.linalg.norm(tangent) - 1.0) <= 1e-15
+    # continuing still fails, now in Newton, not at the onset kernel
+    config = tmp_path / "extreme.json"
+    config.write_text(json.dumps({
+        "lattice": {"n": 6, "m": 1}, "amplitude": a, "mode": 3, "sign": "+",
+        "potential": {"kind": "saturable", "c": 5.77e207}}))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = main(["continue", "--config", str(config), "--out", str(tmp_path)])
+    assert code == 3
+    assert err.getvalue().startswith("numerical failure in 'continue'")
+    assert "kernel dimension" not in err.getvalue()
 
 
 def test_continue_refuses_suppressed_onset():

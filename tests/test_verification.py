@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -274,7 +280,8 @@ def test_newton_band_equals_folded_dense_matrix(n, kind, monkeypatch):
     # Every correction of one step hands dgbsv a band that, unpacked, is the
     # dense I + (dt/2) Jbig D^2H at that correction's midpoint with rows and
     # columns in the folded order, entry for entry, and the folded residual.
-    import scipy.linalg.lapack as lapack
+    import dnls_ring.verify as verify
+    lapack = verify._lapack()             # the module integrate reads dgbsv from
     solve, seen = lapack.dgbsv, []
 
     def spy(kl, ku, ab, b):
@@ -329,8 +336,8 @@ def test_integrate_memory_is_linear_in_n():
 def test_correction_cap_raises(monkeypatch):
     # With the tolerance at 0 no residual passes: the one step takes exactly
     # MIDPOINT_MAX_ITER band solves, the first included, then gives up.
-    import scipy.linalg.lapack as lapack
     import dnls_ring.verify as verify
+    lapack = verify._lapack()             # the module integrate reads dgbsv from
     solve, calls = lapack.dgbsv, []
 
     def spy(*args):
@@ -343,6 +350,68 @@ def test_correction_cap_raises(monkeypatch):
     with pytest.raises(ConvergenceError):
         integrate(CFG, CUBIC, SW.omega, u0, 0.01, 0.01)
     assert len(calls) == verify.MIDPOINT_MAX_ITER
+
+
+# One fresh interpreter per LAPACK path, since in this process helpers has
+# loaded scipy.linalg and integrate reuses its extension: "direct" loads
+# scipy's _flapack from its file, "public" makes that load fail so integrate
+# falls back to scipy.linalg.lapack. Each saves the states of an n = 6 branch
+# orbit and an n = 48 orbit and prints its correction counts and path as JSON.
+LAPACK_PATHS = """
+import importlib.util, json, sys
+import numpy as np
+import dnls_ring.verify as verify
+from dnls_ring import (ContinuationOptions, LatticeConfig, Potential,
+                       continue_branch, embed_reduced, enumerate_bifurcations,
+                       integrate, make_standing_wave)
+
+def refuse(*args, **kwargs):
+    raise ImportError("direct load refused")
+
+path, out = sys.argv[1:]
+if path == "public":
+    importlib.util.spec_from_file_location = refuse
+cfg, ring, pot = LatticeConfig(6, 1), LatticeConfig(48, 1), Potential.cubic(1.0)
+sw, wave = make_standing_wave(cfg, pot, 0.2), make_standing_wave(ring, pot, 0.3)
+onset = next(p for p in enumerate_bifurcations(cfg, pot, 0.2)
+             if p.k == 3 and p.sign == 1)
+point = continue_branch(cfg, pot, sw, onset, ContinuationOptions(16, 4)).points[-1]
+u0 = sw.equilibrium + embed_reduced(point.profile, cfg).sample(0.0)[0].ravel()
+kick = 0.1 * np.random.default_rng(48).standard_normal(96)
+orbits = {"n6": integrate(cfg, pot, sw.omega, u0, 1e-3, 2 * np.pi / point.nu),
+          "n48": integrate(ring, pot, wave.omega, wave.equilibrium + kick, 0.01, 2.0)}
+seen = {"linalg": "scipy.linalg" in sys.modules}
+for name, traj in orbits.items():
+    np.save(f"{out}/{path}_{name}.npy", traj.states)
+    seen[name] = traj.newton_iterations
+lapack = verify._lapack()
+import scipy.linalg.lapack
+seen["module"] = lapack.__name__
+seen["same_dgbsv"] = scipy.linalg.lapack.dgbsv is lapack.dgbsv
+print(json.dumps(seen))
+"""
+
+
+def test_direct_and_public_lapack_loads_give_the_same_bits(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    seen = {}
+    for path in ("direct", "public"):
+        run = subprocess.run(
+            [sys.executable, "-c", LAPACK_PATHS, path, str(tmp_path)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        seen[path] = json.loads(run.stdout.splitlines()[-1])
+    # the direct load imports no scipy.linalg, and the package imported
+    # after it hands out the very same dgbsv; the fallback is that package
+    assert seen["direct"]["linalg"] is False and seen["public"]["linalg"] is True
+    assert seen["direct"]["module"] == "scipy.linalg._flapack"
+    assert seen["public"]["module"] == "scipy.linalg.lapack"
+    assert seen["direct"]["same_dgbsv"] is True
+    for name in ("n6", "n48"):
+        direct, public = (np.load(tmp_path / f"{path}_{name}.npy")
+                          for path in ("direct", "public"))
+        assert direct.tobytes() == public.tobytes(), name
+        assert seen["direct"][name] == seen["public"][name] > 0, name
 
 
 def test_nonfinite_state_raises():
