@@ -13,6 +13,7 @@ hyperplane row . (y - y0) = 0 through its starting point y0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,7 +27,7 @@ from .symmetry import ReducedProfile
 
 
 NEWTON_TOL = 1e-10     # residual and constraint bound of every Newton solve
-MAX_NEWTON_ITER = 25
+MAX_NEWTON_ITER, CORRECTOR_MAX_ITER = 25, 10  # no fallback; ds / 2 on failure
 DS0, DS_MIN, DS_MAX = 1e-2, 1e-5, 1e-1  # first step, halving floor, growth cap
 FIRST_STEP_EPS = 1e-3  # offset along the onset kernel of the first point
 NU_MIN = 1e-6          # a branch whose frequency falls to this ends
@@ -71,9 +72,7 @@ class ReducedSystem:
 
     def __init__(self, cfg: LatticeConfig, pot: Potential, sw: StandingWave,
                  k: int, n_harmonics: int):
-        self.pot = pot
-        self.sw = sw
-        self.k = k
+        self.pot, self.sw, self.k = pot, sw, k
         self.nh = nh = n_harmonics
         self.dim = 2 * nh + 1
         self.M = grid_size(nh)
@@ -108,15 +107,15 @@ class ReducedSystem:
         self._hankel[0] = 8 * Q
 
     def _site0(self, pvec: np.ndarray) -> tuple:
-        """u_0 = a e_1 + x_0 on the grid, shape (2, M), s = |u_0|^2 and V'(s),
+        """u_0 = a e_1 + x_0 on the grid (2, M), s = |u_0|^2, V'(s) and j_dt p,
         kept for the last profile, where a Jacobian follows its residual."""
-        if not np.array_equal(self._grid[0], pvec):
+        if self._grid[0] != (key := pvec.tobytes()):
             spec = np.zeros(2 * (self.M // 2 + 1), dtype=complex)
             spec[self._slots] = self._to_grid * pvec
             spec[0] += self.sw.a
             u = np.fft.irfft(spec.reshape(2, -1), self.M, norm="forward")
             s = (u * u).sum(axis=0)
-            self._grid = (pvec.copy(), u, s, self.pot.derivs[1](s))
+            self._grid = (key, u, s, self.pot.derivs[1](s), self.j_dt @ pvec)
         return self._grid[1:]
 
     def residual(self, pvec: np.ndarray, nu: float) -> np.ndarray:
@@ -124,18 +123,18 @@ class ReducedSystem:
         coefficients."""
         if nu <= 0:
             raise ConvergenceError("frequency left the positive domain")
-        u, _, vp = self._site0(pvec)
+        u, _, vp, jp = self._site0(pvec)
         g = np.fft.rfft(vp * u, axis=1, norm="forward").ravel()[self._slots]
         g = (g / self._to_grid).real
         g[0] -= self._g_eq
-        return self.j_dt @ pvec - (self.coupling @ pvec + g) / nu
+        return jp - (self.coupling @ pvec + g) / nu
 
     def jacobian(self, pvec: np.ndarray, nu: float, r: np.ndarray,
                  out: Optional[np.ndarray] = None) -> np.ndarray:
         """Exact Jacobian in (p, nu), (dim, dim+1); its nu column is
         (j_dt p - r) / nu, from the residual r at (p, nu). Written into out
         if given: _newton passes the rows above its bordering row."""
-        u, s, vp = self._site0(pvec)
+        u, s, vp, jp = self._site0(pvec)
         # pointwise Hessian V'(s) I + 2 V''(s) u_0 u_0^T, the on-site block
         # of D^2H with omega - 2 = 0, as rows h00, h01 = h10, h11
         h = np.fft.rfft(onsite_blocks(self.pot, 2.0, u, s, vp), axis=1,
@@ -148,7 +147,7 @@ class ReducedSystem:
         onsite = tab[self._toeplitz] + tab[self._hankel] + self.coupling
         out = np.empty((self.dim, self.dim + 1)) if out is None else out
         np.subtract(self.j_dt, onsite / nu, out=out[:, :-1])
-        out[:, -1] = (self.j_dt @ pvec - r) / nu
+        out[:, -1] = (jp - r) / nu
         return out
 
 
@@ -187,26 +186,26 @@ def onset_kernel(sys_: ReducedSystem, nu: float) -> ReducedProfile:
     return ReducedProfile.from_vector(sys_.k, tangent)
 
 
-def _newton(sys_: ReducedSystem, y0: np.ndarray, row: np.ndarray) -> tuple:
-    """Solve residual(p, nu) = 0 on the hyperplane row . (y - y0) = 0 by
-    Newton's method from y0; returns (y, residual norm)."""
+def _newton(sys_: ReducedSystem, y0: np.ndarray, row: np.ndarray,
+            max_iter: Optional[int] = None) -> tuple:
+    """Solve residual(p, nu) = 0 on row . (y - y0) = 0 by Newton from y0 in
+    at most max_iter (or MAX_NEWTON_ITER) steps; returns (y, residual norm)."""
     y, bordered = y0, np.empty((len(y0), len(y0)))
     bordered[-1] = row
-    for _ in range(MAX_NEWTON_ITER):
+    max_iter = MAX_NEWTON_ITER if max_iter is None else max_iter
+    for _ in range(max_iter):
         p, nu = y[:-1], y[-1]
         r = sys_.residual(p, nu)
         c = float(row @ (y - y0))
-        rnorm = float(np.linalg.norm(r))
+        rnorm = math.sqrt(r.dot(r))
         if rnorm <= NEWTON_TOL and abs(c) <= NEWTON_TOL:
             return y, rnorm
         sys_.jacobian(p, nu, r, out=bordered[:-1])
         try:
-            delta = np.linalg.solve(bordered, -np.concatenate([r, [c]]))
+            y = y + np.linalg.solve(bordered, -np.concatenate([r, [c]]))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular bordered system: {exc}") from exc
-        y = y + delta
-    raise ConvergenceError(
-        f"Newton did not converge in {MAX_NEWTON_ITER} iterations")
+    raise ConvergenceError(f"Newton did not converge in {max_iter} iterations")
 
 
 def continue_branch(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
@@ -216,10 +215,13 @@ def continue_branch(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
     steps: the first, of length FIRST_STEP_EPS, along the kernel (tangent, 0)
     of the branch's own system there, the rest along the last secant, each
     corrected on the hyperplane through its prediction normal to the step
-    direction. A failed step halves ds and a success grows it by 1.3 up to
-    DS_MAX; a failed first step raises ConvergenceError. The branch holds at
-    least one point, and `termination` is "nu_bound", "amplitude_cap",
-    "max_steps" or "newton_failure" (ds below DS_MIN)."""
+    direction. A success grows ds by 1.3 up to DS_MAX. A failed step halves ds,
+    so its corrector stops after CORRECTOR_MAX_ITER = 10 iterations: a
+    diverging one costs only a shorter step. The first step, like
+    refine_point, has no fallback: it gets MAX_NEWTON_ITER = 25, and its
+    failure raises ConvergenceError. The branch holds at least one point, and
+    `termination` is "nu_bound", "amplitude_cap", "max_steps" or
+    "newton_failure" (ds below DS_MIN)."""
     opts = opts or ContinuationOptions()
     if onset.suppressed:
         raise ResonanceError(
@@ -233,9 +235,9 @@ def continue_branch(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
     tau = np.concatenate([onset_kernel(sys_, onset.nu_onset).as_vector(), [0.0]])
     ds = FIRST_STEP_EPS
     while True:
-        pred = y + ds * tau
         try:
-            ynew, rnorm = _newton(sys_, pred, tau)
+            ynew, rnorm = _newton(sys_, y + ds * tau, tau, CORRECTOR_MAX_ITER
+                                  if branch.points else MAX_NEWTON_ITER)
         except ConvergenceError:
             if not branch.points:
                 raise
@@ -244,12 +246,11 @@ def continue_branch(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
                 branch.termination = "newton_failure"
                 break
             continue
-        tau = ynew - y
-        tau /= np.linalg.norm(tau)
-        y = ynew
+        tau, y = ynew - y, ynew
+        tau /= math.sqrt(tau.dot(tau))
         branch.points.append(BranchPoint(
             ReducedProfile.from_vector(onset.k, y[:-1]), float(y[-1]),
-            float(np.linalg.norm(y[:-1])), rnorm))
+            math.sqrt(y[:-1].dot(y[:-1])), rnorm))
         ds = DS0 if len(branch.points) == 1 else min(ds * 1.3, DS_MAX)
         if y[-1] <= NU_MIN:
             branch.termination = "nu_bound"
@@ -268,9 +269,8 @@ def refine_point(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
     fixed; returns (profile, residual_norm). Used for spectral-convergence
     checks."""
     sys_ = ReducedSystem(cfg, pot, sw, point.profile.k, n_harmonics)
-    e_nu = np.append(np.zeros(sys_.dim), 1.0)
     y0 = np.concatenate([point.profile.padded(n_harmonics).as_vector(), [point.nu]])
-    y, rnorm = _newton(sys_, y0, e_nu)
+    y, rnorm = _newton(sys_, y0, np.append(np.zeros(sys_.dim), 1.0))
     return ReducedProfile.from_vector(sys_.k, y[:-1]), rnorm
 
 

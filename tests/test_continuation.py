@@ -401,6 +401,27 @@ def test_bordered_newton_matrix_equals_stacked_jacobian(pot, nh, monkeypatch):
         y = y + solve(A, b)
 
 
+@pytest.mark.parametrize("flip_zero", [False, True], ids=["perturbed", "signed_zero"])
+def test_site0_memo_follows_the_profile_bytes(flip_zero):
+    # the Jacobian after a residual at another profile reads nothing of that
+    # profile's memo: it equals a fresh system's Jacobian bit for bit, also
+    # where the two profiles differ only in the sign of a zero entry
+    rng = np.random.default_rng(7)
+    p1 = _decaying_profile(rng, 3, 8, 0.05).as_vector()
+    p1[4] = 0.0
+    p2 = p1.copy()
+    if flip_zero:
+        p2[4] = -0.0
+    else:       # the last entry, the highest sine harmonic, alone
+        p2[-1] += 1e-9
+    nu = 1.7
+    r2 = ReducedSystem(CFG, CUBIC, SW, 3, 8).residual(p2, nu)
+    sys_ = ReducedSystem(CFG, CUBIC, SW, 3, 8)
+    sys_.residual(p1, nu)
+    assert (sys_.jacobian(p2, nu, r2).tobytes()
+            == ReducedSystem(CFG, CUBIC, SW, 3, 8).jacobian(p2, nu, r2).tobytes())
+
+
 def test_grid_size_is_the_least_5_smooth_length():
     smooth = sorted(2 ** a * 3 ** b * 5 ** c for a in range(12)
                     for b in range(8) for c in range(6))
@@ -516,3 +537,50 @@ def test_gradient_formed_once_per_residual_on_acceptance_branch(monkeypatch):
     assert len(branch.points) == 20
     assert calls["jacobian"] > 0
     assert syntheses == {"residual": calls["residual"], "jacobian": 0}
+
+
+def _acceptance_onset():
+    return next(p for p in enumerate_bifurcations(CFG, CUBIC, 0.2)
+                if p.k == 3 and p.sign == +1)
+
+
+def test_acceptance_round_stops_its_diverging_corrector_at_the_budget(monkeypatch):
+    # the 11th corrector of the 20-point acceptance branch diverges until
+    # nu <= 0 stops it; CORRECTOR_MAX_ITER stops it at 10 residuals and 10
+    # Jacobians, so the branch and the nh = 64 refinement of its point 5 take
+    # 81 residuals and 60 Jacobians (91 and 69 with 25 iterations)
+    calls = {"residual": 0, "jacobian": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ReducedSystem, name,
+                            counted(name, getattr(ReducedSystem, name)))
+    branch = continue_branch(CFG, CUBIC, SW, _acceptance_onset(),
+                             ContinuationOptions(n_harmonics=32, max_steps=20))
+    refine_point(CFG, CUBIC, SW, branch.points[5], 64)
+    assert len(branch.points) == 20
+    assert calls == {"residual": 81, "jacobian": 60}
+
+
+@pytest.mark.parametrize("max_steps", [20, 40])
+def test_corrector_budget_keeps_every_acceptance_point(max_steps, monkeypatch):
+    # the budget changes no point of the acceptance branch or of README's
+    # config (max_steps 40): every corrector there that converges needs at
+    # most 10 iterations
+    opts = ContinuationOptions(n_harmonics=32, max_steps=max_steps)
+
+    def points():
+        branch = continue_branch(CFG, CUBIC, SW, _acceptance_onset(), opts)
+        return branch.termination, [
+            (p.nu.hex(), p.residual_norm.hex(), p.profile.as_vector().tobytes())
+            for p in branch.points]
+
+    budgeted = points()
+    monkeypatch.setattr(continuation, "CORRECTOR_MAX_ITER",
+                        continuation.MAX_NEWTON_ITER)
+    assert points() == budgeted
