@@ -70,109 +70,100 @@ def _number(v, name: str, *, integer: bool = False, low: float = -np.inf,
     return int(v) if integer else float(v)
 
 
-def _keys(name: str, **rules) -> tuple:
-    """Section name ('' for the top level) as (name, its key names, defaults,
-    checks), from rules key=(default, _number keywords, or None where
-    parse_config checks the value). A number without a default is required."""
-    return name, rules.keys(), {k: d for k, (d, kw) in rules.items()
-                                if d is not None or kw is None}, [
-        (k, kw, f"{name}.{k}" if name else k)
-        for k, (_, kw) in rules.items() if kw is not None]
-
-
 # Size caps: at n = 512 each resonance-scan array is 2 (2n - 2)^2 doubles,
 # 16 MiB, and the midpoint Newton matrix is banded, 16 x 2n; at nh = 256 the
 # bordered one is 2 MiB; trajectory states, 10^6 steps and 6e6 steps x n, 96 MB.
 MAX_TRAJECTORY_STEPS = 1_000_000
 _SIGNS = {+1: "+", -1: "-"}   # an onset's sign in CSVs and file names
-_RAW, _COUNT = (None, None), {"integer": True, "low": 1}
-_TOP = _keys("", lattice=_RAW, potential=_RAW, amplitude=_RAW, sweep=_RAW,
-             mode=(1, _COUNT), sign=("+", None), continuation=_RAW,
-             integration=_RAW, perturbation=_RAW, output_dir=(".", None),
-             verify_points=(5, _COUNT), snapshot_stride=(10, _COUNT))
-_LATTICE = _keys("lattice", n=(None, {"integer": True, "high": 512}),
-                 m=(None, {"integer": True}))
-_ONE_PARAMETER = _keys("potential", kind=_RAW, c=(None, {}))  # cubic, saturable
-_POLYNOMIAL = _keys("potential", kind=_RAW, coefficients=_RAW)
-_SWEEP = _keys("sweep", a_min=(None, {"low": 0.0}), a_max=_RAW,
-               steps=(None, {"integer": True, "low": 2, "high": 10_000}))
-_CONTINUATION = _keys("continuation", n_harmonics=(
-    ContinuationOptions.n_harmonics, dict(_COUNT, high=256)), max_steps=(
-    ContinuationOptions.max_steps, dict(_COUNT, high=10_000)))
-_INTEGRATION = _keys("integration", dt=(1e-3, {"low": 0.0, "strict": True}),
-                     t_final=_RAW, periods=(1, _COUNT))
-_PERTURBATION = _keys("perturbation", scale=(0.0, {}),
-                      seed=(0, {"integer": True, "low": 0}))
 
 
-def _section(sec, keys: tuple) -> dict:
-    """sec, a JSON object (null reads as {} below the top level), checked
-    against keys, defaults filled in; an empty one is the shared defaults."""
-    name, names, values, checks = keys
+def _section(sec, name: str, *keys: str) -> dict:
+    """sec, a JSON object that names no key outside keys; a null reads as {}
+    below the top level (name '')."""
     if not isinstance(sec, dict) and (sec is not None or not name):
         raise ConfigError(f"{name or 'config'} must be a JSON object, "
                           f"got {type(sec).__name__}")
-    if sec:
-        if not sec.keys() <= names:
-            key = next(key for key in sec if key not in names)
+    for key in sec or ():
+        if key not in keys:
             raise ConfigError(f"{name}{name and '.'}{key} is not a setting; "
-                              f"{name or 'config'} takes {', '.join(names)}")
-        values = {**values, **sec}
-    for key, kw, full_name in checks:
-        if sec and key in sec or key not in values:     # given, or required
-            values[key] = _number(values.get(key), full_name, **kw)
-    return values
+                              f"{name or 'config'} takes {', '.join(keys)}")
+    return sec or {}
 
 
 def parse_config(doc: dict) -> RunConfig:
-    top = _section(doc, _TOP)
-    cfg = LatticeConfig(**_section(top["lattice"], _LATTICE))
-    pot = top["potential"]
+    top = _section(doc, "", "lattice", "potential", "amplitude", "sweep",
+                   "mode", "sign", "continuation", "integration",
+                   "perturbation", "output_dir", "verify_points",
+                   "snapshot_stride")
+    mode = _number(top.get("mode", 1), "mode", integer=True, low=1)
+    verify_points = _number(top.get("verify_points", 5), "verify_points",
+                            integer=True, low=1)
+    snapshot_stride = _number(top.get("snapshot_stride", 10),
+                              "snapshot_stride", integer=True, low=1)
+    lat = _section(top.get("lattice"), "lattice", "n", "m")
+    cfg = LatticeConfig(
+        _number(lat.get("n"), "lattice.n", integer=True, high=512),
+        _number(lat.get("m"), "lattice.m", integer=True))
+    pot = top.get("potential")
     kind = pot.get("kind") if isinstance(pot, dict) else None
     if kind in ("cubic", "saturable"):
-        pot = Potential(kind, (_section(pot, _ONE_PARAMETER)["c"],))
+        c = _section(pot, "potential", "kind", "c").get("c")
+        pot = Potential(kind, (_number(c, "potential.c"),))
     elif kind == "polynomial":
-        coeffs = _section(pot, _POLYNOMIAL)["coefficients"]
+        _section(pot, "potential", "kind", "coefficients")
+        coeffs = pot.get("coefficients")
         if not isinstance(coeffs, list) or not coeffs:
             raise ConfigError("polynomial potential requires a non-empty list "
                               f"'coefficients', got {coeffs!r}")
         pot = Potential.polynomial([_number(c, "potential.coefficients")
                                     for c in coeffs])
     else:   # first a non-object, or a key that no kind takes
-        _section(pot, _keys("potential", kind=_RAW, c=_RAW, coefficients=_RAW))
+        _section(pot, "potential", "kind", "c", "coefficients")
         raise ConfigError(f"unknown potential kind {kind!r}")
 
-    amplitude, sweep = top["amplitude"], top["sweep"]
+    amplitude, sweep = top.get("amplitude"), top.get("sweep")
     if amplitude is not None:
         amplitude = _number(amplitude, "amplitude", low=0.0)
     if sweep is not None:
-        sw = _section(sweep, _SWEEP)
-        sweep = (sw["a_min"], _number(sw["a_max"], "sweep.a_max", strict=True,
-                                      low=sw["a_min"]), sw["steps"])
-    sign = str(top["sign"])
+        sw = _section(sweep, "sweep", "a_min", "a_max", "steps")
+        a_min = _number(sw.get("a_min"), "sweep.a_min", low=0.0)
+        steps = _number(sw.get("steps"), "sweep.steps", integer=True, low=2,
+                        high=10_000)
+        sweep = (a_min, _number(sw.get("a_max"), "sweep.a_max", strict=True,
+                                low=a_min), steps)
+    sign = str(top.get("sign", "+"))
     if sign not in ("+", "-"):
         raise ConfigError(f"sign must be '+' or '-', got {sign!r}")
-    options = ContinuationOptions(**_section(top["continuation"],
-                                             _CONTINUATION))
-    integ = _section(top["integration"], _INTEGRATION)
-    dt, t_final = integ["dt"], integ["t_final"]
+    cont = _section(top.get("continuation"), "continuation", "n_harmonics",
+                    "max_steps")
+    options = ContinuationOptions(
+        _number(cont.get("n_harmonics", ContinuationOptions.n_harmonics),
+                "continuation.n_harmonics", integer=True, low=1, high=256),
+        _number(cont.get("max_steps", ContinuationOptions.max_steps),
+                "continuation.max_steps", integer=True, low=1, high=10_000))
+    integ = _section(top.get("integration"), "integration", "dt", "t_final",
+                     "periods")
+    dt = _number(integ.get("dt", 1e-3), "integration.dt", low=0.0, strict=True)
+    periods = _number(integ.get("periods", 1), "integration.periods",
+                      integer=True, low=1)
+    t_final = integ.get("t_final")
     if t_final is not None:
         t_final = _number(t_final, "integration.t_final", low=dt)
         cap = min(MAX_TRAJECTORY_STEPS, 6 * MAX_TRAJECTORY_STEPS // cfg.n)
         if t_final / dt > cap:
             raise ConfigError("integration.t_final / integration.dt is over "
                               f"{cap} steps at n = {cfg.n}")
-    pert = _section(top["perturbation"], _PERTURBATION)
-    out_dir = top["output_dir"]
+    pert = _section(top.get("perturbation"), "perturbation", "scale", "seed")
+    if pert:
+        pert = {"scale": _number(pert.get("scale", 0.0), "perturbation.scale"),
+                "seed": _number(pert.get("seed", 0), "perturbation.seed",
+                                integer=True, low=0)}
+    out_dir = top.get("output_dir", ".")
     if not isinstance(out_dir, str):
         raise ConfigError(f"output_dir must be a string, got {out_dir!r}")
-    return RunConfig(
-        lattice=cfg, potential=pot, amplitude=amplitude, sweep=sweep,
-        mode=top["mode"], sign=+1 if sign == "+" else -1, options=options,
-        dt=dt, periods=integ["periods"], t_final=t_final,
-        perturbation=pert if top["perturbation"] else None,
-        out_dir=Path(out_dir), verify_points=top["verify_points"],
-        snapshot_stride=top["snapshot_stride"])
+    return RunConfig(cfg, pot, amplitude, sweep, mode, +1 if sign == "+" else -1,
+                     options, dt, periods, t_final, pert or None, Path(out_dir),
+                     verify_points, snapshot_stride)
 
 
 def write_csv(path: Path, header: list, rows: Iterable) -> None:

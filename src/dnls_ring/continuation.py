@@ -193,13 +193,15 @@ def _newton(sys_: ReducedSystem, y0: np.ndarray, row: np.ndarray,
     y, bordered = y0, np.empty((len(y0), len(y0)))
     bordered[-1] = row
     max_iter = MAX_NEWTON_ITER if max_iter is None else max_iter
-    for _ in range(max_iter):
+    for i in range(max_iter):
         p, nu = y[:-1], y[-1]
         r = sys_.residual(p, nu)
         c = float(row @ (y - y0))
         rnorm = math.sqrt(r.dot(r))
         if rnorm <= NEWTON_TOL and abs(c) <= NEWTON_TOL:
             return y, rnorm
+        if i == max_iter - 1:   # no update past the budget's last residual
+            break
         sys_.jacobian(p, nu, r, out=bordered[:-1])
         try:
             y = y + np.linalg.solve(bordered, -np.concatenate([r, [c]]))

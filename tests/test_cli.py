@@ -217,6 +217,19 @@ INVALID = [
      "integration.period"),
     ("misspelt_perturbation_key", dict(BASE, perturbation={"scales": 0.1}),
      "perturbation.scales"),
+    # several faults: the first in check order is named
+    ("steps_before_a_max", dict(BASE, sweep={"a_min": 0.1, "a_max": "x",
+                                             "steps": 1}), "sweep.steps"),
+    ("dt_before_periods", dict(BASE, integration={"dt": 0, "periods": 0}),
+     "integration.dt"),
+    ("periods_before_t_final",
+     dict(BASE, integration={"periods": 0, "t_final": "x"}),
+     "integration.periods"),
+    ("mode_before_lattice_n", dict(BASE, mode=0, lattice={"n": "x", "m": 1}),
+     "mode"),
+    ("n_harmonics_before_dt", dict(BASE, continuation={"n_harmonics": 0},
+                                   integration={"dt": 0}),
+     "continuation.n_harmonics"),
 ]
 
 

@@ -17,8 +17,8 @@ from dnls_ring import (ContinuationOptions, ConvergenceError, LatticeConfig,
 from dnls_ring.bifurcation import BifurcationPoint
 from dnls_ring.cli import main
 from dnls_ring.continuation import (FIRST_STEP_EPS, KERNEL_RTOL, NEWTON_TOL,
-                                    ReducedSystem, _newton, extrapolate_onset,
-                                    grid_size)
+                                    NU_MIN, ReducedSystem, _newton,
+                                    extrapolate_onset, grid_size)
 from dnls_ring.spectral import block_data
 
 from helpers import block_matrices, fd_jacobian
@@ -264,6 +264,32 @@ def test_max_steps_one_gives_one_point():
                          ContinuationOptions(n_harmonics=8, max_steps=1))
     assert len(br.points) == 1
     assert br.termination == "max_steps"
+    # one point gives no quadratic fit: the onset estimate is its own nu
+    assert extrapolate_onset(br) == br.points[0].nu
+
+
+TERMINATIONS = [  # n = 6, m = 1, nh = 16: 98 and 83 points
+    ("nu_bound", Potential.cubic(1.0), 0.5, 2, -1),
+    ("amplitude_cap", Potential.cubic(-1.0), 0.3, 3, +1),
+]
+
+
+@pytest.mark.parametrize("termination, pot, a, k, sign", TERMINATIONS,
+                         ids=[case[0] for case in TERMINATIONS])
+def test_branch_stops_at_the_first_point_past_its_bound(termination, pot, a,
+                                                         k, sign):
+    # nu falls to NU_MIN, or the amplitude reaches 10 a, before max_steps
+    sw = make_standing_wave(CFG, pot, a)
+    onset = next(p for p in enumerate_bifurcations(CFG, pot, a)
+                 if p.k == k and p.sign == sign)
+    opts = ContinuationOptions(n_harmonics=16)
+    br = continue_branch(CFG, pot, sw, onset, opts)
+    assert br.termination == termination
+    assert len(br.points) < opts.max_steps
+    *before, last = br.points
+    assert all(p.nu > NU_MIN and p.amplitude < 10 * a for p in before)
+    assert (last.nu <= NU_MIN if termination == "nu_bound"
+            else last.amplitude >= 10 * a)
 
 
 def test_case_b_mode_gives_two_distinct_branch_starts():
@@ -546,9 +572,10 @@ def _acceptance_onset():
 
 def test_acceptance_round_stops_its_diverging_corrector_at_the_budget(monkeypatch):
     # the 11th corrector of the 20-point acceptance branch diverges until
-    # nu <= 0 stops it; CORRECTOR_MAX_ITER stops it at 10 residuals and 10
-    # Jacobians, so the branch and the nh = 64 refinement of its point 5 take
-    # 81 residuals and 60 Jacobians (91 and 69 with 25 iterations)
+    # nu <= 0 stops it; CORRECTOR_MAX_ITER stops it at 10 residuals and 9
+    # Jacobians, none formed after the last residual, so the branch and the
+    # nh = 64 refinement of its point 5 take 81 residuals and 59 Jacobians
+    # (91 and 69 with 25 iterations)
     calls = {"residual": 0, "jacobian": 0}
 
     def counted(name, fn):
@@ -564,7 +591,7 @@ def test_acceptance_round_stops_its_diverging_corrector_at_the_budget(monkeypatc
                              ContinuationOptions(n_harmonics=32, max_steps=20))
     refine_point(CFG, CUBIC, SW, branch.points[5], 64)
     assert len(branch.points) == 20
-    assert calls == {"residual": 81, "jacobian": 60}
+    assert calls == {"residual": 81, "jacobian": 59}
 
 
 @pytest.mark.parametrize("max_steps", [20, 40])
