@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from dnls_ring import ConfigError, block_data
+from dnls_ring import ConfigError, ContinuationOptions, block_data, continue_branch
 from dnls_ring.cli import main, parse_config, read_csv, write_csv
 from dnls_ring.lattice import LatticeConfig, Potential, make_standing_wave
 from dnls_ring.verify import integrate
@@ -913,6 +913,37 @@ def test_verify_extreme_inputs_exit_0_2_or_3_with_finite_csv(change):
     doc = dict(README_CONFIG, continuation={"n_harmonics": 4, "max_steps": 2},
                verify_points=1, **change)
     check_extreme_run("verify", doc)
+
+
+def test_verify_continues_only_the_points_it_verifies(tmp_path, monkeypatch):
+    # README's config verifies 5 points of a branch that max_steps 40 lets
+    # run to 37: verify continues those 5 alone, which are the first 5 of
+    # the long branch bit for bit, so verify.csv is the same at max_steps 5,
+    # 40 and 500
+    calls = []
+
+    def counted(*args):
+        calls.append((args, continue_branch(*args)))
+        return calls[-1][1]
+
+    def bits(points):
+        return [(p.nu.hex(), p.profile.as_vector().tobytes()) for p in points]
+
+    monkeypatch.setattr("dnls_ring.cli.continue_branch", counted)
+    written = []
+    for max_steps in (40, 5, 500):
+        doc = dict(README_CONFIG, continuation=dict(
+            README_CONFIG["continuation"], max_steps=max_steps))
+        out = tmp_path / str(max_steps)
+        assert main(["verify", "--config", write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        written.append((out / "verify.csv").read_bytes())
+    assert [len(branch.points) for _, branch in calls] == [5, 5, 5]
+    assert written[1:] == written[:1] * 2
+    args, verified = calls[0]
+    full = continue_branch(*args[:4], ContinuationOptions(32, 40))
+    assert len(full.points) == 37
+    assert bits(verified.points) == bits(full.points[:5])
 
 
 @pytest.mark.parametrize("n", [6, 48])
