@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -248,7 +248,7 @@ def cmd_bifurcations(config: RunConfig) -> None:
                "suppressed", "flags"], rows)
 
 
-def _run_branch(config: RunConfig, max_steps: int) -> tuple:
+def _run_branch(config: RunConfig, opts: ContinuationOptions) -> tuple:
     cfg, pot = config.lattice, config.potential
     a = _require_amplitude(config)
     sw = make_standing_wave(cfg, pot, a)
@@ -258,12 +258,11 @@ def _run_branch(config: RunConfig, max_steps: int) -> tuple:
         raise ConfigError(
             f"no bifurcation onset for mode k={config.mode} "
             f"sign={_SIGNS[config.sign]} at a={a:g}")
-    opts = ContinuationOptions(config.options.n_harmonics, max_steps)
     return sw, continue_branch(cfg, pot, sw, match[0], opts)
 
 
 def cmd_continue(config: RunConfig) -> None:
-    _, branch = _run_branch(config, config.options.max_steps)
+    _, branch = _run_branch(config, config.options)
     k, sgn = config.mode, _SIGNS[config.sign]
     rows = [[i, pt.nu, pt.amplitude, pt.residual_norm, pt.profile.cos_a[0],
              pt.profile.cos_a[1], pt.profile.sin_b[0]]
@@ -283,8 +282,8 @@ def cmd_continue(config: RunConfig) -> None:
 
 def cmd_verify(config: RunConfig) -> None:
     cfg, pot, k = config.lattice, config.potential, config.mode
-    sw, branch = _run_branch(config, min(config.options.max_steps,
-                                         config.verify_points))
+    sw, branch = _run_branch(config, replace(config.options, max_steps=min(
+        config.options.max_steps, config.verify_points)))
     rows, cap = [], min(MAX_TRAJECTORY_STEPS, 6 * MAX_TRAJECTORY_STEPS // cfg.n)
     for i, pt in enumerate(branch.points):
         u0 = sw.equilibrium + embed_reduced(pt.profile, cfg).sample(0.0)[0].ravel()

@@ -27,7 +27,7 @@ from .symmetry import ReducedProfile
 
 
 NEWTON_TOL = 1e-10     # residual and constraint bound of every Newton solve
-MAX_NEWTON_ITER = 10   # iteration budget of every Newton solve
+MAX_NEWTON_ITER, CORRECTOR_MAX_ITER = 25, 10  # no fallback; ds / 2 on failure
 DS0, DS_MIN, DS_MAX = 1e-2, 1e-5, 1e-1  # first step, halving floor, growth cap
 FIRST_STEP_EPS = 1e-3  # offset along the onset kernel of the first point
 NU_MIN = 1e-6          # a branch whose frequency falls to this ends
@@ -186,27 +186,28 @@ def onset_kernel(sys_: ReducedSystem, nu: float) -> ReducedProfile:
     return ReducedProfile.from_vector(sys_.k, tangent)
 
 
-def _newton(sys_: ReducedSystem, y0: np.ndarray, row: np.ndarray) -> tuple:
+def _newton(sys_: ReducedSystem, y0: np.ndarray, row: np.ndarray,
+            max_iter: Optional[int] = None) -> tuple:
     """Solve residual(p, nu) = 0 on row . (y - y0) = 0 by Newton from y0 in
-    at most MAX_NEWTON_ITER steps; returns (y, residual norm)."""
+    at most max_iter (or MAX_NEWTON_ITER) steps; returns (y, residual norm)."""
     y, bordered = y0, np.empty((len(y0), len(y0)))
     bordered[-1] = row
-    for i in range(MAX_NEWTON_ITER):
+    max_iter = MAX_NEWTON_ITER if max_iter is None else max_iter
+    for i in range(max_iter):
         p, nu = y[:-1], y[-1]
         r = sys_.residual(p, nu)
         c = float(row @ (y - y0))
         rnorm = math.sqrt(r.dot(r))
         if rnorm <= NEWTON_TOL and abs(c) <= NEWTON_TOL:
             return y, rnorm
-        if i == MAX_NEWTON_ITER - 1:    # no update past the last residual
+        if i == max_iter - 1:   # no update past the budget's last residual
             break
         sys_.jacobian(p, nu, r, out=bordered[:-1])
         try:
             y = y + np.linalg.solve(bordered, -np.concatenate([r, [c]]))
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular bordered system: {exc}") from exc
-    raise ConvergenceError(
-        f"Newton did not converge in {MAX_NEWTON_ITER} iterations")
+    raise ConvergenceError(f"Newton did not converge in {max_iter} iterations")
 
 
 def continue_branch(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
@@ -216,10 +217,11 @@ def continue_branch(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
     steps: the first, of length FIRST_STEP_EPS, along the kernel (tangent, 0)
     of the branch's own system there, the rest along the last secant, each
     corrected on the hyperplane through its prediction normal to the step
-    direction, each in at most MAX_NEWTON_ITER = 10 iterations. A success
-    grows ds by 1.3 up to DS_MAX; a failed step halves ds, so a diverging
-    corrector costs only a shorter step. A failed first step raises
-    ConvergenceError, so the branch holds at least one point, and
+    direction. A success grows ds by 1.3 up to DS_MAX. A failed step halves ds,
+    so its corrector stops after CORRECTOR_MAX_ITER = 10 iterations: a
+    diverging one costs only a shorter step. The first step, like
+    refine_point, has no fallback: it gets MAX_NEWTON_ITER = 25, and its
+    failure raises ConvergenceError. The branch holds at least one point, and
     `termination` is "nu_bound", "amplitude_cap", "max_steps" or
     "newton_failure" (ds below DS_MIN)."""
     opts = opts or ContinuationOptions()
@@ -236,7 +238,8 @@ def continue_branch(cfg: LatticeConfig, pot: Potential, sw: StandingWave,
     ds = FIRST_STEP_EPS
     while True:
         try:
-            ynew, rnorm = _newton(sys_, y + ds * tau, tau)
+            ynew, rnorm = _newton(sys_, y + ds * tau, tau, CORRECTOR_MAX_ITER
+                                  if branch.points else MAX_NEWTON_ITER)
         except ConvergenceError:
             if not branch.points:
                 raise

@@ -1,6 +1,7 @@
 import io
 import json
 from contextlib import redirect_stderr
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -409,8 +410,6 @@ def test_bordered_newton_matrix_equals_stacked_jacobian(pot, nh, monkeypatch):
         return solve(A, b)
 
     monkeypatch.setattr(np.linalg, "solve", spy)
-    # the synthetic start at polynomial-6 needs 13 residuals, over the budget
-    monkeypatch.setattr(continuation, "MAX_NEWTON_ITER", 25)
     rng = np.random.default_rng(nh)
     sw = make_standing_wave(CFG, pot, 0.3)
     sys_ = ReducedSystem(CFG, pot, sw, 1, nh)
@@ -574,10 +573,10 @@ def _acceptance_onset():
 
 def test_acceptance_round_stops_its_diverging_corrector_at_the_budget(monkeypatch):
     # the 11th corrector of the 20-point acceptance branch diverges until
-    # nu <= 0 stops it; MAX_NEWTON_ITER stops it at 10 residuals and 9
+    # nu <= 0 stops it; CORRECTOR_MAX_ITER stops it at 10 residuals and 9
     # Jacobians, none formed after the last residual, so the branch and the
     # nh = 64 refinement of its point 5 take 81 residuals and 59 Jacobians
-    # (91 and 69 with a 25-iteration budget)
+    # (91 and 69 with a 25-iteration corrector budget)
     calls = {"residual": 0, "jacobian": 0}
 
     def counted(name, fn):
@@ -596,15 +595,23 @@ def test_acceptance_round_stops_its_diverging_corrector_at_the_budget(monkeypatc
     assert calls == {"residual": 81, "jacobian": 59}
 
 
-def _bits(branch):
-    return branch.termination, [
-        (p.nu.hex(), p.residual_norm.hex(), p.profile.as_vector().tobytes())
-        for p in branch.points]
+@pytest.mark.parametrize("max_steps", [20, 40])
+def test_corrector_budget_keeps_every_acceptance_point(max_steps, monkeypatch):
+    # the budget changes no point of the acceptance branch or of README's
+    # config (max_steps 40): every corrector there that converges needs at
+    # most 10 iterations
+    opts = ContinuationOptions(n_harmonics=32, max_steps=max_steps)
 
+    def points():
+        branch = continue_branch(CFG, CUBIC, SW, _acceptance_onset(), opts)
+        return branch.termination, [
+            (p.nu.hex(), p.residual_norm.hex(), p.profile.as_vector().tobytes())
+            for p in branch.points]
 
-def _acceptance_bits(max_steps):
-    return _bits(continue_branch(CFG, CUBIC, SW, _acceptance_onset(),
-                                 ContinuationOptions(32, max_steps)))
+    budgeted = points()
+    monkeypatch.setattr(continuation, "CORRECTOR_MAX_ITER",
+                        continuation.MAX_NEWTON_ITER)
+    assert points() == budgeted
 
 
 def _nh6_branch(n, m, pot, a, k, max_steps):
@@ -616,42 +623,43 @@ def _nh6_branch(n, m, pot, a, k, max_steps):
                                     ContinuationOptions(6, max_steps))
 
 
-def _saturable_refinement_bits():
-    pot = Potential.saturable(5.0)
-    cfg, sw, branch = _nh6_branch(48, 5, pot, 0.5, 1, 4)
-    prof, rnorm = refine_point(cfg, pot, sw, branch.points[3], 64)
-    return _bits(branch), rnorm.hex(), prof.as_vector().tobytes()
-
-
-def _quartic_first_step_bits():
+def _quartic_first_step():
     pot = Potential.polynomial([0.0, 0.5, -0.3, 0.2, 0.1])
-    return _bits(_nh6_branch(24, 7, pot, 2.0, 21, 1)[2])
+    return lambda: _nh6_branch(48, 15, pot, 2.0, 47, 1)
 
 
-@pytest.mark.parametrize("case, last", [
-    pytest.param(lambda: _acceptance_bits(20), None, id="20"),
-    pytest.param(lambda: _acceptance_bits(40), None, id="40"),
-    pytest.param(_saturable_refinement_bits, 9, id="saturable-refinement"),
-    pytest.param(_quartic_first_step_bits, 6, id="quartic-first-step")])
-def test_corrector_budget_keeps_every_acceptance_point(case, last, monkeypatch):
-    # the 10-iteration budget changes no point of the acceptance branch or of
-    # README's config (max_steps 40), nor two solves near it from a survey of
-    # branch starts: an n = 48 saturable refinement from nh = 6 that takes 9
-    # residuals and a quartic first step that takes 6 (`last`, the residuals
-    # of the case's last Newton solve)
-    counts, residual = [], ReducedSystem.residual
+def _cubic_refinement():
+    # the refinement of point 9 reaches the point's own solution: a
+    # two-stage refinement through nh = 32 lands on the same profile
+    pot = Potential.cubic(-1.0)
+    cfg, sw, branch = _nh6_branch(48, 5, pot, 1.0, 1, 10)
+    point = branch.points[9]
+    prof, _ = refine_point(cfg, pot, sw, point, 64)
+    mid, _ = refine_point(cfg, pot, sw, point, 32)
+    two_stage, _ = refine_point(cfg, pot, sw, replace(point, profile=mid), 64)
+    assert np.abs(prof.as_vector() - two_stage.as_vector()).max() <= 1e-10
+    return lambda: refine_point(cfg, pot, sw, point, 64)
+
+
+@pytest.mark.parametrize("case, residuals", [
+    pytest.param(_quartic_first_step, 24, id="quartic-first-step"),
+    pytest.param(_cubic_refinement, 13, id="cubic-refinement")])
+def test_solves_without_fallback_need_more_than_the_corrector_budget(
+        case, residuals, monkeypatch):
+    # the first step and refine_point have no fallback, so they keep
+    # MAX_NEWTON_ITER = 25: each of these n = 48 solves converges in more
+    # than CORRECTOR_MAX_ITER = 10 iterations and raises at that budget
+    solve, counts, residual = case(), [], ReducedSystem.residual
 
     def counted(self, *args):
-        counts[-1] += 1
+        counts.append(None)
         return residual(self, *args)
 
-    def newton(*args):
-        counts.append(0)
-        return _newton(*args)
-
     monkeypatch.setattr(ReducedSystem, "residual", counted)
-    monkeypatch.setattr(continuation, "_newton", newton)
-    budgeted = case()
-    assert last is None or counts[-1] == last
-    monkeypatch.setattr(continuation, "MAX_NEWTON_ITER", 25)
-    assert case() == budgeted
+    solve()
+    assert len(counts) == residuals
+    monkeypatch.setattr(continuation, "MAX_NEWTON_ITER",
+                        continuation.CORRECTOR_MAX_ITER)
+    with pytest.raises(ConvergenceError, match="in 10 iterations"):
+        solve()
+    assert len(counts) == residuals + 10
